@@ -539,7 +539,8 @@ func (a *Allocator) FreeHugeCandidates() uint64 {
 
 // FreeRegions returns the maximal runs of free frames in address order,
 // merging adjacent free blocks. Reserved regions are not included.
-// The result feeds the Gemini contiguity list.
+// CA-paging scans it to place a VMA's anchor; callers that only want
+// large runs use FreeRegionsAtLeast.
 //
 // The returned slice is a cache owned by the allocator, valid until
 // the next allocation or free; callers must not retain or mutate it.
@@ -572,6 +573,50 @@ func (a *Allocator) FreeRegions() []mem.Region {
 		return nil
 	}
 	return regions
+}
+
+// FreeRegionsAtLeast probes every sweepStride-th frame for a free block
+// of order >= sweepOrder.
+const (
+	sweepOrder  = 5
+	sweepStride = 1 << sweepOrder
+)
+
+// FreeRegionsAtLeast returns the maximal runs of at least minPages free
+// frames in address order (FreeRegions filtered by length), appended to
+// out[:0]. It probes only every 32nd frame, which is exact for
+// minPages >= 64 because Free merges buddies eagerly: every such run
+// holds a free block of order >= 5 (DESIGN.md §7.2).
+func (a *Allocator) FreeRegionsAtLeast(minPages uint64, out []mem.Region) []mem.Region {
+	if minPages < 2*sweepStride {
+		panic(fmt.Sprintf("buddy: FreeRegionsAtLeast(%d) below %d pages", minPages, 2*sweepStride))
+	}
+	out = out[:0]
+	for i := uint64(0); i < a.totalPages; {
+		if a.freeOrd[i] < sweepOrder {
+			i += sweepStride
+			continue
+		}
+		// Walk back: a free order-o block ending at start begins at
+		// start-2^o, which must be 2^o-aligned. After each step the
+		// scan restarts at order 0.
+		start := i
+		for o := 0; o <= MaxOrder && start%(1<<o) == 0 && start >= 1<<o; o++ {
+			if a.freeOrd[start-1<<o] == int8(o) {
+				start -= 1 << o
+				o = -1
+			}
+		}
+		end := i
+		for end < a.totalPages && a.freeOrd[end] >= 0 {
+			end += uint64(1) << a.freeOrd[end]
+		}
+		if end-start >= minPages {
+			out = append(out, mem.Region{Start: start, Pages: end - start})
+		}
+		i = (end + sweepStride - 1) &^ (sweepStride - 1)
+	}
+	return out
 }
 
 // auditLayer labels buddy violations in audit reports.

@@ -3,6 +3,7 @@ package buddy
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -363,6 +364,85 @@ func TestFreeRegionsEmpty(t *testing.T) {
 	if got := a.FreeRegions(); got != nil {
 		t.Fatalf("FreeRegions when full = %v", got)
 	}
+}
+
+// runsAtLeast filters FreeRegions down to runs of at least min pages:
+// the oracle FreeRegionsAtLeast must match.
+func runsAtLeast(a *Allocator, min uint64) []mem.Region {
+	var out []mem.Region
+	for _, r := range a.FreeRegions() {
+		if r.Pages >= min {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func TestFreeRegionsAtLeast(t *testing.T) {
+	// withFree allocates every frame of a total-page arena, then frees
+	// the given runs frame by frame, letting buddies merge.
+	withFree := func(total uint64, runs ...mem.Region) *Allocator {
+		a := New(total)
+		for i := uint64(0); i < total; i++ {
+			if _, err := a.Alloc(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range runs {
+			for f := r.Start; f < r.End(); f++ {
+				a.Free(f, 0)
+			}
+		}
+		return a
+	}
+	reserved := func(total uint64, his ...uint64) *Allocator {
+		a := New(total)
+		for _, hi := range his {
+			if _, err := a.Reserve(hi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return a
+	}
+	rg := func(start, pages uint64) mem.Region { return mem.Region{Start: start, Pages: pages} }
+	cases := []struct {
+		name string
+		a    *Allocator
+		min  uint64
+		want []mem.Region
+	}{
+		{"pristine, frame 0 to arena end", New(4096), 64, []mem.Region{rg(0, 4096)}},
+		{"total not a multiple of 32", New(1000), 64, []mem.Region{rg(0, 1000)}},
+		{"full", withFree(1024), 64, nil},
+		{"63 vs 64 pages", withFree(1024, rg(100, 63), rg(200, 64), rg(333, 64), rg(500, 63)),
+			64, []mem.Region{rg(200, 64), rg(333, 64)}},
+		{"runs at frame 0 and the unaligned arena end",
+			withFree(1000, rg(0, 64), rg(100, 10), rg(931, 69)), 64,
+			[]mem.Region{rg(0, 64), rg(931, 69)}},
+		{"run spanning order-10 boundaries", withFree(4096, rg(1000, 100), rg(1500, 1600)),
+			64, []mem.Region{rg(1000, 100), rg(1500, 1600)}},
+		{"minimum above 64", withFree(4096, rg(1000, 100), rg(1500, 1600)),
+			101, []mem.Region{rg(1500, 1600)}},
+		{"runs ending in reserved regions", reserved(4096, 1, 4), 64,
+			[]mem.Region{rg(0, 512), rg(1024, 1024), rg(2560, 1536)}},
+	}
+	for _, c := range cases {
+		buf := []mem.Region{rg(7, 7)} // stale contents must not leak through
+		got := c.a.FreeRegionsAtLeast(c.min, buf)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: FreeRegionsAtLeast(%d) = %v, want %v", c.name, c.min, got, c.want)
+		}
+		if oracle := runsAtLeast(c.a, c.min); !slices.Equal(got, oracle) {
+			t.Errorf("%s: FreeRegionsAtLeast(%d) = %v, filtered FreeRegions = %v",
+				c.name, c.min, got, oracle)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FreeRegionsAtLeast(63) did not panic")
+		}
+	}()
+	New(64).FreeRegionsAtLeast(63, nil)
 }
 
 // TestRandomOpsInvariant drives the allocator with a random mix of

@@ -1,6 +1,7 @@
 package buddy
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/audit"
@@ -8,10 +9,11 @@ import (
 )
 
 // FuzzBuddyAllocFree drives random but legal operation sequences
-// against the allocator and checks two oracles after every step: the
-// allocator's own invariant audit, and an external page-conservation
-// model kept by the fuzzer (total = free + tracked allocations +
-// withdrawn reservations).
+// against the allocator and checks three oracles after every step: the
+// allocator's own invariant audit, an external page-conservation model
+// kept by the fuzzer (total = free + tracked allocations + withdrawn
+// reservations), and FreeRegionsAtLeast's stride-32 sweep against the
+// full FreeRegions scan filtered to runs of at least 64 pages.
 func FuzzBuddyAllocFree(f *testing.F) {
 	// Seeds touching every opcode at least once.
 	f.Add([]byte{0, 9, 0, 0, 1, 0, 2, 8, 3, 2, 4, 7, 5, 0, 6, 0})
@@ -53,6 +55,10 @@ func FuzzBuddyAllocFree(f *testing.F) {
 			t.Helper()
 			if vs := a.CheckInvariants(); len(vs) != 0 {
 				t.Fatalf("step %d (%s): %s", step, op, audit.Report(vs))
+			}
+			if got, want := a.FreeRegionsAtLeast(64, nil), runsAtLeast(a, 64); !slices.Equal(got, want) {
+				t.Fatalf("step %d (%s): FreeRegionsAtLeast(64) = %v, filtered FreeRegions = %v",
+					step, op, got, want)
 			}
 			// External conservation model: claimed pages of finished
 			// reservations are ordinary allocated pages; active

@@ -33,19 +33,6 @@ func (d *offsetDesc) covers(v *machine.VMA, va uint64) bool {
 // a meaningful sub-VMA anchor.
 const minAnchorRegion = 64
 
-// usefulRegions copies the allocator's free-region snapshot, keeping
-// only runs large enough to anchor on. The copy matters: the snapshot
-// is invalidated by the next allocation.
-func usefulRegions(rs []mem.Region) []mem.Region {
-	out := make([]mem.Region, 0, 64)
-	for _, r := range rs {
-		if r.Pages >= minAnchorRegion {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // findDesc locates the descriptor covering (vmaID, va) with
 // move-to-front self-organization.
 func (p *GuestPolicy) findDesc(v *machine.VMA, va uint64) *offsetDesc {
@@ -110,7 +97,8 @@ func (p *GuestPolicy) anchor(L *machine.Layer, v *machine.VMA, va uint64) *offse
 		// At most one on-demand rebuild per tick: when fragmentation
 		// leaves no useful regions, rebuilding on every fault would
 		// dominate the run.
-		p.contig.Rebuild(usefulRegions(L.Buddy.FreeRegions()))
+		p.runs = L.Buddy.FreeRegionsAtLeast(minAnchorRegion, p.runs)
+		p.contig.Rebuild(p.runs)
 		p.contigBuiltAt, p.contigBuiltSet = p.now, true
 	}
 	vaPage := va &^ uint64(mem.PageSize-1)

@@ -36,6 +36,7 @@ type GuestPolicy struct {
 	bookings map[uint64]*booking
 	bucket   *Bucket
 	contig   *contig.List
+	runs     []mem.Region // reused FreeRegionsAtLeast buffer
 	ctl      *TimeoutCtl
 
 	now            uint64
@@ -174,7 +175,8 @@ func (p *GuestPolicy) Tick(L *machine.Layer) {
 	// Refresh the contiguity list view periodically and drop
 	// descriptors whose VMA is gone.
 	if p.now%4 == 1 {
-		p.contig.Rebuild(usefulRegions(L.Buddy.FreeRegions()))
+		p.runs = L.Buddy.FreeRegionsAtLeast(minAnchorRegion, p.runs)
+		p.contig.Rebuild(p.runs)
 		p.contigBuiltAt, p.contigBuiltSet = p.now, true
 		kept := p.descs[:0]
 		for _, d := range p.descs {

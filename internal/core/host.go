@@ -40,6 +40,7 @@ type HostPolicy struct {
 	// the region's first EPT fault (HostOffset = GPA1 - HPA1).
 	anchors        map[uint64]uint64
 	contig         *contig.List
+	runs           []mem.Region // reused FreeRegionsAtLeast buffer
 	contigBuiltAt  uint64
 	contigBuiltSet bool
 
@@ -86,7 +87,8 @@ func (p *HostPolicy) OnFault(L *machine.Layer, gpa uint64, v *machine.VMA) machi
 	anchor, ok := p.anchors[hi]
 	if !ok {
 		if p.contig.Len() == 0 && (!p.contigBuiltSet || p.contigBuiltAt != p.now) {
-			p.contig.Rebuild(usefulRegions(L.Buddy.FreeRegions()))
+			p.runs = L.Buddy.FreeRegionsAtLeast(minAnchorRegion, p.runs)
+			p.contig.Rebuild(p.runs)
 			p.contigBuiltAt, p.contigBuiltSet = p.now, true
 		}
 		if f, found := p.contig.FindNextFitAligned(mem.PagesPerHuge, mem.PagesPerHuge); found {
@@ -124,7 +126,8 @@ func (p *HostPolicy) Tick(L *machine.Layer) {
 	p.now++
 	p.g.Scan(p.now)
 	if p.now%4 == 1 {
-		p.contig.Rebuild(usefulRegions(L.Buddy.FreeRegions()))
+		p.runs = L.Buddy.FreeRegionsAtLeast(minAnchorRegion, p.runs)
+		p.contig.Rebuild(p.runs)
 		p.contigBuiltAt, p.contigBuiltSet = p.now, true
 		p.pruneAnchors()
 	}

@@ -10,12 +10,13 @@
 // retained pages are returned to the caller so they can be freed later
 // (or held for the lifetime of an experiment).
 //
-// See DESIGN.md §2 (system inventory, "fragmenter") and §6.2 of the
-// paper for the fragmentation methodology this models.
+// See DESIGN.md §2 (system inventory, "fragmenter"), DESIGN.md §7.2 for
+// the held-region bitmaps, and §6.2 of the paper for the methodology.
 package frag
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/buddy"
@@ -47,37 +48,37 @@ func (r Report) String() string {
 }
 
 // Fragmenter fragments allocators and tracks the pages it holds so
-// they can be released — wholesale, fractionally, or region by region
-// (the pattern of real recovery: compaction and departing tenants free
-// whole huge-page-sized regions at a time).
+// they can be released — wholesale or region by region (the pattern of
+// real recovery: compaction and departing tenants free whole
+// huge-page-sized regions at a time).
 type Fragmenter struct {
-	rng  *rand.Rand
-	held []uint64 // frames pinned to keep memory fragmented
-	a    *buddy.Allocator
-	// heldIdx maps a pinned frame to its position in held, for O(1)
-	// removal.
-	heldIdx map[uint64]int
-	// regionOrder lists the huge regions that hold pinned pages, in
-	// the deterministic order ReleaseRegions frees them.
-	regionOrder []uint64
-	byRegion    map[uint64][]uint64
+	rng *rand.Rand
+	a   *buddy.Allocator
+	// regions lists the huge regions that hold pinned pages, in the
+	// order ReleaseRegions frees them.
+	regions []heldRegion
+	held    int // pinned pages across regions
+}
+
+// heldRegion is one huge region's pinned pages as a 512-bit bitmap, so
+// the books need no per-frame map and release walks set bits in
+// ascending frame order.
+type heldRegion struct {
+	huge uint64 // huge index (frame / 512)
+	bits [mem.PagesPerHuge / 64]uint64
+	n    int // set bits
 }
 
 // New returns a fragmenter over the allocator, seeded deterministically.
 func New(a *buddy.Allocator, seed int64) *Fragmenter {
-	return &Fragmenter{
-		rng:      rand.New(rand.NewSource(seed)),
-		a:        a,
-		heldIdx:  make(map[uint64]int),
-		byRegion: make(map[uint64][]uint64),
-	}
+	return &Fragmenter{rng: rand.New(rand.NewSource(seed)), a: a}
 }
 
 // HeldPages returns the number of frames the fragmenter is pinning.
-func (f *Fragmenter) HeldPages() int { return len(f.held) }
+func (f *Fragmenter) HeldPages() int { return f.held }
 
 // HeldRegions returns the number of huge regions with pinned pages.
-func (f *Fragmenter) HeldRegions() int { return len(f.regionOrder) }
+func (f *Fragmenter) HeldRegions() int { return len(f.regions) }
 
 // FragmentTo drives the allocator's FMFI at huge order to at least the
 // target by allocating base pages and freeing a scattered subset. It
@@ -97,7 +98,7 @@ func (f *Fragmenter) FragmentTo(target float64, maxConsumeFraction float64) floa
 		maxConsumeFraction = 1
 	}
 	budget := uint64(float64(f.a.TotalPages()) * maxConsumeFraction)
-	for f.a.FMFI(mem.HugeOrder) < target && uint64(len(f.held)) < budget {
+	for f.a.FMFI(mem.HugeOrder) < target && uint64(f.held) < budget {
 		// Take one whole huge-aligned block, then free alternating
 		// pages inside it: each freed page is a lone order-0 block
 		// that cannot merge, so the region is shattered for good
@@ -107,29 +108,28 @@ func (f *Fragmenter) FragmentTo(target float64, maxConsumeFraction float64) floa
 			// No order-9 block left anywhere: FMFI is 1 by definition.
 			break
 		}
+		r := heldRegion{huge: start / mem.PagesPerHuge}
 		for i := 0; i < mem.PagesPerHuge; i++ {
 			keep := i%2 == 0
 			if f.rng.Intn(8) == 0 {
 				keep = !keep
 			}
-			fr := start + uint64(i)
 			if keep {
-				f.heldIdx[fr] = len(f.held)
-				f.held = append(f.held, fr)
-				hi := fr / mem.PagesPerHuge
-				if len(f.byRegion[hi]) == 0 {
-					f.regionOrder = append(f.regionOrder, hi)
-				}
-				f.byRegion[hi] = append(f.byRegion[hi], fr)
+				r.bits[i/64] |= 1 << (i % 64)
+				r.n++
 			} else {
-				f.a.Free(fr, 0)
+				f.a.Free(start+uint64(i), 0)
 			}
+		}
+		if r.n > 0 {
+			f.regions = append(f.regions, r)
+			f.held += r.n
 		}
 	}
 	// Shuffle the release order so recovered regions appear at
 	// scattered addresses, as real compaction and tenant churn yield.
-	f.rng.Shuffle(len(f.regionOrder), func(i, j int) {
-		f.regionOrder[i], f.regionOrder[j] = f.regionOrder[j], f.regionOrder[i]
+	f.rng.Shuffle(len(f.regions), func(i, j int) {
+		f.regions[i], f.regions[j] = f.regions[j], f.regions[i]
 	})
 	return f.a.FMFI(mem.HugeOrder)
 }
@@ -138,69 +138,23 @@ func (f *Fragmenter) FragmentTo(target float64, maxConsumeFraction float64) floa
 // modelling background compaction (or a departing tenant) recovering
 // whole huge-page-sized blocks over time. Returns regions released.
 func (f *Fragmenter) ReleaseRegions(n int) int {
-	released := 0
-	for released < n && len(f.regionOrder) > 0 {
-		hi := f.regionOrder[0]
-		f.regionOrder = f.regionOrder[1:]
-		for _, fr := range f.byRegion[hi] {
-			f.a.Free(fr, 0)
-			// Drop from the flat held list lazily: mark by sentinel.
-			f.unhold(fr)
+	n = max(0, min(n, len(f.regions)))
+	for _, r := range f.regions[:n] {
+		// Free in ascending frame order.
+		base := r.huge * mem.PagesPerHuge
+		for w, word := range r.bits {
+			for ; word != 0; word &= word - 1 {
+				f.a.Free(base+uint64(w*64+bits.TrailingZeros64(word)), 0)
+			}
 		}
-		delete(f.byRegion, hi)
-		released++
+		f.held -= r.n
 	}
-	return released
-}
-
-// unhold removes one frame from the flat held list in O(1).
-func (f *Fragmenter) unhold(fr uint64) {
-	i, ok := f.heldIdx[fr]
-	if !ok {
-		return
-	}
-	last := f.held[len(f.held)-1]
-	f.held[i] = last
-	f.heldIdx[last] = i
-	f.held = f.held[:len(f.held)-1]
-	delete(f.heldIdx, fr)
+	f.regions = f.regions[n:]
+	return n
 }
 
 // ReleaseAll frees every pinned page, letting memory coalesce again.
 func (f *Fragmenter) ReleaseAll() {
-	for _, fr := range f.held {
-		f.a.Free(fr, 0)
-	}
-	f.held = f.held[:0]
-	f.heldIdx = make(map[uint64]int)
-	f.regionOrder = nil
-	f.byRegion = make(map[uint64][]uint64)
-}
-
-// ReleaseFraction frees the given fraction of pinned pages (a partial
-// defragmentation, used to model workloads that free memory over time).
-func (f *Fragmenter) ReleaseFraction(fraction float64) {
-	if fraction <= 0 {
-		return
-	}
-	if fraction >= 1 {
-		f.ReleaseAll()
-		return
-	}
-	n := int(float64(len(f.held)) * fraction)
-	for i := 0; i < n; i++ {
-		// Free from a random position to avoid releasing one dense run.
-		j := f.rng.Intn(len(f.held))
-		fr := f.held[j]
-		f.a.Free(fr, 0)
-		f.unhold(fr)
-		hi := fr / mem.PagesPerHuge
-		pages := f.byRegion[hi]
-		for k, p := range pages {
-			if p == fr {
-				f.byRegion[hi] = append(pages[:k], pages[k+1:]...)
-				break
-			}
-		}
-	}
+	f.ReleaseRegions(len(f.regions))
+	f.regions = nil
 }

@@ -1,6 +1,9 @@
 package frag
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/audit"
@@ -98,25 +101,6 @@ func TestReleaseAllRestores(t *testing.T) {
 	}
 }
 
-func TestReleaseFraction(t *testing.T) {
-	a := buddy.New(pages)
-	f := New(a, 42)
-	f.FragmentTo(0.8, 0.9)
-	held := f.HeldPages()
-	f.ReleaseFraction(0.5)
-	if got := f.HeldPages(); got < held/2-1 || got > held/2+1 {
-		t.Errorf("held after 50%% release = %d (was %d)", got, held)
-	}
-	f.ReleaseFraction(0) // no-op
-	f.ReleaseFraction(2) // full release
-	if f.HeldPages() != 0 {
-		t.Errorf("held after over-release = %d", f.HeldPages())
-	}
-	if vs := a.CheckInvariants(); len(vs) != 0 {
-		t.Fatal(audit.Report(vs))
-	}
-}
-
 func TestFragmentOutOfMemoryStops(t *testing.T) {
 	a := buddy.New(1024) // tiny arena
 	f := New(a, 9)
@@ -143,5 +127,73 @@ func TestDeterminism(t *testing.T) {
 	f2, h2 := run()
 	if f1 != f2 || h1 != h2 {
 		t.Errorf("non-deterministic: (%v,%d) vs (%v,%d)", f1, h1, f2, h2)
+	}
+}
+
+// lockPages is a 2560 MiB allocator.
+const lockPages = 2560 * 256
+
+// digest hashes the allocator's free runs, its FMFI and the
+// fragmenter's held-page and held-region counts, so one constant pins
+// the whole fragmented state.
+func digest(a *buddy.Allocator, f *Fragmenter) uint64 {
+	var buf []byte
+	for _, r := range a.FreeRegions() {
+		buf = binary.LittleEndian.AppendUint64(buf, r.Start)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Pages)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.FMFI(mem.HugeOrder)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.HeldPages()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.HeldRegions()))
+	h := fnv.New64a()
+	h.Write(buf)
+	return h.Sum64()
+}
+
+// TestLayerLock pins the fragmenter's exact output against digests
+// recorded from the map-based implementation it replaced: which frames
+// stay pinned, the order regions are released in, and how a second
+// FragmentTo on a partly released fragmenter extends and reshuffles the
+// region list. Any change to RNG use or release order moves a digest.
+func TestLayerLock(t *testing.T) {
+	a := buddy.New(lockPages)
+	f := New(a, 20230508)
+	steps := []struct {
+		name string
+		do   func()
+		want uint64
+	}{
+		{"FragmentTo", func() { f.FragmentTo(0.96, 0.55) }, 0x307824fb12b622ec},
+		{"ReleaseRegions(1)", func() { f.ReleaseRegions(1) }, 0x4141ed724d5288e2},
+		{"ReleaseRegions(10)", func() { f.ReleaseRegions(10) }, 0x690dad40133f99bb},
+		{"FragmentTo again", func() { f.FragmentTo(0.96, 0.55) }, 0xf3b2eb1e089246c4},
+		{"ReleaseRegions(10) again", func() { f.ReleaseRegions(10) }, 0x56459460182bf8d8},
+		{"ReleaseRegions(all)", func() { f.ReleaseRegions(f.HeldRegions()) }, 0x77791369b3e71aaf},
+		{"FragmentTo after full release", func() { f.FragmentTo(0.96, 0.55) }, 0x90ef27b0791db3f},
+		{"ReleaseAll", f.ReleaseAll, 0x77791369b3e71aaf},
+	}
+	for _, s := range steps {
+		s.do()
+		if got := digest(a, f); got != s.want {
+			t.Errorf("%s: digest %#x, want %#x (held %d pages in %d regions)",
+				s.name, got, s.want, f.HeldPages(), f.HeldRegions())
+		}
+	}
+	if a.FreePages() != lockPages {
+		t.Errorf("FreePages after ReleaseAll = %d, want %d", a.FreePages(), lockPages)
+	}
+	if vs := a.CheckInvariants(); len(vs) != 0 {
+		t.Fatal(audit.Report(vs))
+	}
+}
+
+// TestReleaseRegionsZeroAllocs pins the recovery path the engines run
+// every few ticks: releasing one region allocates nothing.
+func TestReleaseRegionsZeroAllocs(t *testing.T) {
+	a := buddy.New(lockPages)
+	f := New(a, 20230508)
+	f.FragmentTo(0.96, 0.55)
+	if allocs := testing.AllocsPerRun(100, func() { f.ReleaseRegions(1) }); allocs != 0 {
+		t.Errorf("ReleaseRegions(1) allocates %v times per call, want 0", allocs)
 	}
 }
