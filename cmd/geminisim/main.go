@@ -34,12 +34,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 	"sync"
 
 	"repro"
+	"repro/cmd/internal/runflags"
 	"repro/internal/telemetry"
 )
 
@@ -63,69 +62,42 @@ func main() {
 	allSystems := flag.Bool("all-systems", false, "run every system and compare")
 	par := flag.Int("parallel", 1, "run up to N systems concurrently with -all-systems (composes with -trace/-series)")
 	vms := flag.Int("vms", 1, "number of VMs running the workload, consolidated on one host")
-	traceOut := flag.String("trace", "", "write the structured event trace as JSONL to FILE")
-	seriesOut := flag.String("series", "", "write the per-tick sample series as CSV to FILE")
-	sampleEvery := flag.Int("sample-every", 0, "sample stride in ticks for -series (0 = recorder default)")
-	stream := flag.Bool("stream", false, "stream -trace/-series files incrementally during the run instead of writing at the end")
-	progress := flag.Bool("progress", false, "print live systems-done/total progress with ETA to stderr")
+	rf := runflags.Register(flag.CommandLine, "geminisim", false)
 	flag.Parse()
 	if *vms < 1 {
-		fmt.Fprintf(os.Stderr, "-vms must be at least 1, got %d\n", *vms)
-		os.Exit(1)
+		runflags.Check(fmt.Errorf("-vms must be at least 1, got %d", *vms))
 	}
 
 	spec, err := repro.WorkloadByName(*wl)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	runflags.Check(err)
 	systems := []repro.System{}
 	if *allSystems {
 		systems = repro.Systems()
 	} else {
 		s, err := repro.SystemByName(*system)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		runflags.Check(err)
 		systems = append(systems, s)
 	}
+	base := repro.Config{Workload: spec, Fragmented: *fragmented, ReusedVM: *reused,
+		Requests: *requests, Seed: *seed}
+	for _, sys := range systems {
+		// Every flag lands in the single-VM configuration, so this vets
+		// the engine path too; the engine sizes its host to fit -vms.
+		base.System = sys
+		runflags.Check(base.Validate())
+	}
 
-	var rec *repro.TraceRecorder
-	if *traceOut != "" || *seriesOut != "" {
-		rec = repro.NewTraceRecorder(repro.TraceConfig{SampleEvery: *sampleEvery})
-	}
-	var streamEvents, streamSeries *os.File
-	if *stream {
-		if rec == nil {
-			fmt.Fprintln(os.Stderr, "-stream requires -trace and/or -series")
-			os.Exit(1)
-		}
-		var ev, sm io.Writer
-		if *traceOut != "" {
-			streamEvents = createFile(*traceOut)
-			ev = streamEvents
-		}
-		if *seriesOut != "" {
-			streamSeries = createFile(*seriesOut)
-			sm = streamSeries
-		}
-		if err := rec.StreamTo(ev, sm); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	var prog *telemetry.Progress
-	if *progress {
-		prog = telemetry.NewProgress(os.Stderr, "geminisim")
-		prog.AddTotal(len(systems))
+	out, err := rf.Start(nil)
+	runflags.Check(err)
+	if out.Progress != nil {
+		out.Progress.AddTotal(len(systems))
 	}
 
 	fmt.Printf("workload=%s footprint=%dMB fragmented=%v reused=%v requests=%d seed=%d vms=%d\n\n",
 		spec.Name, spec.FootprintMB, *fragmented, *reused, *requests, *seed, *vms)
 	fmt.Printf("%-22s %10s %10s %10s %9s %8s %7s %7s\n",
 		"system", "thpt/Mcyc", "mean(cyc)", "p99(cyc)", "tlbm/kacc", "aligned", "guestH", "hostH")
-	for _, rows := range runAll(systems, spec, *vms, *fragmented, *reused, *requests, *seed, *par, rec, prog) {
+	for _, rows := range runAll(systems, base, *vms, *par, out.Rec, out.Progress) {
 		for i, r := range rows {
 			label := r.System
 			if *vms > 1 {
@@ -136,14 +108,10 @@ func main() {
 				r.TLBMissesPerKAccess, r.AlignedRate, r.GuestHuge, r.HostHuge)
 		}
 	}
-
-	if rec != nil {
-		if *stream {
-			finishStream(rec, *traceOut, *seriesOut, streamEvents, streamSeries)
-		} else {
-			writeTrace(rec, *traceOut, *seriesOut)
-		}
+	if rf.Trace != "" {
+		fmt.Println() // set the trace summary off from the table
 	}
+	runflags.Check(out.Finish(nil))
 }
 
 // runAll runs every system, up to par at a time, and returns their
@@ -151,7 +119,7 @@ func main() {
 // system records straight into it; several systems each record into a
 // private shard keyed by their index, merged in system order after the
 // last one finishes, so the trace is identical at any parallelism.
-func runAll(systems []repro.System, spec repro.WorkloadSpec, vms int, fragmented, reused bool, requests int, seed int64, par int, rec *repro.TraceRecorder, prog *telemetry.Progress) [][]repro.Result {
+func runAll(systems []repro.System, base repro.Config, vms, par int, rec *repro.TraceRecorder, prog *telemetry.Progress) [][]repro.Result {
 	if par < 1 {
 		par = 1
 	}
@@ -171,7 +139,9 @@ func runAll(systems []repro.System, spec repro.WorkloadSpec, vms int, fragmented
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i] = runOne(sys, spec, vms, fragmented, reused, requests, seed, sysRec)
+			cfg := base
+			cfg.System, cfg.Trace = sys, sysRec
+			results[i] = runOne(cfg, vms)
 			if prog != nil {
 				gauges := ""
 				if len(results[i]) > 0 {
@@ -189,92 +159,21 @@ func runAll(systems []repro.System, spec repro.WorkloadSpec, vms int, fragmented
 	return results
 }
 
-// runOne runs the configured experiment: a single VM through Run, or
-// n consolidated copies of the workload through the unified engine.
-func runOne(sys repro.System, spec repro.WorkloadSpec, n int, fragmented, reused bool, requests int, seed int64, rec *repro.TraceRecorder) []repro.Result {
+// runOne runs cfg on a single VM through Run, or n consolidated
+// copies of its workload through the unified engine.
+func runOne(cfg repro.Config, n int) []repro.Result {
 	if n == 1 {
-		return []repro.Result{repro.Run(repro.Config{
-			System:     sys,
-			Workload:   spec,
-			Fragmented: fragmented,
-			ReusedVM:   reused,
-			Requests:   requests,
-			Seed:       seed,
-			Trace:      rec,
-		})}
+		return []repro.Result{repro.Run(cfg)}
 	}
 	vms := make([]repro.VMConfig, n)
 	for i := range vms {
-		vms[i] = repro.VMConfig{System: sys, Workload: spec, ReusedVM: reused}
+		vms[i] = repro.VMConfig{System: cfg.System, Workload: cfg.Workload, ReusedVM: cfg.ReusedVM}
 	}
 	return repro.NewEngine(repro.EngineConfig{
 		VMs:        vms,
-		Fragmented: fragmented,
-		Requests:   requests,
-		Seed:       seed,
-		Trace:      rec,
+		Fragmented: cfg.Fragmented,
+		Requests:   cfg.Requests,
+		Seed:       cfg.Seed,
+		Trace:      cfg.Trace,
 	}).Run()
-}
-
-// writeTrace flushes the recorder's event log and sample series to the
-// requested files, noting any ring overflow on stderr.
-func writeTrace(rec *repro.TraceRecorder, tracePath, seriesPath string) {
-	write := func(path string, fn func(*os.File) error) {
-		f := createFile(path)
-		err := fn(f)
-		if err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if tracePath != "" {
-		write(tracePath, func(f *os.File) error { return repro.WriteTraceEvents(f, rec.Events()) })
-		fmt.Printf("\nwrote %d events to %s\n", len(rec.Events()), tracePath)
-	}
-	if seriesPath != "" {
-		write(seriesPath, func(f *os.File) error { return repro.WriteTraceSeries(f, rec.Samples()) })
-		fmt.Printf("wrote %d samples to %s (stride %d ticks)\n",
-			len(rec.Samples()), seriesPath, rec.Stride())
-	}
-	telemetry.WarnDropped(os.Stderr, rec.Dropped())
-}
-
-// finishStream closes out a streamed trace, printing the same stdout
-// summary lines writeTrace prints so -stream never changes stdout.
-func finishStream(rec *repro.TraceRecorder, tracePath, seriesPath string, eventsF, seriesF *os.File) {
-	if err := rec.FlushStream(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for _, f := range []*os.File{eventsF, seriesF} {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if tracePath != "" {
-		fmt.Printf("\nwrote %d events to %s\n", len(rec.Events()), tracePath)
-	}
-	if seriesPath != "" {
-		fmt.Printf("wrote %d samples to %s (stride %d ticks)\n",
-			len(rec.Samples()), seriesPath, rec.Stride())
-	}
-	telemetry.WarnDropped(os.Stderr, rec.Dropped())
-}
-
-func createFile(path string) *os.File {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return f
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/pagetable"
@@ -36,7 +37,10 @@ type PressurePolicy interface {
 // default victim selector.
 const DefaultPressurePolicy = "lru-heat"
 
+// pressurePolicies is guarded by mu: machines built concurrently (for
+// example by parallel grid cells) query it from several goroutines.
 var pressurePolicies = struct {
+	mu        sync.Mutex
 	names     []string
 	factories map[string]func() PressurePolicy
 	frozen    bool
@@ -47,6 +51,8 @@ var pressurePolicies = struct {
 // reusing a name, panics — the same freeze-on-first-query contract as
 // the sysreg system registry.
 func RegisterPressurePolicy(name string, factory func() PressurePolicy) {
+	pressurePolicies.mu.Lock()
+	defer pressurePolicies.mu.Unlock()
 	if pressurePolicies.frozen {
 		panic(fmt.Sprintf("machine: RegisterPressurePolicy(%q) after registry queried", name))
 	}
@@ -60,6 +66,8 @@ func RegisterPressurePolicy(name string, factory func() PressurePolicy) {
 // PressurePolicyNames returns the registered policy names in
 // registration order and freezes the registry.
 func PressurePolicyNames() []string {
+	pressurePolicies.mu.Lock()
+	defer pressurePolicies.mu.Unlock()
 	pressurePolicies.frozen = true
 	return append([]string(nil), pressurePolicies.names...)
 }
@@ -68,6 +76,8 @@ func PressurePolicyNames() []string {
 // DefaultPressurePolicy) and freezes the registry. Unknown names panic:
 // they are configuration errors, caught by config validation first.
 func NewPressurePolicy(name string) PressurePolicy {
+	pressurePolicies.mu.Lock()
+	defer pressurePolicies.mu.Unlock()
 	pressurePolicies.frozen = true
 	if name == "" {
 		name = DefaultPressurePolicy
@@ -82,6 +92,8 @@ func NewPressurePolicy(name string) PressurePolicy {
 // ValidPressurePolicy reports whether name is registered ("" counts:
 // it selects the default).
 func ValidPressurePolicy(name string) bool {
+	pressurePolicies.mu.Lock()
+	defer pressurePolicies.mu.Unlock()
 	pressurePolicies.frozen = true
 	if name == "" {
 		return true

@@ -7,6 +7,7 @@ package machine
 // they claim to.
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -266,4 +267,28 @@ func TestLruHeatPolicyPicksColdestFirst(t *testing.T) {
 	if len(victims) != 1 || victims[0] != 0 {
 		t.Fatalf("victims = %v, want [0] (the cold region)", victims)
 	}
+}
+
+// TestPressureRegistryConcurrentQueries runs every registry query from
+// concurrent goroutines, as parallel grid cells building
+// overcommitted machines do; under -race it fails if the registry's
+// freeze flag is written without synchronisation.
+func TestPressureRegistryConcurrentQueries(t *testing.T) {
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if NewPressurePolicy("").Name() != DefaultPressurePolicy {
+				t.Error("default pressure policy has the wrong name")
+			}
+			if !ValidPressurePolicy(DefaultPressurePolicy) || ValidPressurePolicy("no-such-policy") {
+				t.Error("ValidPressurePolicy disagrees with the registry")
+			}
+			if len(PressurePolicyNames()) == 0 {
+				t.Error("PressurePolicyNames is empty")
+			}
+		}()
+	}
+	wg.Wait()
 }
