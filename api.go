@@ -10,9 +10,11 @@
 //   - experiment runners (Figure2, Motivation, CleanSlate, ReusedVM,
 //     Breakdown, Colocated, ManyVMs, Pressure) that regenerate each figure and
 //     table of the paper's evaluation on one shared job grid;
-//   - the single-run primitives (Run, RunMicro, RunColocated, RunMany,
-//     Systems, Workloads) for custom studies. All of them execute on
-//     the same unified N-VM engine (NewEngine for full control).
+//   - the single-run primitives (Run, RunMicro, RunMany, NewEngine,
+//     Systems, Workloads) for custom studies. Every run except
+//     RunMicro executes on the same unified N-VM engine, described by
+//     one EngineConfig: Run takes the single-VM Config, and
+//     ColocatedPair builds the two-VM §6.5 setting for NewEngine.
 //
 // Everything is deterministic for a given seed. See DESIGN.md for the
 // system inventory and EXPERIMENTS.md for measured-vs-paper results.
@@ -39,8 +41,6 @@ type (
 	MicroConfig = sim.MicroConfig
 	// MicroResult reports one Figure 2 point.
 	MicroResult = sim.MicroResult
-	// ColocatedConfig describes a two-VM consolidation run (§6.5).
-	ColocatedConfig = sim.ColocatedConfig
 	// WorkloadSpec describes one application model (Table 2).
 	WorkloadSpec = workload.Spec
 	// VMConfig describes one VM of an N-VM engine run.
@@ -73,7 +73,7 @@ var (
 )
 
 // Flight-recorder re-exports. A TraceRecorder attached to Config.Trace
-// (or Options.Trace, EngineConfig.Trace, ColocatedConfig.Trace) records
+// (or Options.Trace, EngineConfig.Trace) records
 // structured events and per-tick samples during the run; the run's
 // Result carries them in Timeline and Events. See package
 // repro/internal/trace for the schema and determinism contract.
@@ -116,9 +116,14 @@ func Run(cfg Config) Result { return sim.Run(cfg) }
 // RunMicro executes one Figure 2 micro-benchmark point.
 func RunMicro(mc MicroConfig) MicroResult { return sim.RunMicro(mc) }
 
-// RunColocated executes a two-VM consolidation run and returns per-VM
-// results.
-func RunColocated(cc ColocatedConfig) (Result, Result) { return sim.RunColocated(cc) }
+// ColocatedPair returns the two-VM consolidation setting of §6.5 —
+// workload a in VM 0 and b in VM 1, both under sys — as an
+// EngineConfig with the consolidation fragmentation target and seed
+// streams pinned. Set Fragmented, Requests, Audit or Trace on it, then
+// run it with NewEngine(...).Run().
+func ColocatedPair(sys System, a, b WorkloadSpec, seed int64) EngineConfig {
+	return sim.ColocatedPair(sys, a, b, seed)
+}
 
 // RunMany executes one N-VM engine run with default pacing and host
 // sizing, returning per-VM results in VM order. For full control

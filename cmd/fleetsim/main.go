@@ -74,7 +74,6 @@ func main() {
 	rebalanceEvery := flag.Int("rebalance-every", 32, "ticks between migration triggers (negative = off)")
 	rebalanceGap := flag.Float64("rebalance-gap", 0.25, "max-min RAM utilisation gap that triggers a migration")
 	auditRuns := flag.Bool("audit", false, "run the fleet and per-host invariant audits (slower; fails loudly on corruption)")
-	fastForward := flag.Bool("fastforward", true, "take the closed-form idle tick on hosts reporting an idle horizon; -fastforward=false forces dense ticking (bit-identical output either way)")
 	parallel := flag.Int("parallel", 0, "hosts stepped concurrently per tick (0 = GOMAXPROCS); results are identical at any value")
 	rf := runflags.Register(flag.CommandLine, "fleetsim", true)
 	flag.Parse()
@@ -91,9 +90,9 @@ func main() {
 		par = runtime.GOMAXPROCS(0)
 	}
 	cfg := repro.FleetConfig{
-		Hosts:     *hosts,
-		HostCPU:   *hostCPU,
-		HostMemMB: *hostMem,
+		Hosts:          *hosts,
+		HostCPU:        *hostCPU,
+		HostMemMB:      *hostMem,
 		System:         sys,
 		Policy:         *policy,
 		Overcommit:     *overcommit,
@@ -103,14 +102,13 @@ func main() {
 			MeanInterarrival: *meanGap,
 			MeanLifetime:     *meanLife,
 		},
-		RequestsPerVMTick:  *reqsPerTick,
-		DrainTicks:         *drain,
-		RebalanceEvery:     *rebalanceEvery,
-		RebalanceGap:       *rebalanceGap,
-		Audit:              *auditRuns,
-		DisableFastForward: !*fastForward,
-		Parallel:           par,
-		Seed:               *seed,
+		RequestsPerVMTick: *reqsPerTick,
+		DrainTicks:        *drain,
+		RebalanceEvery:    *rebalanceEvery,
+		RebalanceGap:      *rebalanceGap,
+		Audit:             *auditRuns,
+		Parallel:          par,
+		Seed:              *seed,
 	}
 
 	// Telemetry is fed by the fleet's OnTick hook: tick-level progress

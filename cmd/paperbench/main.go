@@ -75,7 +75,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 0, "concurrent runs (0 = GOMAXPROCS)")
 	auditRuns := flag.Bool("audit", false, "run the cross-layer invariant audit during every run (slower; fails loudly on corruption)")
-	fastForward := flag.Bool("fastforward", true, "fast-forward idle tick stretches with the event-driven clock; -fastforward=false forces dense ticking (bit-identical output either way)")
 	vms := flag.Int("vms", 4, "VM count for the manyvms experiment")
 	rf := runflags.Register(flag.CommandLine, "paperbench", true)
 	benchExportF := flag.String("bench-export", "", "run the hot-path benchmark suite and write a hotbench/v1 JSON report to FILE")
@@ -101,8 +100,7 @@ func main() {
 		return
 	}
 
-	o := repro.Options{Seed: *seed, Quick: *quick, Parallel: *parallel, Audit: *auditRuns,
-		DisableFastForward: !*fastForward}
+	o := repro.Options{Seed: *seed, Quick: *quick, Parallel: *parallel, Audit: *auditRuns}
 	runflags.Check(o.Validate())
 
 	// Stamp the output with its own generating command, so captured

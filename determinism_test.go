@@ -65,7 +65,7 @@ func TestRunDeterminism(t *testing.T) {
 // colocated double-run test and golden snapshot: the paper's headline
 // pair under the coordinated system, and a store/PARSEC pair under the
 // guest-only baseline.
-func colocatedDeterminismCases() []sim.ColocatedConfig {
+func colocatedDeterminismCases() []sim.EngineConfig {
 	cases := []struct {
 		system sim.System
 		a, b   workload.Spec
@@ -73,37 +73,33 @@ func colocatedDeterminismCases() []sim.ColocatedConfig {
 		{sim.Gemini, workload.Masstree(), workload.SPD()},
 		{sim.THP, workload.Redis(), workload.Canneal()},
 	}
-	cfgs := make([]sim.ColocatedConfig, 0, len(cases))
+	cfgs := make([]sim.EngineConfig, 0, len(cases))
 	for _, c := range cases {
 		a, b := c.a, c.b
 		a.FootprintMB /= 4
 		b.FootprintMB /= 4
-		cfgs = append(cfgs, sim.ColocatedConfig{
-			System:     c.system,
-			WorkloadA:  a,
-			WorkloadB:  b,
-			Fragmented: true,
-			Requests:   400,
-			Seed:       42,
-		})
+		ec := sim.ColocatedPair(c.system, a, b, 42)
+		ec.Fragmented = true
+		ec.Requests = 400
+		cfgs = append(cfgs, ec)
 	}
 	return cfgs
 }
 
 // TestColocatedDeterminism extends the seed contract to the two-VM
-// path: two RunColocated calls with the same configuration must agree
-// on both VMs' results, bit for bit.
+// path: two runs of the same consolidation pair must agree on both
+// VMs' results, bit for bit.
 func TestColocatedDeterminism(t *testing.T) {
-	for _, cc := range colocatedDeterminismCases() {
-		cc := cc
-		name := fmt.Sprintf("%s/%s+%s", cc.System, cc.WorkloadA.Name, cc.WorkloadB.Name)
+	for _, ec := range colocatedDeterminismCases() {
+		ec := ec
+		name := fmt.Sprintf("%s/%s+%s", ec.VMs[0].System, ec.VMs[0].Workload.Name, ec.VMs[1].Workload.Name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			a1, b1 := sim.RunColocated(cc)
-			a2, b2 := sim.RunColocated(cc)
-			if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(b1, b2) {
-				t.Errorf("same seed, different colocated results:\n  first:  %+v / %+v\n  second: %+v / %+v",
-					a1, b1, a2, b2)
+			first := sim.NewEngine(ec).Run()
+			second := sim.NewEngine(ec).Run()
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("same seed, different colocated results:\n  first:  %+v\n  second: %+v",
+					first, second)
 			}
 		})
 	}
@@ -175,9 +171,9 @@ func legacyResult(r sim.Result) interface{} {
 // single-VM path; regenerate with -update after an intended change.
 func TestGoldenColocatedSnapshot(t *testing.T) {
 	var b strings.Builder
-	for _, cc := range colocatedDeterminismCases() {
-		ra, rb := sim.RunColocated(cc)
-		fmt.Fprintf(&b, "A %+v\nB %+v\n", legacyResult(ra), legacyResult(rb))
+	for _, ec := range colocatedDeterminismCases() {
+		rs := sim.NewEngine(ec).Run()
+		fmt.Fprintf(&b, "A %+v\nB %+v\n", legacyResult(rs[0]), legacyResult(rs[1]))
 	}
 	got := b.String()
 

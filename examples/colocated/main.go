@@ -25,13 +25,10 @@ func main() {
 	var baseA, baseB, gemA, gemB repro.Result
 	fmt.Printf("%-14s %16s %16s\n", "system", sens.Name+" thpt", insens.Name+" thpt")
 	for _, sys := range repro.Systems() {
-		a, b := repro.RunColocated(repro.ColocatedConfig{
-			System:     sys,
-			WorkloadA:  sens,
-			WorkloadB:  insens,
-			Fragmented: true,
-			Seed:       5,
-		})
+		ec := repro.ColocatedPair(sys, sens, insens, 5)
+		ec.Fragmented = true
+		rs := repro.NewEngine(ec).Run()
+		a, b := rs[0], rs[1]
 		fmt.Printf("%-14s %16.1f %16.1f\n", a.System, a.Throughput, b.Throughput)
 		switch sys {
 		case repro.HostBVMB:

@@ -17,7 +17,9 @@ import (
 
 // Options tunes experiment scale. The zero value reproduces the full
 // evaluation; Quick shrinks footprints and request counts for smoke
-// runs and benchmarks.
+// runs and benchmarks. Every run ticks with event-driven fast-forward;
+// the dense reference loop it is byte-identical to is not an option
+// here (tests select it through sim.EngineConfig.DisableFastForward).
 type Options struct {
 	// Seed drives all randomness (default 1).
 	Seed int64
@@ -30,11 +32,6 @@ type Options struct {
 	Quick bool
 	// Parallel bounds concurrent runs (default: GOMAXPROCS).
 	Parallel int
-	// DisableFastForward forces every run onto the dense tick path
-	// (sim.Config.DisableFastForward / fleet.Config.DisableFastForward).
-	// Results are bit-identical either way; the flag exists as an
-	// escape hatch and for cross-check tests.
-	DisableFastForward bool
 	// Audit enables the cross-layer invariant audit in every run
 	// (sim.Config.Audit): periodic full audits plus one at completion,
 	// panicking with a report on the first violation.
@@ -346,8 +343,7 @@ func cellConfig(o Options, j gridJob[workload.Spec]) Config {
 		System: j.System, Workload: j.Unit,
 		Fragmented: j.Setting.Fragmented, ReusedVM: j.Setting.ReusedVM,
 		Requests: o.requests(), Seed: o.seed(), Audit: o.Audit,
-		DisableFastForward: o.DisableFastForward,
-		Trace:              j.Trace,
+		Trace: j.Trace,
 	}
 }
 
@@ -490,15 +486,13 @@ func Colocated(o Options) map[string][]ColocatedRow {
 	rows := runGrid(o, pairs, Systems(),
 		[]Setting{{Name: "fragmented", Fragmented: true}}, pairName,
 		func(j gridJob[pairSpec]) ColocatedRow {
-			a, b := o.quickSpec(j.Unit.a), o.quickSpec(j.Unit.b)
-			ra, rb := sim.RunColocated(sim.ColocatedConfig{
-				System: j.System, WorkloadA: a, WorkloadB: b,
-				Fragmented: j.Setting.Fragmented,
-				Requests:   o.requests(), Seed: o.seed(), Audit: o.Audit,
-				DisableFastForward: o.DisableFastForward,
-				Trace:              j.Trace,
-			})
-			return ColocatedRow{A: ra, B: rb}
+			ec := sim.ColocatedPair(j.System, o.quickSpec(j.Unit.a), o.quickSpec(j.Unit.b), o.seed())
+			ec.Fragmented = j.Setting.Fragmented
+			ec.Requests = o.requests()
+			ec.Audit = o.Audit
+			ec.Trace = j.Trace
+			rs := sim.NewEngine(ec).Run()
+			return ColocatedRow{A: rs[0], B: rs[1]}
 		})
 	out := make(map[string][]ColocatedRow)
 	i := 0
@@ -547,13 +541,12 @@ func ManyVMs(o Options, n int) []ManyVMRow {
 				vms[i] = sim.VMConfig{System: j.System, Workload: o.quickSpec(mix[i%len(mix)])}
 			}
 			rs := sim.NewEngine(sim.EngineConfig{
-				VMs:                vms,
-				Fragmented:         j.Setting.Fragmented,
-				Requests:           o.requests(),
-				Seed:               o.seed(),
-				Audit:              o.Audit,
-				DisableFastForward: o.DisableFastForward,
-				Trace:              j.Trace,
+				VMs:        vms,
+				Fragmented: j.Setting.Fragmented,
+				Requests:   o.requests(),
+				Seed:       o.seed(),
+				Audit:      o.Audit,
+				Trace:      j.Trace,
 			}).Run()
 			return ManyVMRow{System: j.System.String(), Results: rs}
 		})
@@ -612,14 +605,13 @@ func Pressure(o Options) []PressureRow {
 			}
 			hostMB := int(math.Ceil(float64(sumMB) / j.Unit))
 			rs := sim.NewEngine(sim.EngineConfig{
-				VMs:                vms,
-				HostMemMB:          hostMB,
-				Overcommit:         j.Unit,
-				Requests:           o.requests(),
-				Seed:               o.seed(),
-				Audit:              o.Audit,
-				DisableFastForward: o.DisableFastForward,
-				Trace:              j.Trace,
+				VMs:        vms,
+				HostMemMB:  hostMB,
+				Overcommit: j.Unit,
+				Requests:   o.requests(),
+				Seed:       o.seed(),
+				Audit:      o.Audit,
+				Trace:      j.Trace,
 			}).Run()
 			return PressureRow{System: j.System.String(), Overcommit: j.Unit, Results: rs}
 		})

@@ -86,11 +86,10 @@ func FleetSweep(o Options) []FleetResult {
 					MeanInterarrival: 6,
 					MeanLifetime:     200,
 				},
-				Audit:              o.Audit,
-				DisableFastForward: o.DisableFastForward,
-				Parallel:           1, // the grid already parallelises across cells
-				Seed:               o.seed(),
-				Trace:              j.Trace,
+				Audit:    o.Audit,
+				Parallel: 1, // the grid already parallelises across cells
+				Seed:     o.seed(),
+				Trace:    j.Trace,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("repro: fleet cell %s × %s: %v", j.Unit, j.System, err))

@@ -110,3 +110,35 @@ func TestAuditNilBeforeAttach(t *testing.T) {
 		t.Fatalf("unattached coordinator reported: %s", audit.Report(vs))
 	}
 }
+
+// TestReclaimOfReturnedPageCountsOnce is the claim double-count
+// regression test. A booked page that went back to the buddy
+// reservation (an unmap or a balloon inflation frees it there) keeps
+// its claimed bit in the booking; claiming it again must not count it
+// a second time.
+func TestReclaimOfReturnedPageCountsOnce(t *testing.T) {
+	_, vm, g, gp, _ := newGeminiVM(Config{})
+	L := vm.Guest
+	if _, err := L.Buddy.Reserve(4); err != nil {
+		t.Fatal(err)
+	}
+	bk := &booking{hugeIdx: 4}
+	gp.bookings[4] = bk
+	frame := uint64(4*mem.PagesPerHuge + 3)
+	va := uint64(1<<30) + 3*mem.PageSize
+	d := &offsetDesc{offset: int64(va) - int64(frame*mem.PageSize)}
+	for round := 1; round <= 2; round++ {
+		got, ok := gp.claim(L, d, va)
+		if !ok || got != frame {
+			t.Fatalf("round %d: claim = %#x, %v; want %#x", round, got, ok, frame)
+		}
+		if bk.nClaimed != 1 {
+			t.Fatalf("round %d: nClaimed = %d, want 1", round, bk.nClaimed)
+		}
+		if vs := g.CheckInvariants(); len(vs) != 0 {
+			t.Fatalf("round %d: %s", round, audit.Report(vs))
+		}
+		// Return the page to the reservation; the booking's bit stays.
+		L.Buddy.Free(frame, 0)
+	}
+}

@@ -67,14 +67,15 @@ func (p *GuestPolicy) claim(L *machine.Layer, d *offsetDesc, va uint64) (uint64,
 			if bk.claimed[idx] {
 				return 0, false
 			}
-			bk.claimed[idx] = true
-		} else {
-			if L.Buddy.AllocReservedPage(hi, frame) != nil {
-				return 0, false
-			}
-			bk.claimed[idx] = true
+		} else if L.Buddy.AllocReservedPage(hi, frame) != nil {
+			return 0, false
 		}
-		bk.nClaimed++
+		// A page the allocator returned to the reservation keeps its
+		// claimed bit, so a re-claim of it is already counted.
+		if !bk.claimed[idx] {
+			bk.claimed[idx] = true
+			bk.nClaimed++
+		}
 		if !bk.anchored && d.aligned {
 			bk.anchored = true
 			bk.vaBase = va &^ uint64(mem.HugeSize-1)

@@ -72,11 +72,6 @@ type Config struct {
 	// RequestsPerVMTick is the foreground requests each resident VM
 	// serves per fleet tick (default 4).
 	RequestsPerVMTick int
-	// DisableFastForward forces dense host ticking instead of the
-	// closed-form idle tick taken when a host machine reports an idle
-	// horizon. Results are bit-identical either way; the switch exists
-	// as an escape hatch and for the cross-check tests.
-	DisableFastForward bool
 	// DrainTicks keeps the fleet ticking after the last arrival so
 	// coalescing settles; departures beyond that window never fire
 	// (default 32).
@@ -282,6 +277,11 @@ type Fleet struct {
 
 	// ticksRun is the horizon the completed run executed to.
 	ticksRun uint64
+
+	// dense forces every host tick through machine.Tick, skipping the
+	// closed-form idle tick. Results are byte-identical either way; the
+	// dense loop is the reference the in-package equivalence test runs.
+	dense bool
 }
 
 // New validates the configuration and builds the fleet: hosts, the
@@ -562,7 +562,7 @@ func (f *Fleet) stepHost(h *host) {
 	// fully quiescent between arrivals: a proven-idle tick advances
 	// the clock in closed form instead of walking every layer.
 	// IdleHorizon's guarantee makes the two paths bit-identical.
-	if !f.cfg.DisableFastForward && h.m.IdleHorizon(1) >= 1 {
+	if !f.dense && h.m.IdleHorizon(1) >= 1 {
 		h.m.AdvanceTicks(1)
 	} else {
 		h.m.Tick()

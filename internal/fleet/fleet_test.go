@@ -276,3 +276,69 @@ func TestFleetParallelTraceDeterminism(t *testing.T) {
 			len(res1.Events), len(res1.Timeline))
 	}
 }
+
+// TestDenseTickingMatchesFastForward is the fleet's dense-vs-fast-
+// forward cross-check: the same traced, audited fleet stepped with the
+// closed-form idle tick (the default) and with every host tick dense
+// must agree on the Result, the event log bytes and the sample series
+// bytes. Cells: the golden_fleet reference fleet, the same fleet under
+// THP, and the audited seed-7 fleetsim command-line fleet (4 hosts ×
+// 512 MiB). GEMINI never reports an idle horizon, so its fleets take
+// the closed-form tick only on empty hosts; THP hosts take it with
+// VMs resident.
+func TestDenseTickingMatchesFastForward(t *testing.T) {
+	golden := Config{
+		Hosts: 3, HostCPU: 8, HostMemMB: 768, System: sim.Gemini, Policy: "best-fit",
+		Stream:         StreamConfig{Arrivals: 32, MeanInterarrival: 4, MeanLifetime: 200},
+		RebalanceEvery: 8, RebalanceGap: 0.1, Audit: true, Seed: 42,
+	}
+	goldenTHP := golden
+	goldenTHP.System = sim.THP
+	cells := map[string]Config{
+		"golden-fleet": golden,
+		"golden-THP":   goldenTHP,
+		"fleetsim-seed7": {
+			Hosts: 4, HostCPU: 16, HostMemMB: 512, System: sim.Gemini,
+			Stream: StreamConfig{Arrivals: 24, MeanInterarrival: 3, MeanLifetime: 120},
+			Audit:  true, Parallel: 2, Seed: 7,
+		},
+	}
+	for name, cfg := range cells {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			run := func(dense bool) (Result, []byte, []byte) {
+				cfg.Trace = trace.NewRecorder(trace.Config{SampleEvery: 16})
+				f, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.dense = dense
+				res := f.Run()
+				var ev, se bytes.Buffer
+				if err := trace.WriteEventsJSONL(&ev, res.Events); err != nil {
+					t.Fatal(err)
+				}
+				if err := trace.WriteSeriesCSV(&se, res.Timeline); err != nil {
+					t.Fatal(err)
+				}
+				return res, ev.Bytes(), se.Bytes()
+			}
+			fast, fastEv, fastSer := run(false)
+			dense, denseEv, denseSer := run(true)
+			if !reflect.DeepEqual(fast, dense) {
+				t.Errorf("results diverged:\n--- fast-forward ---\n%s--- dense ---\n%s", fast.Format(), dense.Format())
+			}
+			if !bytes.Equal(fastEv, denseEv) {
+				t.Errorf("event logs diverged (%d vs %d bytes)", len(fastEv), len(denseEv))
+			}
+			if !bytes.Equal(fastSer, denseSer) {
+				t.Errorf("sample series diverged (%d vs %d bytes)", len(fastSer), len(denseSer))
+			}
+			if len(fast.Events) == 0 || len(fast.Timeline) == 0 || fast.Dropped != 0 {
+				t.Fatalf("trace empty or lossy (%d events, %d samples, %d dropped)",
+					len(fast.Events), len(fast.Timeline), fast.Dropped)
+			}
+		})
+	}
+}

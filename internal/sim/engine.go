@@ -8,8 +8,9 @@ package sim
 //	fragment → predecessor → warmup → settle → measure
 //
 // — differing only in how many VMs the engine hosts and how each VM is
-// configured. Run, RunColocated, and RunMany are thin wrappers that
-// translate their legacy configurations into an EngineConfig.
+// configured. Run translates the single-VM Config into an
+// EngineConfig, ColocatedPair builds the two-VM one, and RunMany runs
+// a VM list with engine defaults.
 //
 // Seeding contract: every VM owns disjoint RNG streams derived from
 // the engine seed S and the VM index i. The per-VM base is
@@ -22,8 +23,8 @@ package sim
 //
 // so VM 0 of an engine run consumes exactly the streams the historic
 // single-VM loop did, which is what keeps the golden snapshots
-// bit-for-bit stable across the refactor. Wrappers with older seeding
-// conventions (RunColocated) override the derived streams through the
+// bit-for-bit stable across the refactor. Settings with older seeding
+// conventions (ColocatedPair) override the derived streams through the
 // explicit seed fields on VMConfig and EngineConfig.
 
 import (
@@ -121,9 +122,9 @@ type EngineConfig struct {
 	PressurePolicy string
 	// DisableFastForward forces dense ticking through the settle
 	// windows instead of jumping the tick clock over provably idle
-	// spans (DESIGN.md §7.4). Off (the zero value) means fast-forward
-	// is on; results, traces, and streamed output are bit-identical
-	// either way.
+	// spans (DESIGN.md §7.4). Results, traces, and streamed output are
+	// bit-identical either way, so no command exposes it: the dense
+	// path is the reference that the equivalence tests select.
 	DisableFastForward bool
 	// Trace, when non-nil, attaches the flight recorder: every layer
 	// emits structured events into it, the engine stamps phase
@@ -184,7 +185,8 @@ func (ec EngineConfig) Validate() error {
 	}
 	if ec.Requests < 0 || ec.WarmupRequests < 0 || ec.RequestsPerTick < 0 ||
 		ec.RecoverEveryTicks < 0 || ec.AuditEvery < 0 {
-		return fmt.Errorf("sim: negative pacing parameter in %+v", ec)
+		return fmt.Errorf("sim: negative pacing parameter (Requests %d, WarmupRequests %d, RequestsPerTick %d, RecoverEveryTicks %d, AuditEvery %d)",
+			ec.Requests, ec.WarmupRequests, ec.RequestsPerTick, ec.RecoverEveryTicks, ec.AuditEvery)
 	}
 	if ec.Requests == 0 {
 		// A zero-request measure phase makes every per-request rate

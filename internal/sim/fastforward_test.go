@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/trace"
@@ -11,50 +12,82 @@ import (
 )
 
 // runTraced runs one traced, streamed engine configuration and
-// returns the results plus the raw streamed event and series bytes.
-func runTraced(t *testing.T, cfg Config) (Result, []byte, []byte) {
+// returns the results, the raw streamed event and series bytes, and
+// the number of ticks the run advanced in closed form.
+func runTraced(t *testing.T, ec EngineConfig) ([]Result, []byte, []byte, int) {
 	t.Helper()
 	rec := trace.NewRecorder(trace.Config{SampleEvery: 4})
 	var events, series bytes.Buffer
 	if err := rec.StreamTo(&events, &series); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trace = rec
-	r := Run(cfg)
-	return r, events.Bytes(), series.Bytes()
+	ec.Trace = rec
+	e := NewEngine(ec)
+	rs := e.Run()
+	return rs, events.Bytes(), series.Bytes(), e.rec.skipped
 }
 
 // TestFastForwardByteIdentical is the dense-vs-fast-forward
 // cross-check: the same configuration run with event-driven
-// fast-forward (the default) and with DisableFastForward must produce
-// byte-identical results, flight-recorder traces, and streamed
-// output. Fast-forward only jumps the tick clock over spans every
-// deadline source (policy periods, recovery boundaries, the trace
-// sampler, audits) has proved are no-ops, so any observable
+// fast-forward (the default) and with EngineConfig.DisableFastForward
+// must produce byte-identical results, flight-recorder traces, and
+// streamed output. Fast-forward only jumps the tick clock over spans
+// every deadline source (policy periods, recovery boundaries, the
+// trace sampler, audits) has proved are no-ops, so any observable
 // divergence here is a bug in a deadline, not a tolerance question.
-// Covers a promotion-heavy system, a scanner system, and a
-// Gradual-style workload whose growth keeps batches short.
+//
+// Cells: a promotion-heavy system on pristine memory, a Gradual-style
+// workload whose growth keeps batches short, one small fragmented and
+// one small pristine cell per figure system, and one consolidation
+// pair, all audited. Fragmented cells never skip a tick (a recovery
+// release is due every tick while fragmenters hold memory), so the
+// pristine cells are the ones that exercise the closed-form path.
 func TestFastForwardByteIdentical(t *testing.T) {
-	cells := []struct {
-		name string
-		sys  System
-		spec workload.Spec
-		frag bool
-	}{
-		{"gemini-masstree", Gemini, workload.Masstree(), false},
-		{"thp-xapian-gradual", THP, workload.Xapian(), true},
+	single := func(sys System, spec workload.Spec, frag bool) EngineConfig {
+		cfg := smallCfg(sys, spec)
+		cfg.Fragmented = frag
+		cfg.Audit = true
+		return cfg.engineConfig()
 	}
-	for _, c := range cells {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := smallCfg(c.sys, c.spec)
-			cfg.Fragmented = c.frag
-			cfg.Audit = true
+	cells := map[string]EngineConfig{
+		"gemini-masstree":    single(Gemini, workload.Masstree(), false),
+		"thp-xapian-gradual": single(THP, workload.Xapian(), true),
+	}
+	for _, sys := range Systems() {
+		for name, frag := range map[string]bool{"fragmented-": true, "pristine-": false} {
+			ec := single(sys, workload.Redis(), frag)
+			ec.VMs[0].Workload.FootprintMB = 32
+			ec.Requests = 400
+			cells[name+sys.String()] = ec
+		}
+	}
+	a, b := workload.Masstree(), workload.Shore()
+	a.FootprintMB, b.FootprintMB = 32, 16
+	pair := ColocatedPair(Gemini, a, b, 3)
+	pair.VMs[0].GuestMemMB, pair.VMs[1].GuestMemMB = 256, 256
+	pair.HostMemMB = 1024
+	pair.Fragmented, pair.Requests, pair.Audit = true, 400, true
+	cells["colocated-pair-GEMINI"] = pair
 
-			fast, fastEv, fastSer := runTraced(t, cfg)
+	var skipped atomic.Int64
+	t.Cleanup(func() {
+		if skipped.Load() == 0 {
+			t.Error("no cell advanced a tick in closed form; the cross-check is vacuous")
+		}
+	})
+	for name, ec := range cells {
+		ec := ec
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			fast, fastEv, fastSer, k := runTraced(t, ec)
+			skipped.Add(int64(k))
 
-			dense := cfg
+			dense := ec
 			dense.DisableFastForward = true
-			slow, slowEv, slowSer := runTraced(t, dense)
+			slow, slowEv, slowSer, denseK := runTraced(t, dense)
+			if denseK != 0 {
+				t.Fatalf("dense run skipped %d ticks", denseK)
+			}
 
 			// The config knob itself is the only permitted difference;
 			// results carry no config echo, so full deep-equality holds.

@@ -4,9 +4,10 @@
 // memory, and collocated VMs (§6.5). Each run is deterministic for a
 // given seed.
 //
-// All settings execute on the unified N-VM Engine (engine.go); Run,
-// RunColocated, and RunMany translate their configurations into an
-// EngineConfig and delegate.
+// All settings execute on the unified N-VM Engine (engine.go) and are
+// described by one EngineConfig: Config is the single-VM front door
+// that Run translates, ColocatedPair builds the two-VM §6.5 setting,
+// and RunMany runs N VMs with engine defaults.
 //
 // See DESIGN.md §3 (per-experiment index) for which entry point backs
 // each figure and DESIGN.md §5 for the determinism contract.
@@ -88,7 +89,9 @@ func SystemByName(name string) (System, error) { return sysreg.ByName(name) }
 // Coordinated). Panics on out-of-range systems; gate with ValidSystem.
 func Def(sys System) SystemDef { return sysreg.Def(sys) }
 
-// Config describes one experiment run.
+// Config is the single-VM front door: it describes one clean-slate or
+// reused VM run (§6.2, §6.3) and becomes a one-VM EngineConfig through
+// engineConfig, which is also where its defaults live.
 type Config struct {
 	// System selects the page management system under test.
 	System System
@@ -97,7 +100,7 @@ type Config struct {
 	// Fragmented pre-fragments guest and host memory (§6.1).
 	Fragmented bool
 	// FragTarget is the FMFI the fragmenter drives toward
-	// (default 0.9).
+	// (default 0.96).
 	FragTarget float64
 	// ReusedVM runs the SVM predecessor to completion first (§6.3).
 	ReusedVM bool
@@ -109,10 +112,10 @@ type Config struct {
 	Requests int
 	// RequestsPerTick paces the background daemons (default 64).
 	RequestsPerTick int
-	// WarmupRequests run before measurement (default Requests/4).
+	// WarmupRequests run before measurement (default Requests).
 	WarmupRequests int
 	// RecoverEveryTicks paces fragmentation recovery: one huge region
-	// per layer returns every N ticks (default 12). Recovery far
+	// per layer returns every N ticks (default 1). Recovery far
 	// below footprint keeps huge-page supply scarce for the whole
 	// run, as the paper's fragmented setting does.
 	RecoverEveryTicks int
@@ -124,21 +127,6 @@ type Config struct {
 	AuditEvery int
 	// Seed drives all randomness.
 	Seed int64
-	// Overcommit arms the memory-elasticity tier (DESIGN.md §10), as
-	// in EngineConfig.Overcommit: 0 disables it (guest memory must fit
-	// in host memory), ≥ 1 relaxes admission to guest ≤ host ×
-	// Overcommit and arms the swap tier and balloon driver.
-	Overcommit float64
-	// PressurePolicy names the armed swap tier's victim selector (""
-	// selects the default); requires Overcommit ≥ 1.
-	PressurePolicy string
-	// DisableFastForward forces dense daemon ticking in the settle
-	// windows instead of event-driven fast-forward. Results are
-	// bit-identical either way (fast-forward only jumps over ticks
-	// every layer proves are no-ops); the switch exists as an escape
-	// hatch and for the dense-vs-fast-forward cross-check tests. See
-	// DESIGN.md §7.4.
-	DisableFastForward bool
 	// Trace, when non-nil, records this run's flight-recorder data:
 	// structured events from every layer and periodic gauge samples.
 	// The run fills Result.Timeline and Result.Events from it. Leave
@@ -149,81 +137,45 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.GuestMemMB == 0 {
-		c.GuestMemMB = 1024
+// engineConfig builds the one-VM EngineConfig, applying the defaults
+// in which the single-VM setting differs from the engine's: a 1024 MB
+// guest, a 2560 MB host and 6000 requests. Every other zero field
+// takes the engine default, which is the same value. VM 0's derived
+// seed streams coincide with the historic single-VM streams, so no
+// overrides are needed.
+func (c Config) engineConfig() EngineConfig {
+	orDefault := func(v, def int) int {
+		if v == 0 {
+			return def
+		}
+		return v
 	}
-	if c.HostMemMB == 0 {
-		c.HostMemMB = 2560
+	return EngineConfig{
+		VMs: []VMConfig{{
+			System:     c.System,
+			Workload:   c.Workload,
+			GuestMemMB: orDefault(c.GuestMemMB, 1024),
+			ReusedVM:   c.ReusedVM,
+		}},
+		HostMemMB:         orDefault(c.HostMemMB, 2560),
+		Fragmented:        c.Fragmented,
+		FragTarget:        c.FragTarget,
+		Requests:          orDefault(c.Requests, 6000),
+		RequestsPerTick:   c.RequestsPerTick,
+		WarmupRequests:    c.WarmupRequests,
+		RecoverEveryTicks: c.RecoverEveryTicks,
+		Audit:             c.Audit,
+		AuditEvery:        c.AuditEvery,
+		Seed:              c.Seed,
+		Trace:             c.Trace,
 	}
-	if c.Requests == 0 {
-		c.Requests = 6000
-	}
-	if c.RequestsPerTick == 0 {
-		c.RequestsPerTick = 64
-	}
-	if c.WarmupRequests == 0 {
-		c.WarmupRequests = c.Requests
-	}
-	if c.FragTarget == 0 {
-		c.FragTarget = 0.96
-	}
-	if c.RecoverEveryTicks == 0 {
-		c.RecoverEveryTicks = 1
-	}
-	if c.AuditEvery == 0 {
-		c.AuditEvery = 32
-	}
-	return c
 }
 
 // Validate reports whether the configuration describes a runnable
-// experiment. Run panics on an invalid configuration; callers wanting
-// an error instead should Validate first.
-func (c Config) Validate() error {
-	if !sysreg.Valid(c.System) {
-		return fmt.Errorf("sim: System %d out of range [0,%d)", int(c.System), sysreg.Count())
-	}
-	if c.Requests < 0 || c.WarmupRequests < 0 || c.RequestsPerTick < 0 ||
-		c.RecoverEveryTicks < 0 || c.AuditEvery < 0 {
-		return fmt.Errorf("sim: negative pacing parameter in %+v", c)
-	}
-	if c.GuestMemMB < 0 || c.HostMemMB < 0 {
-		return fmt.Errorf("sim: negative memory size (guest %d MB, host %d MB)",
-			c.GuestMemMB, c.HostMemMB)
-	}
-	if c.FragTarget < 0 || c.FragTarget >= 1 {
-		return fmt.Errorf("sim: FragTarget %v outside [0,1)", c.FragTarget)
-	}
-	if c.Overcommit != 0 && c.Overcommit < 1 {
-		return fmt.Errorf("sim: Overcommit %v must be 0 (disabled) or ≥ 1", c.Overcommit)
-	}
-	if c.PressurePolicy != "" && c.Overcommit == 0 {
-		return fmt.Errorf("sim: PressurePolicy %q set but Overcommit is zero (elasticity disabled)",
-			c.PressurePolicy)
-	}
-	if c.PressurePolicy != "" && !machine.ValidPressurePolicy(c.PressurePolicy) {
-		return fmt.Errorf("sim: unknown pressure policy %q", c.PressurePolicy)
-	}
-	d := c.withDefaults()
-	limitMB := float64(d.HostMemMB)
-	if d.Overcommit >= 1 {
-		limitMB *= d.Overcommit
-	}
-	if float64(d.GuestMemMB) > limitMB {
-		return fmt.Errorf("sim: guest memory %d MB exceeds host memory %d MB (overcommit %v)",
-			d.GuestMemMB, d.HostMemMB, d.Overcommit)
-	}
-	if c.Workload.Name == "" {
-		return fmt.Errorf("sim: workload has no name")
-	}
-	if c.Workload.FootprintMB <= 0 || c.Workload.RequestPages <= 0 {
-		return fmt.Errorf("sim: workload %q needs a positive footprint and request size",
-			c.Workload.Name)
-	}
-	return nil
-}
+// experiment: its one-VM EngineConfig must pass EngineConfig.Validate.
+// Run panics on an invalid configuration; callers wanting an error
+// instead should Validate first.
+func (c Config) Validate() error { return c.engineConfig().Validate() }
 
 // Result reports one run.
 type Result struct {
@@ -305,42 +257,9 @@ func NewTranslation(sys System) machine.TranslationMode {
 // ValidSystem reports whether sys names a system under test.
 func ValidSystem(sys System) bool { return sysreg.Valid(sys) }
 
-// engineConfig translates a single-VM Config into its EngineConfig.
-// VM 0's derived seed streams coincide with the historic single-VM
-// streams, so no overrides are needed.
-func (c Config) engineConfig() EngineConfig {
-	return EngineConfig{
-		VMs: []VMConfig{{
-			System:     c.System,
-			Workload:   c.Workload,
-			GuestMemMB: c.GuestMemMB,
-			ReusedVM:   c.ReusedVM,
-		}},
-		HostMemMB:          c.HostMemMB,
-		Fragmented:         c.Fragmented,
-		FragTarget:         c.FragTarget,
-		Requests:           c.Requests,
-		RequestsPerTick:    c.RequestsPerTick,
-		WarmupRequests:     c.WarmupRequests,
-		RecoverEveryTicks:  c.RecoverEveryTicks,
-		Audit:              c.Audit,
-		AuditEvery:         c.AuditEvery,
-		Seed:               c.Seed,
-		Overcommit:         c.Overcommit,
-		PressurePolicy:     c.PressurePolicy,
-		DisableFastForward: c.DisableFastForward,
-		Trace:              c.Trace,
-	}
-}
-
 // Run executes one experiment on a one-VM engine. It panics when cfg
 // fails Validate.
-func Run(cfg Config) Result {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return NewEngine(cfg.withDefaults().engineConfig()).Run()[0]
-}
+func Run(cfg Config) Result { return NewEngine(cfg.engineConfig()).Run()[0] }
 
 // recovery advances the daemons and lets fragmented memory recover
 // slowly, modelling background compaction and other tenants freeing
@@ -367,6 +286,8 @@ type recovery struct {
 	// disableFF pins the run to dense ticking
 	// (EngineConfig.DisableFastForward).
 	disableFF bool
+	// skipped counts the ticks advanced in closed form.
+	skipped int
 }
 
 func (r *recovery) tick(m *machine.Machine) {
@@ -449,6 +370,7 @@ func (r *recovery) idleTicks(m *machine.Machine, limit int) int {
 func (r *recovery) skip(m *machine.Machine, k int) {
 	m.AdvanceTicks(k)
 	r.ticks += k
+	r.skipped += k
 }
 
 // audit runs the configured invariant auditors, panicking with the
@@ -460,131 +382,42 @@ func (r *recovery) audit() {
 	}
 }
 
-// ColocatedConfig describes the §6.5 setting: two VMs on one host.
-// Its defaults deliberately differ from Config's single-VM defaults —
-// smaller guests (768 MB), fewer requests (4000), and a softer
-// fragmentation target (0.9 at density 0.4) — matching the paper's
-// consolidation runs; see DESIGN.md §2.
-type ColocatedConfig struct {
-	System     System
-	WorkloadA  workload.Spec
-	WorkloadB  workload.Spec
-	Fragmented bool
-	// FragTarget is the FMFI the fragmenters drive toward
-	// (default 0.9 in the consolidated setting).
-	FragTarget float64
-	GuestMemMB int
-	HostMemMB  int
-	Requests   int
-	// RequestsPerTick paces the background daemons (default 64), as
-	// in Config.RequestsPerTick.
-	RequestsPerTick int
-	// RecoverEveryTicks paces fragmentation recovery (default 1), as
-	// in Config.RecoverEveryTicks.
-	RecoverEveryTicks int
-	// Audit enables the periodic and completion invariant audit, as
-	// in Config.Audit (every AuditEvery ticks, default 32).
-	Audit      bool
-	AuditEvery int
-	Seed       int64
-	// DisableFastForward forces dense settle ticking, as in
-	// Config.DisableFastForward.
-	DisableFastForward bool
-	// Trace, when non-nil, records the run's flight-recorder data, as
-	// in Config.Trace.
-	Trace *trace.Recorder
-}
+// colocatedFragTarget and colocatedFragDensity are the consolidation
+// fragmenters' FMFI target and retained-population density (the
+// historical §6.5 setting).
+const (
+	colocatedFragTarget  = 0.9
+	colocatedFragDensity = 0.4
+)
 
-// base folds the colocated-specific default values into a single-VM
-// Config and routes it through the shared withDefaults path, so the
-// two settings cannot drift on shared knobs again.
-func (cc ColocatedConfig) base() Config {
-	c := Config{
-		System: cc.System, Workload: cc.WorkloadA, Fragmented: cc.Fragmented,
-		FragTarget: cc.FragTarget, GuestMemMB: cc.GuestMemMB, HostMemMB: cc.HostMemMB,
-		Requests: cc.Requests, RequestsPerTick: cc.RequestsPerTick,
-		RecoverEveryTicks: cc.RecoverEveryTicks,
-		Audit:             cc.Audit, AuditEvery: cc.AuditEvery, Seed: cc.Seed,
-		DisableFastForward: cc.DisableFastForward,
-	}
-	// Deliberate consolidation-setting defaults (DESIGN.md §2).
-	if c.GuestMemMB == 0 {
-		c.GuestMemMB = 768
-	}
-	if c.Requests == 0 {
-		c.Requests = 4000
-	}
-	if c.FragTarget == 0 {
-		c.FragTarget = 0.9
-	}
-	return c.withDefaults()
-}
-
-// Validate reports whether the collocated configuration is runnable.
-func (cc ColocatedConfig) Validate() error {
-	single := cc.base()
-	single.Workload = cc.WorkloadA
-	if err := single.Validate(); err != nil {
-		return err
-	}
-	single.Workload = cc.WorkloadB
-	if err := single.Validate(); err != nil {
-		return err
-	}
-	return cc.engineConfig().Validate()
-}
-
-// colocatedFragDensity is the retained-population density of the
-// consolidation fragmenters (the historical §6.5 setting).
-const colocatedFragDensity = 0.4
-
-// engineConfig translates a ColocatedConfig into its two-VM
-// EngineConfig, overriding the engine's derived seed streams with the
-// historical colocated streams (host/guestA/guestB fragmenters at
-// Seed+11/+12/+13, workloads at Seed+21/+22).
-func (cc ColocatedConfig) engineConfig() EngineConfig {
-	base := cc.base()
+// ColocatedPair returns the §6.5 consolidation setting: two VMs running
+// sys on one host, workload a in VM 0 and b in VM 1. It pins what sets
+// the consolidation runs apart from the engine's derived defaults: a
+// softer fragmentation target (FMFI 0.9 at density 0.4, see DESIGN.md
+// §2) and the historical seed streams (host fragmenter at seed+11,
+// guest fragmenters at +12/+13, workloads at +21/+22). Requests is
+// spelled out at its §6.5 value of 4000, so the result validates as
+// returned; guests and host take the engine defaults (768 MB each,
+// 2560 MB). Callers set Fragmented, Requests, Audit, Trace and the
+// like on the result and run it with NewEngine.
+func ColocatedPair(sys System, a, b workload.Spec, seed int64) EngineConfig {
 	vm := func(spec workload.Spec, workloadSeed, fragSeed int64) VMConfig {
 		return VMConfig{
-			System:       cc.System,
+			System:       sys,
 			Workload:     spec,
-			GuestMemMB:   base.GuestMemMB,
 			WorkloadSeed: workloadSeed,
 			GuestFrag: &FragSpec{
-				Seed: fragSeed, Target: base.FragTarget, Density: colocatedFragDensity,
+				Seed: fragSeed, Target: colocatedFragTarget, Density: colocatedFragDensity,
 			},
 		}
 	}
 	return EngineConfig{
-		VMs: []VMConfig{
-			vm(cc.WorkloadA, cc.Seed+21, cc.Seed+12),
-			vm(cc.WorkloadB, cc.Seed+22, cc.Seed+13),
-		},
-		HostMemMB:  base.HostMemMB,
-		Fragmented: cc.Fragmented,
-		FragTarget: base.FragTarget,
+		VMs:        []VMConfig{vm(a, seed+21, seed+12), vm(b, seed+22, seed+13)},
+		FragTarget: colocatedFragTarget,
 		HostFrag: &FragSpec{
-			Seed: cc.Seed + 11, Target: base.FragTarget, Density: colocatedFragDensity,
+			Seed: seed + 11, Target: colocatedFragTarget, Density: colocatedFragDensity,
 		},
-		Requests:           base.Requests,
-		RequestsPerTick:    base.RequestsPerTick,
-		WarmupRequests:     base.WarmupRequests,
-		RecoverEveryTicks:  base.RecoverEveryTicks,
-		Audit:              cc.Audit,
-		AuditEvery:         base.AuditEvery,
-		Seed:               cc.Seed,
-		DisableFastForward: cc.DisableFastForward,
-		Trace:              cc.Trace,
+		Requests: 4000,
+		Seed:     seed,
 	}
-}
-
-// RunColocated runs two VMs side by side on one engine, interleaving
-// their request streams, and returns per-VM results. It panics when
-// cc fails Validate.
-func RunColocated(cc ColocatedConfig) (Result, Result) {
-	if err := cc.Validate(); err != nil {
-		panic(err)
-	}
-	rs := NewEngine(cc.engineConfig()).Run()
-	return rs[0], rs[1]
 }

@@ -134,16 +134,15 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
-func TestRunColocated(t *testing.T) {
-	a, b := RunColocated(ColocatedConfig{
-		System:     Gemini,
-		WorkloadA:  func() workload.Spec { s := workload.Masstree(); s.FootprintMB = 64; return s }(),
-		WorkloadB:  func() workload.Spec { s := workload.Shore(); s.FootprintMB = 32; return s }(),
-		GuestMemMB: 256,
-		HostMemMB:  1024,
-		Requests:   600,
-		Seed:       3,
-	})
+func TestColocatedPairRun(t *testing.T) {
+	wa, wb := workload.Masstree(), workload.Shore()
+	wa.FootprintMB, wb.FootprintMB = 64, 32
+	ec := ColocatedPair(Gemini, wa, wb, 3)
+	ec.VMs[0].GuestMemMB, ec.VMs[1].GuestMemMB = 256, 256
+	ec.HostMemMB = 1024
+	ec.Requests = 600
+	rs := NewEngine(ec).Run()
+	a, b := rs[0], rs[1]
 	if a.Throughput <= 0 || b.Throughput <= 0 {
 		t.Fatalf("colocated: %+v / %+v", a, b)
 	}

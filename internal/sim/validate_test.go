@@ -56,22 +56,39 @@ func TestConfigValidateRejections(t *testing.T) {
 	}
 }
 
-func TestColocatedConfigValidate(t *testing.T) {
-	cc := ColocatedConfig{
-		System: Gemini, WorkloadA: workload.Redis(), WorkloadB: workload.Shore(),
+func TestColocatedPairValidate(t *testing.T) {
+	ok := ColocatedPair(Gemini, workload.Redis(), workload.Shore(), 1)
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid colocated pair rejected: %v", err)
 	}
-	if err := cc.Validate(); err != nil {
-		t.Fatalf("valid colocated config rejected: %v", err)
+	if err := ColocatedPair(Gemini, workload.Redis(), workload.Spec{}, 1).Validate(); err == nil {
+		t.Fatal("Validate accepted a colocated pair with an unnamed workload B")
 	}
-	bad := cc
-	bad.WorkloadB = workload.Spec{}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted a colocated config with an unnamed workload B")
-	}
-	bad = cc
-	bad.System = System(sysreg.Count())
-	if err := bad.Validate(); err == nil {
+	if err := ColocatedPair(System(sysreg.Count()), workload.Redis(), workload.Shore(), 1).Validate(); err == nil {
 		t.Fatal("Validate accepted an out-of-range system")
+	}
+}
+
+// TestColocatedPairPinsSetting locks the §6.5 setting the constructor
+// pins: the consolidation fragmentation target and density, and the
+// historical seed streams and request count, with memory sizes left
+// to the engine defaults.
+func TestColocatedPairPinsSetting(t *testing.T) {
+	ec := ColocatedPair(THP, workload.Redis(), workload.Shore(), 100)
+	if ec.FragTarget != 0.9 || ec.Seed != 100 || ec.HostMemMB != 0 || ec.Requests != 4000 {
+		t.Fatalf("engine fields: %+v", ec)
+	}
+	if *ec.HostFrag != (FragSpec{Seed: 111, Target: 0.9, Density: 0.4}) {
+		t.Errorf("host fragmenter %+v", *ec.HostFrag)
+	}
+	for i, want := range []struct{ workload, frag int64 }{{121, 112}, {122, 113}} {
+		vc := ec.VMs[i]
+		if vc.System != THP || vc.WorkloadSeed != want.workload || vc.GuestMemMB != 0 {
+			t.Errorf("VM %d: %+v", i, vc)
+		}
+		if *vc.GuestFrag != (FragSpec{Seed: want.frag, Target: 0.9, Density: 0.4}) {
+			t.Errorf("VM %d guest fragmenter %+v", i, *vc.GuestFrag)
+		}
 	}
 }
 
