@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -234,6 +235,35 @@ func TestFleetChurnOutcomes(t *testing.T) {
 	}
 	if res.Requests == 0 || res.Throughput <= 0 {
 		t.Fatalf("no foreground work recorded: %d requests, %.3f thpt", res.Requests, res.Throughput)
+	}
+}
+
+// TestWalkCacheArenasReleased checks the fleet's memory bound: every
+// VM the churn fleet ever held — departed VMs, replicas left behind by
+// live migration, and the residents released at the end of Run — has
+// returned its walk-cache arena to the pool once Run is done.
+func TestWalkCacheArenasReleased(t *testing.T) {
+	cfg := churnConfig(1, nil)
+	var f *Fleet
+	seen := map[*machine.VM]int{} // replica -> fleet VM id
+	cfg.OnTick = func(TickInfo) {
+		for id, v := range f.vms {
+			seen[v.mvm] = id
+		}
+	}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := f.Run()
+	if res.Departed == 0 || res.Migrations == 0 || res.ResidentVMs == 0 {
+		t.Fatalf("fleet lacks a departure, migration or resident (%d, %d, %d); the check is vacuous",
+			res.Departed, res.Migrations, res.ResidentVMs)
+	}
+	for vm, id := range seen {
+		if vm.WalkCacheEnabled() {
+			t.Errorf("fleet VM %d (machine VM %d) still holds its walk-cache arena after Run", id, vm.ID)
+		}
 	}
 }
 

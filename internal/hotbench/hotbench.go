@@ -39,7 +39,6 @@ func Suite() []Case {
 		{"AccessUncached", benchAccessUncached},
 		{"FullFault", benchFullFault},
 		{"MicroSweep", benchMicroSweep},
-		{"MicroSweepScalar", benchMicroSweepScalar},
 	}
 }
 
@@ -195,26 +194,11 @@ func runMicroSweep() {
 	}
 }
 
-// benchMicroSweep measures end-to-end Figure 2 sweeps per second down
-// the default vectorized path: page draws batched into precomputed
-// address streams and fed to AccessN, keeping the TLB probe and
-// walk-cache loop in cache across a whole request batch.
+// benchMicroSweep measures end-to-end Figure 2 sweeps per second:
+// page draws batched into precomputed address streams and fed to
+// AccessN, keeping the TLB probe and walk-cache loop in cache across a
+// whole request batch.
 func benchMicroSweep(b *testing.B) {
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runMicroSweep()
-	}
-}
-
-// benchMicroSweepScalar measures the identical sweep down the scalar
-// one-access-at-a-time reference path (workload.SetVectorized(false)).
-// The MicroSweep/MicroSweepScalar ratio is the vectorization speedup
-// quoted in EXPERIMENTS.md; both paths produce bit-identical results,
-// so only the ratio — never the output — depends on the toggle.
-func benchMicroSweepScalar(b *testing.B) {
-	prev := workload.SetVectorized(false)
-	defer workload.SetVectorized(prev)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

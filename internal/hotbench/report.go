@@ -90,7 +90,11 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ReadReport parses and validates a hotbench report.
+// ReadReport parses and validates a hotbench report. It rejects what
+// would make Compare unsound: a case named twice (Compare keys cases
+// by name), and samples with non-positive iterations or negative
+// ns/op, byte or alloc counts (a negative baseline median passes any
+// regression check).
 func ReadReport(rd io.Reader) (*Report, error) {
 	var r Report
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {
@@ -99,9 +103,19 @@ func ReadReport(rd io.Reader) (*Report, error) {
 	if r.Schema != ReportSchema {
 		return nil, fmt.Errorf("hotbench: schema %q, want %q", r.Schema, ReportSchema)
 	}
+	seen := make(map[string]bool, len(r.Benchmarks))
 	for _, b := range r.Benchmarks {
 		if b.Name == "" || len(b.Samples) == 0 {
 			return nil, fmt.Errorf("hotbench: benchmark %q has no samples", b.Name)
+		}
+		if seen[b.Name] {
+			return nil, fmt.Errorf("hotbench: benchmark %q listed twice", b.Name)
+		}
+		seen[b.Name] = true
+		for _, s := range b.Samples {
+			if s.Iterations <= 0 || s.NsPerOp < 0 || s.BytesPerOp < 0 || s.AllocsPerOp < 0 {
+				return nil, fmt.Errorf("hotbench: benchmark %q has an invalid sample %+v", b.Name, s)
+			}
 		}
 	}
 	return &r, nil

@@ -10,8 +10,9 @@ import (
 
 // TestRemoveVMFreesHostFrames checks the teardown contract the fleet
 // layer's departures rely on: removing a VM returns every EPT-backed
-// host frame to the shared buddy, reports how many it freed, and
-// leaves the machine clean for its remaining guests.
+// host frame to the shared buddy and its walk-cache arena to the pool,
+// reports how many frames it freed, and leaves the machine clean for
+// its remaining guests.
 func TestRemoveVMFreesHostFrames(t *testing.T) {
 	m := NewMachine(testHostPages, DefaultCosts())
 	vmA := m.AddVM(16*mem.PagesPerHuge, basePolicy{}, basePolicy{}, tlb.DefaultConfig())
@@ -36,6 +37,9 @@ func TestRemoveVMFreesHostFrames(t *testing.T) {
 	}
 	if got, want := m.HostBuddy.FreePages(), afterTouch+mappedA; got != want {
 		t.Fatalf("host free pages %d after removal, want %d", got, want)
+	}
+	if vmA.WalkCacheEnabled() {
+		t.Fatal("removed VM still holds its walk-cache arena")
 	}
 	if len(m.VMs) != 1 || m.VMs[0] != vmB {
 		t.Fatalf("machine VM list %v after removal", m.VMs)

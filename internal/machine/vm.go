@@ -34,7 +34,7 @@ type VM struct {
 	// dispatch (see translation.go).
 	mode  TranslationMode
 	radix bool
-	// wc is the software walk cache accelerating Access; see
+	// wc is the software walk cache accelerating AccessN; see
 	// walkcache.go. A zero wc (nil entries) means disabled.
 	wc walkCache
 	// bat stages resolved translations for AccessN's two-pass batch
@@ -203,40 +203,12 @@ func (vm *VM) AbsorbMigration(pages uint64) {
 
 // Access performs one guest memory access at gva, faulting in both
 // layers as needed, and returns the cycles consumed (faults, page
-// walk or TLB hit, and any pending shootdown stalls).
-//
-// The steady-state path — both layers mapped, no destructive mutation
-// since the translation was last resolved — is served from the walk
-// cache without touching either page table and without allocating
-// (pinned by BenchmarkAccessSteadyState); it performs exactly the
-// simulated work of the reference path below, so results are identical
-// with the cache on or off.
+// walk or TLB hit, and any pending shootdown stalls). It is AccessN
+// over a one-address batch, so the walk-cache hit path exists only
+// there; the stack array keeps the call allocation-free.
 func (vm *VM) Access(gva uint64) uint64 {
-	if vm.wc.entries != nil {
-		vm.wcRevalidate()
-		ent := &vm.wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-		if ent.epoch == vm.wc.epoch && ent.tag == gva>>mem.PageShift {
-			// Heat indices are derived, not cached: the guest index is
-			// gva's 2 MiB region and the EPT index is gpa's, where
-			// gpa >> HugeShift == gfn >> (HugeShift - PageShift).
-			vm.Guest.heatBump(gva >> mem.HugeShift)
-			vm.EPT.heatBump(ent.gfn >> (mem.HugeShift - mem.PageShift))
-			ent.gRef.Mark()
-			ent.eRef.Mark()
-			gpa := ent.gfn*mem.PageSize + (gva & (mem.PageSize - 1))
-			var res tlb.AccessResult
-			if vm.radix {
-				res = vm.TLB.AccessNested(gva, ent.eff, ent.gKind, ent.hKind, gpa)
-			} else {
-				res = vm.mode.Access(vm.TLB, gva, ent.eff, ent.gKind, ent.hKind, gpa)
-			}
-			return res.Cycles + vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
-		}
-		cycles := vm.accessUncached(gva)
-		vm.wcFill(gva)
-		return cycles
-	}
-	return vm.accessUncached(gva)
+	one := [1]uint64{gva}
+	return vm.AccessN(one[:])
 }
 
 // accessBatchChunk bounds how many pre-resolved translations AccessN
@@ -254,25 +226,29 @@ type accessBatch struct {
 	meta []uint8 // tlb.PackKinds(eff, gKind, hKind), cached in the walk-cache entry
 }
 
-// AccessN performs one Access per address, in order, and returns the
-// total cycle cost — the batched entry point the workload layer's
-// StepN drives. The simulated work (fault decisions, heat bumps, PTE
-// marks, TLB updates, stall charges) is exactly per-address Access;
-// batching only changes wall time, in two ways. First, the
-// revalidation check, epoch, and entry-array pointer are hoisted out
-// of the loop and refreshed after any uncached access (the only point
-// table versions can move). Second, on the radix path each run of
-// walk-cache hits is split into two passes: pass one does the
-// per-address bookkeeping (heat, accessed bits, stall draining) and
-// stages the resolved translation, pass two runs the TLB batch kernel
-// over the staged run. Heat/PTE state and TLB state are disjoint and
-// nothing reads either until the batch returns, so the split leaves
-// every final state and cycle count identical to the interleaved
-// order; a walk-cache miss flushes the staged run to the TLB first,
-// keeping the uncached access's TLB view exactly sequential.
-// Hit-vs-miss in the software walk cache never changes simulated
-// cycles (§7.1's observer-effect invariant), so the hoist needs no
-// exactness argument beyond revalidate-after-miss.
+// AccessN performs one access per address, in order, and returns the
+// total cycle cost — the one access path behind every workload
+// request and behind Access. The simulated work (fault decisions,
+// heat bumps, PTE marks, TLB updates, stall charges) is exactly
+// accessUncached per address. The steady-state case — both layers
+// mapped, no destructive mutation since the translation was last
+// resolved — is served from the walk cache without touching either
+// page table and without allocating (pinned by
+// BenchmarkAccessSteadyState). The cache changes only wall time, in
+// two ways. First, the revalidation check, epoch, and entry-array
+// pointer are hoisted out of the loop and refreshed after any
+// uncached access (the only point table versions can move). Second,
+// on the radix path each run of walk-cache hits is split into two
+// passes: pass one does the per-address bookkeeping (heat, accessed
+// bits, stall draining) and stages the resolved translation, pass two
+// runs the TLB batch kernel over the staged run. Heat/PTE state and
+// TLB state are disjoint and nothing reads either until the batch
+// returns, so the split leaves every final state and cycle count
+// identical to the interleaved order; a walk-cache miss flushes the
+// staged run to the TLB first, keeping the uncached access's TLB view
+// exactly sequential. Hit-vs-miss in the software walk cache never
+// changes simulated cycles (§7.1's observer-effect invariant), so the
+// hoist needs no exactness argument beyond revalidate-after-miss.
 func (vm *VM) AccessN(gvas []uint64) uint64 {
 	var total uint64
 	if vm.wc.entries == nil {
@@ -358,7 +334,8 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 
 // accessUncached is the reference access path: demand-fault both
 // layers, walk both tables, and charge the TLB access. The walk cache
-// replays precisely this sequence of simulated work on a hit.
+// replays precisely this sequence of simulated work on a hit, and a
+// VM with the walk cache disabled runs nothing else.
 func (vm *VM) accessUncached(gva uint64) uint64 {
 	var cycles uint64
 	c, _ := vm.Guest.EnsureMapped(gva)

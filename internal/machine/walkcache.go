@@ -23,11 +23,12 @@ import (
 //
 // Validity is tracked with a single epoch, not per-entry hooks: every
 // destructive page-table mutation (unmap, collapse, split, remap)
-// bumps that table's Version counter, and Access compares the two
+// bumps that table's Version counter, and AccessN compares the two
 // tables' versions (and the guest table's identity, which
-// ResetGuestProcess replaces wholesale) against a snapshot on every
-// access. Any change bumps the cache epoch, invalidating all entries
-// at once in O(1). This catches every invalidation source by
+// ResetGuestProcess replaces wholesale) against a snapshot at the start
+// of every batch and after every uncached access, the only points at
+// which a table can have changed. Any change bumps the cache epoch,
+// invalidating all entries at once in O(1). This catches every invalidation source by
 // construction — including paths like ReclaimUnderPressure's EPT bloat
 // unmapping that bypass the TLB FlushRegion hooks — so the cache can
 // never serve a stale translation.

@@ -544,8 +544,7 @@ func (e *Engine) measurePhase() {
 			for j := 0; j < b; j++ {
 				for _, ev := range e.vms {
 					// One request per VM per iteration, via the
-					// allocation-free StepOne (Step(1) would build a
-					// StepStats with a Latencies slice per request).
+					// allocation-free StepOne.
 					c := ev.w.StepOne()
 					ev.fg += c
 					ev.ops++

@@ -87,47 +87,31 @@ func TestGradualGrows(t *testing.T) {
 	if start >= spec.Pages() {
 		t.Fatalf("gradual started fully populated: %d", start)
 	}
-	for i := 0; i < 50; i++ {
-		w.Step(20)
-	}
+	w.StepN(1000, nil)
 	if w.Touched() <= start {
 		t.Fatal("gradual never grew")
 	}
 }
 
-func TestStepStats(t *testing.T) {
+// TestStepNPerRequestCosts checks the latency-capture path: StepN
+// with a perReq buffer records one cost per request, each at least the
+// service time, and the costs sum to the returned total.
+func TestStepNPerRequestCosts(t *testing.T) {
 	vm := newVM(t, 256)
 	spec := Masstree()
 	spec.FootprintMB = 16
 	w := New(spec, vm, 3)
-	st := w.Step(10)
-	if st.Ops != 10 {
-		t.Fatalf("Ops = %d", st.Ops)
-	}
-	if st.Cycles < 10*spec.ServiceCycles {
-		t.Fatalf("Cycles = %d below service floor", st.Cycles)
-	}
-	if len(st.Latencies) != 10 {
-		t.Fatalf("Latencies = %d", len(st.Latencies))
-	}
-	for _, l := range st.Latencies {
-		if l < float64(spec.ServiceCycles) {
-			t.Fatalf("latency %v below service time", l)
+	perReq := make([]uint64, 10)
+	total := w.StepN(len(perReq), perReq)
+	var sum uint64
+	for i, c := range perReq {
+		if c < spec.ServiceCycles {
+			t.Fatalf("request %d: %d cycles below service time %d", i, c, spec.ServiceCycles)
 		}
+		sum += c
 	}
-}
-
-func TestThroughputWorkloadNoLatencies(t *testing.T) {
-	vm := newVM(t, 256)
-	spec := Canneal()
-	spec.FootprintMB = 16
-	w := New(spec, vm, 4)
-	st := w.Step(5)
-	if st.Latencies != nil {
-		t.Fatal("throughput workload recorded latencies")
-	}
-	if st.Ops != 5 {
-		t.Fatalf("Ops = %d", st.Ops)
+	if sum != total {
+		t.Fatalf("per-request costs sum to %d, StepN returned %d", sum, total)
 	}
 }
 
@@ -139,9 +123,7 @@ func TestChurnRemapsVMAs(t *testing.T) {
 	w := New(spec, vm, 5)
 	before := make([]*machine.VMA, len(w.vmas))
 	copy(before, w.vmas)
-	for i := 0; i < 60; i++ {
-		w.Step(10)
-	}
+	w.StepN(600, nil)
 	changed := false
 	for i := range before {
 		if before[i] != w.vmas[i] {
@@ -154,23 +136,20 @@ func TestChurnRemapsVMAs(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	runOnce := func() (uint64, uint64) {
+	runOnce := func() (cycles, touched uint64) {
 		vm := newVM(t, 256)
 		spec := RocksDB()
 		spec.FootprintMB = 32
 		w := New(spec, vm, 42)
-		var cycles, ops uint64
 		for i := 0; i < 20; i++ {
-			st := w.Step(10)
-			cycles += st.Cycles
-			ops += st.Ops
+			cycles += w.StepN(10, nil)
 		}
-		return cycles, ops
+		return cycles, w.Touched()
 	}
-	c1, o1 := runOnce()
-	c2, o2 := runOnce()
-	if c1 != c2 || o1 != o2 {
-		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", c1, o1, c2, o2)
+	c1, f1 := runOnce()
+	c2, f2 := runOnce()
+	if c1 != c2 || f1 != f2 {
+		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", c1, f1, c2, f2)
 	}
 }
 
@@ -195,8 +174,9 @@ func TestAccessDistributions(t *testing.T) {
 		spec.Access = pat
 		w := New(spec, vm, 7)
 		// All drawn pages must be inside the footprint.
-		for i := 0; i < 1000; i++ {
-			p := w.nextPage()
+		pages := make([]uint64, 1000)
+		w.drawInto(pages)
+		for _, p := range pages {
 			if p >= spec.Pages() {
 				t.Fatalf("pattern %d: page %d out of range", pat, p)
 			}
@@ -211,8 +191,10 @@ func TestZipfIsSkewed(t *testing.T) {
 	w := New(spec, vm, 8)
 	counts := map[uint64]int{}
 	const draws = 20000
-	for i := 0; i < draws; i++ {
-		counts[w.nextPage()]++
+	pages := make([]uint64, draws)
+	w.drawInto(pages)
+	for _, p := range pages {
+		counts[p]++
 	}
 	// The hottest 1% of pages should absorb a large share.
 	hot := 0
@@ -231,20 +213,92 @@ func TestTinyFootprintManyVMAs(t *testing.T) {
 	spec := Micro(1)
 	spec.VMACount = 8
 	w := New(spec, vm, 9)
-	w.Step(5) // must not panic
+	w.StepN(5, nil) // must not panic
 }
 
-// TestStepNMatchesStepOne is the vectorization equivalence property
-// promised in the StepN contract: for every Table 2 workload spec plus
-// the Figure 2 micro spec — covering Static and Gradual styles and
-// every access pattern — n requests through the batched StepN core
-// consume the identical RNG stream and charge the identical cycles as
-// n sequential scalar StepOne calls, leaving the frontier and the
-// VM's TLB in bit-identical state. Both the bulk (nil perReq) and
-// latency-capturing (non-nil perReq) StepN paths are checked.
+// nextPage draws one page index from the access distribution,
+// confined to the touched frontier, through math/rand's own calls:
+// the page-at-a-time stream drawInto must reproduce.
+func (w *Workload) nextPage() uint64 {
+	limit := w.touched
+	if limit == 0 {
+		limit = 1
+	}
+	switch w.Access {
+	case Uniform:
+		return uint64(w.rng.Int63n(int64(limit)))
+	case Zipf:
+		return w.zipf.Uint64() % limit
+	case Sequential:
+		w.seqCursor++
+		return w.seqCursor % limit
+	default: // Mixed
+		if w.rng.Intn(2) == 0 {
+			return w.zipf.Uint64() % limit
+		}
+		return uint64(w.rng.Int63n(int64(limit)))
+	}
+}
+
+// refStepOne is the one-access-at-a-time reference for StepOne: each
+// page is drawn by nextPage and accessed by its own VM.Access call,
+// growth touches one page per call, and churn repopulates the new VMA
+// page by page from its start address. Run on a VM whose walk cache
+// is disabled, every access is accessUncached plus tlb.AccessNested,
+// so the reference shares no hit-path or batch-kernel code with
+// AccessN. It reports whether the request churned.
+func refStepOne(w *Workload) (cycles uint64, churned bool) {
+	cycles = w.ServiceCycles
+	for a := 0; a < w.RequestPages; a++ {
+		cycles += w.vm.Access(w.addrs[w.nextPage()])
+	}
+	if w.Style != Gradual {
+		return cycles, false
+	}
+	for n := min(w.touched+2, w.totalPages); w.touched < n; w.touched++ {
+		w.vm.Access(w.addrs[w.touched])
+	}
+	if w.ChurnRate == 0 || w.rng.Float64() >= w.ChurnRate/100 {
+		return cycles, false
+	}
+	i := w.rng.Intn(len(w.vmas))
+	w.vm.Guest.UnmapVMA(w.vmas[i])
+	off := uint64(w.rng.Intn(mem.PagesPerHuge))
+	w.vmas[i] = w.vm.Guest.Space.MMap(w.vmaPages*mem.PageSize, off)
+	w.rebuildAddrs()
+	share := w.touched / uint64(len(w.vmas))
+	for p := uint64(0); p < share && p < w.vmaPages; p++ {
+		w.vm.Access(w.vmas[i].Start + p*mem.PageSize)
+	}
+	return cycles, true
+}
+
+// vmState is the simulated state two equivalent runs must agree on.
+type vmState struct {
+	touched    uint64
+	tlb        tlb.Stats
+	guest, ept machine.LayerStats
+	align      machine.AlignStats
+}
+
+func stateOf(w *Workload) vmState {
+	return vmState{w.Touched(), w.vm.TLB.Stats(), w.vm.Guest.Stats, w.vm.EPT.Stats, w.vm.Alignment()}
+}
+
+// TestStepNMatchesStepOne is the access-path equivalence property
+// promised in the StepOne and StepN contracts: for every Table 2
+// workload spec, the Figure 2 micro spec, and a Redis spec churning
+// about once every twenty requests — covering Static and Gradual
+// styles, every access pattern, and VMA churn — n requests through
+// StepOne, bulk StepN (nil perReq) and latency-capturing StepN consume
+// the identical RNG stream and charge the identical cycles as the
+// refStepOne reference, leaving the frontier, TLB, layer statistics
+// and alignment in identical state.
 func TestStepNMatchesStepOne(t *testing.T) {
-	specs := append(Table2(), Micro(8))
-	defer SetVectorized(SetVectorized(true))
+	churny := Redis()
+	churny.Name = "redis-churn"
+	churny.ChurnRate = 5
+	specs := append(Table2(), Micro(8), churny)
 	for _, spec := range specs {
 		spec := spec
 		if spec.FootprintMB > 64 {
@@ -253,46 +307,57 @@ func TestStepNMatchesStepOne(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			const reqs = 300
 
-			vmScalar := newVM(t, 192)
-			wScalar := New(spec, vmScalar, 42)
-			SetVectorized(false)
-			var scalarTotal uint64
-			scalarPer := make([]uint64, reqs)
-			for i := 0; i < reqs; i++ {
-				scalarPer[i] = wScalar.StepOne()
-				scalarTotal += scalarPer[i]
+			vmRef := newVM(t, 192)
+			vmRef.SetWalkCacheEnabled(false)
+			wRef := New(spec, vmRef, 42)
+			var refTotal uint64
+			refPer := make([]uint64, reqs)
+			churns := 0
+			for i := range refPer {
+				c, churned := refStepOne(wRef)
+				refPer[i] = c
+				refTotal += c
+				if churned {
+					churns++
+				}
 			}
-			SetVectorized(true)
+			if spec.ChurnRate >= 1 && churns == 0 {
+				t.Fatal("churn-heavy spec never churned; the cell checks nothing")
+			}
 
-			vmBulk := newVM(t, 192)
-			wBulk := New(spec, vmBulk, 42)
+			wOne := New(spec, newVM(t, 192), 42)
+			var oneTotal uint64
+			onePer := make([]uint64, reqs)
+			for i := range onePer {
+				onePer[i] = wOne.StepOne()
+				oneTotal += onePer[i]
+			}
+
+			wBulk := New(spec, newVM(t, 192), 42)
 			bulkTotal := wBulk.StepN(reqs, nil)
 
-			vmPer := newVM(t, 192)
-			wPer := New(spec, vmPer, 42)
+			wPer := New(spec, newVM(t, 192), 42)
 			perReq := make([]uint64, reqs)
 			perTotal := wPer.StepN(reqs, perReq)
 
-			if bulkTotal != scalarTotal || perTotal != scalarTotal {
-				t.Fatalf("cycles: bulk %d, perReq %d, scalar %d",
-					bulkTotal, perTotal, scalarTotal)
+			if oneTotal != refTotal || bulkTotal != refTotal || perTotal != refTotal {
+				t.Fatalf("cycles: StepOne %d, bulk %d, perReq %d, reference %d",
+					oneTotal, bulkTotal, perTotal, refTotal)
 			}
-			for i := range perReq {
-				if perReq[i] != scalarPer[i] {
-					t.Fatalf("request %d: perReq %d != scalar %d", i, perReq[i], scalarPer[i])
+			for i := range refPer {
+				if onePer[i] != refPer[i] || perReq[i] != refPer[i] {
+					t.Fatalf("request %d: StepOne %d, perReq %d, reference %d",
+						i, onePer[i], perReq[i], refPer[i])
 				}
 			}
-			if wBulk.Touched() != wScalar.Touched() || wPer.Touched() != wScalar.Touched() {
-				t.Fatalf("frontier: bulk %d, perReq %d, scalar %d",
-					wBulk.Touched(), wPer.Touched(), wScalar.Touched())
-			}
-			if vmBulk.TLB.Stats() != vmScalar.TLB.Stats() {
-				t.Fatalf("TLB stats diverged\nbulk:   %+v\nscalar: %+v",
-					vmBulk.TLB.Stats(), vmScalar.TLB.Stats())
-			}
-			if vmPer.TLB.Stats() != vmScalar.TLB.Stats() {
-				t.Fatalf("perReq TLB stats diverged\nper:    %+v\nscalar: %+v",
-					vmPer.TLB.Stats(), vmScalar.TLB.Stats())
+			want := stateOf(wRef)
+			for _, run := range []struct {
+				name string
+				w    *Workload
+			}{{"StepOne", wOne}, {"bulk", wBulk}, {"perReq", wPer}} {
+				if got := stateOf(run.w); got != want {
+					t.Fatalf("%s state diverged\ngot:       %+v\nreference: %+v", run.name, got, want)
+				}
 			}
 		})
 	}
