@@ -130,6 +130,16 @@ func TestGoldenFleetTrace(t *testing.T) {
 	}
 }
 
+// TestGoldenFleetSeries pins the reference fleet's merged sample series
+// as CSV, locking each host's scope tag, the sample ticks, and every
+// gauge value. Regenerate with
+//
+//	go test -run TestGoldenFleet -update .
+func TestGoldenFleetSeries(t *testing.T) {
+	_, _, _, se := fleetArtifacts(t)
+	checkGoldenBytes(t, "golden_fleet_series.csv", se)
+}
+
 // TestFleetCellsExport checks the paperbench JSON surface for fleet
 // runs: one fleet-wide cell plus one per host, all finite, and the
 // assembled report passes the schema validator CI runs on artifacts.

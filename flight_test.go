@@ -144,3 +144,40 @@ func TestGoldenTraceSnapshot(t *testing.T) {
 		t.Error("golden trace decodes to different events")
 	}
 }
+
+// TestGoldenTraceSeries pins the gauge series of the traced reference
+// run as CSV: which scopes sample, on which ticks, and every gauge
+// value. Regenerate with
+//
+//	go test -run TestGoldenTraceSeries -update .
+//
+// after confirming the change is intended.
+func TestGoldenTraceSeries(t *testing.T) {
+	r := sim.Run(tracedCfg(NewTraceRecorder(TraceConfig{SampleEvery: 16})))
+	var buf bytes.Buffer
+	if err := WriteTraceSeries(&buf, r.Timeline); err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenBytes(t, "golden_series.csv", buf.Bytes())
+}
+
+// checkGoldenBytes compares got with testdata/name byte for byte, or
+// rewrites the file under -update.
+func checkGoldenBytes(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from its golden snapshot (%d vs %d bytes).\n"+
+			"If the change is intended, regenerate with -update.", name, len(got), len(want))
+	}
+}
