@@ -108,10 +108,10 @@ func (f *Fleet) CheckInvariants() []audit.Violation {
 	// intra-host movement, never less).
 	for _, id := range ids {
 		v := f.vms[id]
-		if v.mvm.EPT.Stats.MigratedPages < v.absorbed {
+		if v.VM.EPT.Stats.MigratedPages < v.absorbed {
 			vs = append(vs, audit.Violationf("fleet", "fleet-migration-conservation", uint64(id),
 				"VM %d absorbed %d migrated pages but books only %d",
-				id, v.absorbed, v.mvm.EPT.Stats.MigratedPages))
+				id, v.absorbed, v.VM.EPT.Stats.MigratedPages))
 		}
 	}
 	return vs

@@ -29,12 +29,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/sysreg"
-	"repro/internal/tlb"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -136,7 +133,7 @@ func (c Config) withDefaults() Config {
 	if c.AuditEvery == 0 {
 		c.AuditEvery = 64
 	}
-	if c.Parallel <= 0 {
+	if c.Parallel == 0 {
 		c.Parallel = 1
 	}
 	c.Stream = c.Stream.withDefaults()
@@ -168,24 +165,17 @@ func (c Config) Validate() error {
 	if d.RequestsPerVMTick < 0 || d.DrainTicks < 0 || d.AuditEvery < 1 {
 		return fmt.Errorf("fleet: negative pacing parameter")
 	}
+	if d.Parallel < 0 {
+		return fmt.Errorf("fleet: negative parallelism %d", d.Parallel)
+	}
 	if d.RebalanceGap < 0 || d.RebalanceGap > 1 {
 		return fmt.Errorf("fleet: rebalance gap %v outside [0, 1]", d.RebalanceGap)
 	}
 	if err := d.Stream.Validate(); err != nil {
 		return err
 	}
-	if d.Overcommit != 0 && d.Overcommit < 1 {
-		return fmt.Errorf("fleet: Overcommit %v must be 0 (disabled) or ≥ 1", d.Overcommit)
-	}
-	if d.PressurePolicy != "" {
-		if d.Overcommit == 0 {
-			return fmt.Errorf("fleet: PressurePolicy %q set but Overcommit is zero (elasticity disabled)",
-				d.PressurePolicy)
-		}
-		if !machine.ValidPressurePolicy(d.PressurePolicy) {
-			return fmt.Errorf("fleet: unknown pressure policy %q (have %v)",
-				d.PressurePolicy, machine.PressurePolicyNames())
-		}
+	if err := sim.ValidateElasticity("fleet", d.Overcommit, d.PressurePolicy); err != nil {
+		return err
 	}
 	for _, fl := range d.Stream.Flavors {
 		if fl.CPU > d.HostCPU || fl.RAMMB > d.schedulableRAMMB() {
@@ -224,20 +214,21 @@ type host struct {
 	m  *machine.Machine
 	// rec is the host's private recorder shard (nil untraced).
 	rec *trace.Recorder
+	// clock ticks the host's daemons and samples its gauges; Run arms
+	// it.
+	clock *sim.Clock
 	// resident lists the fleet VM ids on this host, ascending.
 	resident []int
 	// reqs/reqCycles accumulate foreground work served here.
 	reqs, reqCycles uint64
 }
 
-// liveVM is one resident VM's live pieces.
+// liveVM is one resident VM: its booted replica and workload.
 type liveVM struct {
+	sim.Guest
 	id     int
 	flavor Flavor
 	host   int
-	mvm    *machine.VM
-	gp     machine.Policy
-	coord  sysreg.Coordinator
 	w      *workload.Workload
 	// gen counts migrations; it salts the workload seed so the rebuilt
 	// replica's stream is fresh but deterministic.
@@ -278,7 +269,7 @@ type Fleet struct {
 	// ticksRun is the horizon the completed run executed to.
 	ticksRun uint64
 
-	// dense forces every host tick through machine.Tick, skipping the
+	// dense pins every host clock to dense ticking, skipping the
 	// closed-form idle tick. Results are byte-identical either way; the
 	// dense loop is the reference the in-package equivalence test runs.
 	dense bool
@@ -307,16 +298,12 @@ func New(cfg Config) (*Fleet, error) {
 		pagesIn:  make([]uint64, cfg.Hosts),
 		pagesOut: make([]uint64, cfg.Hosts),
 	}
-	hostPages := uint64(cfg.HostMemMB) << 20 >> mem.PageShift
 	for i := 0; i < cfg.Hosts; i++ {
-		h := &host{id: i, m: machine.NewMachine(hostPages, machine.DefaultCosts())}
-		if cfg.Overcommit >= 1 {
-			h.m.EnableSwap(machine.SwapConfig{Policy: cfg.PressurePolicy})
-		}
+		h := &host{id: i}
 		if cfg.Trace != nil {
 			h.rec = cfg.Trace.Shard(i, fmt.Sprintf("host%d", i))
-			h.m.Rec = h.rec
 		}
+		h.m = sim.NewHost(cfg.HostMemMB, cfg.Overcommit, cfg.PressurePolicy, h.rec)
 		f.hosts = append(f.hosts, h)
 	}
 	if cfg.Trace != nil {
@@ -352,6 +339,9 @@ func (f *Fleet) vmSeed(vm, gen int) int64 {
 // barrier. Call once.
 func (f *Fleet) Run() Result {
 	horizon := f.horizon()
+	for _, h := range f.hosts {
+		h.clock = sim.NewClock(h.m, h.rec, func() { f.captureHost(h) }, f.dense)
+	}
 	next := 0
 	for tick := uint64(1); tick <= horizon; tick++ {
 		f.setTraceNow(tick)
@@ -381,10 +371,7 @@ func (f *Fleet) Run() Result {
 	}
 	f.ticksRun = horizon
 	for _, h := range f.hosts {
-		if h.rec != nil && h.rec.SampleFinal(h.m.Ticks) {
-			f.captureHost(h)
-		}
-		h.m.ReleaseCaches()
+		h.clock.Finish()
 	}
 	if f.cfg.Audit {
 		f.runAudit()
@@ -409,9 +396,7 @@ func (f *Fleet) setTraceNow(tick uint64) {
 }
 
 // arrive places one arriving VM and, when accepted, boots it on the
-// chosen host: a machine VM with the configured system's policies, the
-// Gemini coordinator when applicable, trace handles into the host's
-// shard, and the flavor's workload populated from its derived seed.
+// chosen host.
 func (f *Fleet) arrive(ev Event) {
 	f.arrivals++
 	d := ev.Flavor.Demand()
@@ -435,28 +420,13 @@ func (f *Fleet) arrive(ev Event) {
 	}
 }
 
-// boot builds the machine-layer VM and its workload on host h.
+// boot boots VM id on host h through sim.BootGuest (the configured
+// system's stack, trace handles into the host's shard) and builds the
+// flavor's workload from its derived seed.
 func (f *Fleet) boot(id int, fl Flavor, h *host, gen int) *liveVM {
-	gp, hp, coord := sim.BuildPolicies(f.cfg.System)
-	mvm := h.m.AddVMSetup(machine.VMSetup{
-		GuestPages:  fl.GuestPages(),
-		GuestPolicy: gp,
-		HostPolicy:  hp,
-		TLB:         tlb.DefaultConfig(),
-		Translation: sim.NewTranslation(f.cfg.System),
-	})
-	if coord != nil {
-		coord.Attach(mvm)
-	}
-	if f.cfg.Overcommit >= 1 {
-		mvm.Balloon = core.NewBalloon(mvm)
-	}
-	if h.rec != nil {
-		mvm.Guest.Trace = h.rec.Handle(id, "guest")
-		mvm.EPT.Trace = h.rec.Handle(id, "ept")
-	}
-	w := workload.New(fl.Workload, mvm, f.vmSeed(id, gen))
-	return &liveVM{id: id, flavor: fl, host: h.id, mvm: mvm, gp: gp, coord: coord, w: w, gen: gen}
+	g := sim.BootGuest(h.m, f.cfg.System, fl.GuestPages(), h.rec, id)
+	w := workload.New(fl.Workload, g.VM, f.vmSeed(id, gen))
+	return &liveVM{Guest: g, id: id, flavor: fl, host: h.id, w: w, gen: gen}
 }
 
 // depart tears one VM down: the guest process exits, the host frames
@@ -469,7 +439,7 @@ func (f *Fleet) depart(ev Event) {
 	}
 	h := f.hosts[v.host]
 	v.w.Teardown()
-	freed := h.m.RemoveVM(v.mvm)
+	freed := h.m.RemoveVM(v.VM)
 	if _, ok := f.sched.Release(ev.VM); !ok {
 		panic(fmt.Sprintf("fleet: resident VM %d had no reservation", ev.VM))
 	}
@@ -522,18 +492,18 @@ func ramUtil(l HostLoad) float64 {
 func (f *Fleet) migrate(tick uint64, id, dst int) {
 	v := f.vms[id]
 	src := v.host
-	pages := v.mvm.EPT.MappedPages()
+	pages := v.VM.EPT.MappedPages()
 	if err := f.sched.Migrate(id, dst); err != nil {
 		panic(err)
 	}
-	f.hosts[src].m.RemoveVM(v.mvm)
+	f.hosts[src].m.RemoveVM(v.VM)
 	f.hosts[src].resident = removeSorted(f.hosts[src].resident, id)
 	if f.hosts[src].rec != nil {
 		f.hosts[src].rec.Handle(id, "fleet").Event(trace.EvMigration, 0, 0, 0, pages,
 			fmt.Sprintf("out:host%d->host%d", src, dst))
 	}
 	nv := f.boot(id, v.flavor, f.hosts[dst], v.gen+1)
-	nv.mvm.AbsorbMigration(pages)
+	nv.VM.AbsorbMigration(pages)
 	nv.absorbed = pages
 	f.vms[id] = nv
 	f.hosts[dst].resident = insertSorted(f.hosts[dst].resident, id)
@@ -547,7 +517,8 @@ func (f *Fleet) migrate(tick uint64, id, dst int) {
 }
 
 // stepHost runs one host's tick: every resident VM serves its request
-// quantum, the host's daemons tick, and gauges sample on the stride.
+// quantum, then the host's clock advances one tick (daemons, gauge
+// samples on the stride).
 func (f *Fleet) stepHost(h *host) {
 	for _, id := range h.resident {
 		// A VM's whole per-tick quantum runs through the vectorized
@@ -557,19 +528,9 @@ func (f *Fleet) stepHost(h *host) {
 		h.reqCycles += f.vms[id].w.StepN(f.cfg.RequestsPerVMTick, nil)
 		h.reqs += uint64(f.cfg.RequestsPerVMTick)
 	}
-	// Fleet machines tick densely (requests arrive every tick), but
-	// the deadline protocol still pays on hosts that are empty or
-	// fully quiescent between arrivals: a proven-idle tick advances
-	// the clock in closed form instead of walking every layer.
-	// IdleHorizon's guarantee makes the two paths bit-identical.
-	if !f.dense && h.m.IdleHorizon(1) >= 1 {
-		h.m.AdvanceTicks(1)
-	} else {
-		h.m.Tick()
-	}
-	if h.rec != nil && h.rec.SampleTick(h.m.Ticks) {
-		f.captureHost(h)
-	}
+	// Requests arrive every tick, but a host that is empty or fully
+	// quiescent between arrivals still takes the closed-form tick.
+	h.clock.Advance(1)
 }
 
 // stepHosts steps every host, Parallel at a time. Hosts share no
@@ -639,7 +600,7 @@ func (f *Fleet) fragInfos() []FragInfo {
 func (f *Fleet) hostSwapped(h *host) uint64 {
 	var n uint64
 	for _, id := range h.resident {
-		n += f.vms[id].mvm.EPT.SwappedPages()
+		n += f.vms[id].VM.EPT.SwappedPages()
 	}
 	return n
 }
@@ -650,7 +611,7 @@ func (f *Fleet) hostSwapped(h *host) uint64 {
 func (f *Fleet) hostCoverage(h *host) float64 {
 	var mapped, huge uint64
 	for _, id := range h.resident {
-		vm := f.vms[id].mvm
+		vm := f.vms[id].VM
 		mapped += vm.EPT.MappedPages()
 		huge += vm.EPT.Table.Mapped2M() * mem.PagesPerHuge
 	}
@@ -668,7 +629,7 @@ func (f *Fleet) runAudit() {
 	for _, h := range f.hosts {
 		vs = append(vs, audit.Prefix(h.m.CheckInvariants(), fmt.Sprintf("host%d/", h.id))...)
 		for _, id := range h.resident {
-			if a, ok := f.vms[id].coord.(audit.Auditable); ok {
+			if a, ok := f.vms[id].Coord.(audit.Auditable); ok {
 				vs = append(vs, audit.Prefix(a.CheckInvariants(), fmt.Sprintf("host%d/vm%d/", h.id, id))...)
 			}
 		}
@@ -799,12 +760,12 @@ func (f *Fleet) result() Result {
 		}
 		r.MeanHostFMFI += hr.FMFI
 		for _, id := range h.resident {
-			vm := f.vms[id].mvm
+			vm := f.vms[id].VM
 			mapped += vm.EPT.MappedPages()
 			huge += vm.EPT.Table.Mapped2M() * mem.PagesPerHuge
 			hr.SwappedPages += vm.EPT.SwappedPages()
 			r.SwappedOutPages += vm.EPT.Stats.SwappedOutPages
-			if b := f.vms[id].mvm.Balloon; b != nil {
+			if b := vm.Balloon; b != nil {
 				hr.BalloonPages += b.Inflated()
 			}
 		}

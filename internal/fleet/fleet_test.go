@@ -74,6 +74,7 @@ func TestConfigValidate(t *testing.T) {
 		{DrainTicks: -1},
 		{HostMemMB: 256}, // the default large flavor can never fit
 		{Stream: StreamConfig{Arrivals: -3}},
+		{Parallel: -2},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -176,7 +177,7 @@ func TestFleetAuditMutation(t *testing.T) {
 		f := residentFleet(t)
 		id := anyResident(t, f)
 		v := f.vms[id]
-		v.absorbed = v.mvm.EPT.Stats.MigratedPages + 1
+		v.absorbed = v.VM.EPT.Stats.MigratedPages + 1
 		vs := f.CheckInvariants()
 		if !audit.Has(vs, "fleet-migration-conservation") {
 			t.Fatalf("unbooked absorption not caught:\n%s", audit.Report(vs))
@@ -248,7 +249,7 @@ func TestWalkCacheArenasReleased(t *testing.T) {
 	seen := map[*machine.VM]int{} // replica -> fleet VM id
 	cfg.OnTick = func(TickInfo) {
 		for id, v := range f.vms {
-			seen[v.mvm] = id
+			seen[v.VM] = id
 		}
 	}
 	f, err := New(cfg)

@@ -1,18 +1,13 @@
 package fleet
 
-// Flight-recorder gauge capture for fleet runs, mirroring the engine's
-// sampler (internal/sim/flight.go) with one twist: host-allocator rows
-// use VM = -(1+host) instead of the engine's -1, so per-host series
-// stay distinguishable after shards merge (MergeShards re-stamps the
-// Run tag when fleet results are folded into a sweep recorder, but the
-// VM column survives every merge).
+// Flight-recorder gauge capture for fleet runs, through the engine's
+// sampler (sim.AllocatorSample, sim.Guest.Sample) with one twist:
+// host-allocator rows use VM = -(1+host) instead of the engine's -1,
+// so per-host series stay distinguishable after shards merge
+// (MergeShards re-stamps the Run tag when fleet results are folded into
+// a sweep recorder, but the VM column survives every merge).
 
-import (
-	"repro/internal/buddy"
-	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/trace"
-)
+import "repro/internal/sim"
 
 // HostScope returns the sample VM tag for host id's allocator rows.
 func HostScope(id int) int { return -(1 + id) }
@@ -20,65 +15,8 @@ func HostScope(id int) int { return -(1 + id) }
 // captureHost snapshots one host: its buddy allocator and every
 // resident VM's gauges, in VM-id order, into the host's shard.
 func (f *Fleet) captureHost(h *host) {
-	h.rec.AddSample(allocatorSample(HostScope(h.id), h.m.HostBuddy))
+	h.rec.AddSample(sim.AllocatorSample(HostScope(h.id), h.m.HostBuddy))
 	for _, id := range h.resident {
-		h.rec.AddSample(f.vmSample(f.vms[id]))
+		h.rec.AddSample(f.vms[id].Sample(id))
 	}
-}
-
-// allocatorSample fills the buddy-allocator gauges for one scope.
-func allocatorSample(vm int, b *buddy.Allocator) trace.Sample {
-	s := trace.Sample{VM: vm, FreePages: b.FreePages()}
-	for o := 0; o < trace.NumOrders; o++ {
-		s.FMFI[o] = b.FMFI(o)
-		s.FreeBlocks[o] = uint64(b.FreeBlockCount(o))
-	}
-	return s
-}
-
-// vmSample snapshots one resident VM: guest allocator, both layers'
-// mapping coverage, TLB state, movement counters, and — when the VM
-// runs the Gemini guest policy — booking, bucket, and scanner gauges.
-func (f *Fleet) vmSample(v *liveVM) trace.Sample {
-	vm := v.mvm
-	s := allocatorSample(v.id, vm.Guest.Buddy)
-
-	s.MappedPages = vm.Guest.MappedPages()
-	s.HugeMappedPages = vm.Guest.Table.Mapped2M() * mem.PagesPerHuge
-	if s.MappedPages > 0 {
-		s.HugeCoverage = float64(s.HugeMappedPages) / float64(s.MappedPages)
-	}
-	s.EPTMappedPages = vm.EPT.MappedPages()
-	s.EPTHugeMappedPages = vm.EPT.Table.Mapped2M() * mem.PagesPerHuge
-
-	ts := vm.TLB.Stats()
-	s.TLBHits = ts.Hits
-	s.TLBMisses = ts.Misses
-	s.TLBMiss4K = ts.Misses4K
-	s.TLBMiss2M = ts.Misses2M
-	s.WalkCycles = ts.WalkCycles
-
-	s.MigratedPages = vm.Guest.Stats.MigratedPages + vm.EPT.Stats.MigratedPages
-	s.CompactedRegions = vm.Guest.Stats.CompactedRegions + vm.EPT.Stats.CompactedRegions
-
-	s.SwappedPages = vm.EPT.SwappedPages()
-	s.SwapOuts = vm.EPT.Stats.SwappedOutPages
-	s.SwapIns = vm.EPT.Stats.SwappedInPages
-	if vm.Balloon != nil {
-		s.BalloonPages = vm.Balloon.Inflated()
-	}
-
-	if gp, ok := v.gp.(*core.GuestPolicy); ok {
-		s.Bookings = gp.BookingCount()
-		s.BookingTimeout = int(gp.TimeoutCtl().Timeout())
-		s.BookingsExpired = gp.Stats.BookingsExpired
-		b := gp.Bucket()
-		s.BucketLen = b.Len()
-		s.BucketReused = b.Reused
-		s.BucketTaken = b.Taken
-	}
-	if gem, ok := v.coord.(*core.Gemini); ok {
-		s.PromoterScans = gem.ScanCount
-	}
-	return s
 }

@@ -344,7 +344,7 @@ func (L *Layer) swapInRegion(hugeBase uint64) uint64 {
 // freed to the allocator.
 func (L *Layer) DiscardBacking(start, end uint64) uint64 {
 	var freed uint64
-	for base := start &^ uint64(mem.HugeSize - 1); base < end; base += mem.HugeSize {
+	for base := start &^ uint64(mem.HugeSize-1); base < end; base += mem.HugeSize {
 		if _, isHuge, _ := L.Table.LookupHugeRegion(base); isHuge {
 			if base >= start && base+mem.HugeSize <= end {
 				frame, err := L.Table.Unmap2M(base)

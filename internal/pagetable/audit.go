@@ -27,7 +27,7 @@ func (t *Table) CheckInvariants() []audit.Violation {
 	var vs []audit.Violation
 	var n4k, n2m uint64
 	baseFrames := make(map[uint64]uint64, t.mapped4K) // frame -> va
-	hugeBlocks := make(map[uint64]uint64)                 // frame block -> va
+	hugeBlocks := make(map[uint64]uint64)             // frame block -> va
 	t.auditNode(t.root, 0, numLevels-1, &vs, &n4k, &n2m, baseFrames, hugeBlocks)
 
 	if n4k != t.mapped4K {

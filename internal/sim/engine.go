@@ -31,13 +31,11 @@ import (
 	"fmt"
 
 	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/frag"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/sysreg"
-	"repro/internal/tlb"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -201,18 +199,8 @@ func (ec EngineConfig) Validate() error {
 	if ec.FragTarget < 0 || ec.FragTarget >= 1 {
 		return fmt.Errorf("sim: FragTarget %v outside [0,1)", ec.FragTarget)
 	}
-	if ec.Overcommit != 0 && ec.Overcommit < 1 {
-		return fmt.Errorf("sim: Overcommit %v must be 0 (disabled) or ≥ 1", ec.Overcommit)
-	}
-	if ec.PressurePolicy != "" {
-		if ec.Overcommit == 0 {
-			return fmt.Errorf("sim: PressurePolicy %q set but Overcommit is zero (elasticity disabled)",
-				ec.PressurePolicy)
-		}
-		if !machine.ValidPressurePolicy(ec.PressurePolicy) {
-			return fmt.Errorf("sim: unknown pressure policy %q (have %v)",
-				ec.PressurePolicy, machine.PressurePolicyNames())
-		}
+	if err := ValidateElasticity("sim", ec.Overcommit, ec.PressurePolicy); err != nil {
+		return err
 	}
 	for i, vc := range ec.VMs {
 		if !sysreg.Valid(vc.System) {
@@ -251,12 +239,10 @@ func (ec EngineConfig) Validate() error {
 	return nil
 }
 
-// engineVM bundles one VM's live pieces and measurement accumulators.
+// engineVM bundles one booted VM and its measurement accumulators.
 type engineVM struct {
-	cfg   VMConfig
-	vm    *machine.VM
-	gp    machine.Policy
-	coord sysreg.Coordinator
+	Guest
+	cfg VMConfig
 
 	w            *workload.Workload
 	lat          *metrics.Histogram
@@ -268,10 +254,10 @@ type engineVM struct {
 // call Run once; the phases execute in a fixed order and all VMs share
 // the host's daemon ticking and recovery pacing.
 type Engine struct {
-	cfg EngineConfig
-	m   *machine.Machine
-	vms []*engineVM
-	rec *recovery
+	cfg   EngineConfig
+	m     *machine.Machine
+	vms   []*engineVM
+	clock *Clock
 }
 
 // Engine phase pacing, shared by every evaluation setting: the settle
@@ -297,50 +283,19 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	hostPages := uint64(cfg.HostMemMB) << 20 >> mem.PageShift
-	e := &Engine{
-		cfg: cfg,
-		m:   machine.NewMachine(hostPages, machine.DefaultCosts()),
+	e := &Engine{cfg: cfg, m: NewHost(cfg.HostMemMB, cfg.Overcommit, cfg.PressurePolicy, cfg.Trace)}
+	for i, vc := range cfg.VMs {
+		g := BootGuest(e.m, vc.System, uint64(vc.GuestMemMB)<<20>>mem.PageShift, cfg.Trace, i)
+		e.vms = append(e.vms, &engineVM{Guest: g, cfg: vc})
 	}
-	for _, vc := range cfg.VMs {
-		gp, hp, coord := sysreg.Build(vc.System)
-		vm := e.m.AddVMSetup(machine.VMSetup{
-			GuestPages:  uint64(vc.GuestMemMB) << 20 >> mem.PageShift,
-			GuestPolicy: gp,
-			HostPolicy:  hp,
-			TLB:         tlb.DefaultConfig(),
-			Translation: sysreg.NewTranslation(vc.System),
-		})
-		if coord != nil {
-			coord.Attach(vm)
-		}
-		e.vms = append(e.vms, &engineVM{cfg: vc, vm: vm, gp: gp, coord: coord})
-	}
-	if cfg.Overcommit >= 1 {
-		// Elasticity armed (DESIGN.md §10): the host responds to memory
-		// pressure by inflating balloons and swapping out cold regions
-		// instead of panicking on allocation failure.
-		e.m.EnableSwap(machine.SwapConfig{Policy: cfg.PressurePolicy})
-		for _, ev := range e.vms {
-			ev.vm.Balloon = core.NewBalloon(ev.vm)
-		}
-	}
-	e.rec = &recovery{every: cfg.RecoverEveryTicks, disableFF: cfg.DisableFastForward}
-	if cfg.Trace != nil {
-		e.m.Rec = cfg.Trace
-		for i, ev := range e.vms {
-			ev.vm.Guest.Trace = cfg.Trace.Handle(i, "guest")
-			ev.vm.EPT.Trace = cfg.Trace.Handle(i, "ept")
-		}
-		e.rec.sampler = e.sample
-		e.rec.samplerNext = cfg.Trace.NextSampleTick
-	}
+	e.clock = NewClock(e.m, cfg.Trace, e.captureSamples, cfg.DisableFastForward)
+	e.clock.every = cfg.RecoverEveryTicks
 	if cfg.Audit {
-		e.rec.auditEvery = cfg.AuditEvery
-		e.rec.auditors = []audit.Auditable{e.m}
+		e.clock.auditEvery = cfg.AuditEvery
+		e.clock.auditors = []audit.Auditable{e.m}
 		for _, ev := range e.vms {
-			if a, ok := ev.coord.(audit.Auditable); ok {
-				e.rec.auditors = append(e.rec.auditors, a)
+			if a, ok := ev.Coord.(audit.Auditable); ok {
+				e.clock.auditors = append(e.clock.auditors, a)
 			}
 		}
 	}
@@ -356,13 +311,9 @@ func (e *Engine) Run() []Result {
 	e.phased("fragment", e.fragmentPhase)
 	e.phased("predecessor", e.predecessorPhase)
 	e.phased("warmup", e.warmupPhase)
-	e.phased("settle", func() { e.settle(settleTicks) })
+	e.phased("settle", func() { e.clock.Advance(settleTicks) })
 	e.phased("measure", e.measurePhase)
-	e.finalSample()
-	e.rec.audit() // completion audit: the final state must be consistent
-	// The run's hot work is over; hand the walk-cache arenas back so
-	// sweeps building many engines back to back reuse them.
-	e.m.ReleaseCaches()
+	e.clock.Finish()
 	return e.results()
 }
 
@@ -411,11 +362,11 @@ func (e *Engine) fragmentPhase() {
 		if gs == nil {
 			gs = &FragSpec{Seed: e.vmSeedBase(i) + 202, Target: e.cfg.FragTarget, Density: 0.5}
 		}
-		gf := frag.New(ev.vm.Guest.Buddy, gs.Seed)
+		gf := frag.New(ev.VM.Guest.Buddy, gs.Seed)
 		gf.FragmentTo(gs.Target, gs.Density)
 		fragmenters = append(fragmenters, gf)
 	}
-	e.rec.fragmenters = fragmenters
+	e.clock.fragmenters = fragmenters
 }
 
 // predecessorPhase runs the SVM predecessor to completion and tears it
@@ -430,7 +381,7 @@ func (e *Engine) predecessorPhase() {
 		// The predecessor's working set should dominate guest memory
 		// as the paper's ~30 GB SVM run does on a 32 GB VM.
 		spec.FootprintMB = ev.cfg.GuestMemMB * 2 / 5
-		w := workload.New(spec, ev.vm, e.predecessorSeed(i))
+		w := workload.New(spec, ev.VM, e.predecessorSeed(i))
 		p := newPacer(e.cfg.Requests/4, e.cfg.RequestsPerTick)
 		for {
 			b, tick := p.next()
@@ -439,13 +390,13 @@ func (e *Engine) predecessorPhase() {
 			}
 			w.StepN(b, nil)
 			if tick {
-				e.rec.tick(e.m)
+				e.clock.tick()
 			}
 		}
-		e.settle(predecessorSettleTicks)
+		e.clock.Advance(predecessorSettleTicks)
 		w.Teardown()
-		ev.vm.ResetGuestProcess()
-		e.rec.tick(e.m)
+		ev.VM.ResetGuestProcess()
+		e.clock.tick()
 	}
 }
 
@@ -456,8 +407,8 @@ func (e *Engine) predecessorPhase() {
 // long real run.
 func (e *Engine) warmupPhase() {
 	for i, ev := range e.vms {
-		ev.w = workload.New(ev.cfg.Workload, ev.vm, e.workloadSeed(i))
-		ev.migBase = ev.vm.Guest.Stats.MigratedPages + ev.vm.EPT.Stats.MigratedPages
+		ev.w = workload.New(ev.cfg.Workload, ev.VM, e.workloadSeed(i))
+		ev.migBase = ev.VM.Guest.Stats.MigratedPages + ev.VM.EPT.Stats.MigratedPages
 	}
 	p := newPacer(e.cfg.WarmupRequests, e.cfg.RequestsPerTick)
 	for {
@@ -480,28 +431,8 @@ func (e *Engine) warmupPhase() {
 			}
 		}
 		if tick {
-			e.rec.tick(e.m)
+			e.clock.tick()
 		}
-	}
-}
-
-// settle advances the daemons with no foreground load. With no
-// requests arriving this is the phase where machines go quiescent —
-// promotion periods between scans, drained fragmenters, decayed heat
-// — so it fast-forwards: whenever every deadline source proves the
-// next k ticks are no-ops, the tick clock jumps over them in closed
-// form (recovery.idleTicks / skip). Boundary ticks (release, sample,
-// audit, policy scans) still run densely, so tick numbers, samples,
-// and all simulated state are bit-identical to the dense loop.
-func (e *Engine) settle(ticks int) {
-	for i := 0; i < ticks; {
-		if k := e.rec.idleTicks(e.m, ticks-i); k > 0 {
-			e.rec.skip(e.m, k)
-			i += k
-			continue
-		}
-		e.rec.tick(e.m)
-		i++
 	}
 }
 
@@ -509,11 +440,11 @@ func (e *Engine) settle(ticks int) {
 // request stream, interleaved one request per VM per iteration.
 func (e *Engine) measurePhase() {
 	for _, ev := range e.vms {
-		ev.vm.TLB.ResetStats()
+		ev.VM.TLB.ResetStats()
 	}
 	for _, ev := range e.vms {
 		ev.lat = metrics.NewHistogram()
-		ev.bg0 = ev.vm.Guest.Stats.BackgroundCycles + ev.vm.EPT.Stats.BackgroundCycles
+		ev.bg0 = ev.VM.Guest.Stats.BackgroundCycles + ev.VM.EPT.Stats.BackgroundCycles
 	}
 	single := len(e.vms) == 1
 	var latBuf []uint64
@@ -556,7 +487,7 @@ func (e *Engine) measurePhase() {
 			}
 		}
 		if tick {
-			e.rec.tick(e.m)
+			e.clock.tick()
 		}
 	}
 }
@@ -586,7 +517,7 @@ type bucketReporter interface {
 func (e *Engine) results() []Result {
 	out := make([]Result, len(e.vms))
 	for i, ev := range e.vms {
-		vm := ev.vm
+		vm := ev.VM
 		ts := vm.TLB.Stats()
 		a := vm.Alignment()
 		res := Result{
@@ -616,7 +547,7 @@ func (e *Engine) results() []Result {
 			res.MeanLatency = ev.lat.Mean()
 			res.P99Latency = ev.lat.P99()
 		}
-		if br, ok := ev.gp.(bucketReporter); ok {
+		if br, ok := ev.Policy.(bucketReporter); ok {
 			if rate, any := br.BucketReuseRate(); any {
 				res.BucketReuseRate = rate
 			}

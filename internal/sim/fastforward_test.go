@@ -24,7 +24,7 @@ func runTraced(t *testing.T, ec EngineConfig) ([]Result, []byte, []byte, int) {
 	ec.Trace = rec
 	e := NewEngine(ec)
 	rs := e.Run()
-	return rs, events.Bytes(), series.Bytes(), e.rec.skipped
+	return rs, events.Bytes(), series.Bytes(), e.clock.skipped
 }
 
 // TestFastForwardByteIdentical is the dense-vs-fast-forward

@@ -1,9 +1,11 @@
 package sim
 
-// Flight-recorder gauge capture for the engine (EngineConfig.Trace).
-// Samples are taken inside recovery.tick on the recorder's stride, so
-// every engine phase contributes rows; sample ticks therefore align
-// with daemon quanta, the granularity at which coalescing state moves.
+// Flight-recorder gauge capture (EngineConfig.Trace), the one sampler
+// the engine and the fleet share: AllocatorSample for an allocator
+// scope and Guest.Sample for a VM. The host's Clock captures on the
+// recorder's stride, so every engine phase contributes rows and sample
+// ticks align with daemon quanta, the granularity at which coalescing
+// state moves.
 
 import (
 	"repro/internal/buddy"
@@ -12,34 +14,20 @@ import (
 	"repro/internal/trace"
 )
 
-// sample is the recovery sampler hook: on stride ticks it captures one
-// host row and one row per VM.
-func (e *Engine) sample() {
-	if e.cfg.Trace.SampleTick(e.m.Ticks) {
-		e.captureSamples()
-	}
-}
-
-// finalSample forces a capture at the run's last tick so the series
-// always ends on the final state.
-func (e *Engine) finalSample() {
-	if r := e.cfg.Trace; r != nil && r.SampleFinal(e.m.Ticks) {
-		e.captureSamples()
-	}
-}
-
-// captureSamples snapshots the host allocator and every VM's gauges.
+// captureSamples snapshots the host allocator (scope -1) and every VM's
+// gauges (scope = VM index).
 func (e *Engine) captureSamples() {
 	r := e.cfg.Trace
-	r.AddSample(allocatorSample(-1, e.m.HostBuddy))
+	r.AddSample(AllocatorSample(-1, e.m.HostBuddy))
 	for i, ev := range e.vms {
-		r.AddSample(e.vmSample(i, ev))
+		r.AddSample(ev.Sample(i))
 	}
 }
 
-// allocatorSample fills the buddy-allocator gauges for one scope.
-func allocatorSample(vm int, b *buddy.Allocator) trace.Sample {
-	s := trace.Sample{VM: vm, FreePages: b.FreePages()}
+// AllocatorSample fills the buddy-allocator gauges for the scope tagged
+// tag.
+func AllocatorSample(tag int, b *buddy.Allocator) trace.Sample {
+	s := trace.Sample{VM: tag, FreePages: b.FreePages()}
 	for o := 0; o < trace.NumOrders; o++ {
 		s.FMFI[o] = b.FMFI(o)
 		s.FreeBlocks[o] = uint64(b.FreeBlockCount(o))
@@ -47,12 +35,13 @@ func allocatorSample(vm int, b *buddy.Allocator) trace.Sample {
 	return s
 }
 
-// vmSample snapshots one VM: its guest allocator, both layers' mapping
-// coverage, TLB state, movement counters, and — when the VM runs the
-// Gemini guest policy — booking, bucket, and scanner gauges.
-func (e *Engine) vmSample(i int, ev *engineVM) trace.Sample {
-	vm := ev.vm
-	s := allocatorSample(i, vm.Guest.Buddy)
+// Sample snapshots the VM under scope tag: its guest allocator, both
+// layers' mapping coverage, TLB state, movement counters, and — when
+// the VM runs the Gemini guest policy — booking, bucket, and scanner
+// gauges.
+func (g *Guest) Sample(tag int) trace.Sample {
+	vm := g.VM
+	s := AllocatorSample(tag, vm.Guest.Buddy)
 
 	s.MappedPages = vm.Guest.MappedPages()
 	s.HugeMappedPages = vm.Guest.Table.Mapped2M() * mem.PagesPerHuge
@@ -79,7 +68,7 @@ func (e *Engine) vmSample(i int, ev *engineVM) trace.Sample {
 		s.BalloonPages = vm.Balloon.Inflated()
 	}
 
-	if gp, ok := ev.gp.(*core.GuestPolicy); ok {
+	if gp, ok := g.Policy.(*core.GuestPolicy); ok {
 		s.Bookings = gp.BookingCount()
 		s.BookingTimeout = int(gp.TimeoutCtl().Timeout())
 		s.BookingsExpired = gp.Stats.BookingsExpired
@@ -88,7 +77,7 @@ func (e *Engine) vmSample(i int, ev *engineVM) trace.Sample {
 		s.BucketReused = b.Reused
 		s.BucketTaken = b.Taken
 	}
-	if gem, ok := ev.coord.(*core.Gemini); ok {
+	if gem, ok := g.Coord.(*core.Gemini); ok {
 		s.PromoterScans = gem.ScanCount
 	}
 	return s

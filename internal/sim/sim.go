@@ -7,18 +7,16 @@
 // All settings execute on the unified N-VM Engine (engine.go) and are
 // described by one EngineConfig: Config is the single-VM front door
 // that Run translates, ColocatedPair builds the two-VM §6.5 setting,
-// and RunMany runs N VMs with engine defaults.
+// and RunMany runs N VMs with engine defaults. The host stack under
+// the engine — NewHost, BootGuest, Clock and the gauge sampler — is
+// exported because the fleet layer runs its hosts through it too.
 //
 // See DESIGN.md §3 (per-experiment index) for which entry point backs
 // each figure and DESIGN.md §5 for the determinism contract.
 package sim
 
 import (
-	"fmt"
-
-	"repro/internal/audit"
 	_ "repro/internal/core" // registers GEMINI and its ablations
-	"repro/internal/frag"
 	"repro/internal/machine"
 	_ "repro/internal/policy" // registers the baselines, FHPM, Segmentation
 	"repro/internal/sysreg"
@@ -241,9 +239,10 @@ type Result struct {
 // BuildPolicies constructs the per-layer policies for a system: the
 // guest-layer policy, the host (EPT) layer policy, and the system's
 // coordinator (nil for uncoordinated systems; when non-nil the caller
-// must Attach it to the VM after AddVM). The fleet layer uses this to
-// stand up per-system policy stacks for VMs it places on hosts outside
-// an Engine. Panics on an out-of-range system; gate with ValidSystem.
+// must Attach it to the VM after AddVM). The engine and the fleet boot
+// VMs through BootGuest instead; this stays for callers that assemble
+// a machine VM by hand. Panics on an out-of-range system; gate with
+// ValidSystem.
 func BuildPolicies(sys System) (guest, host machine.Policy, coord sysreg.Coordinator) {
 	return sysreg.Build(sys)
 }
@@ -260,127 +259,6 @@ func ValidSystem(sys System) bool { return sysreg.Valid(sys) }
 // Run executes one experiment on a one-VM engine. It panics when cfg
 // fails Validate.
 func Run(cfg Config) Result { return NewEngine(cfg.engineConfig()).Run()[0] }
-
-// recovery advances the daemons and lets fragmented memory recover
-// slowly, modelling background compaction and other tenants freeing
-// memory: this is what makes huge pages form asynchronously (and so
-// largely independently at the two layers) rather than all at first
-// touch.
-type recovery struct {
-	fragmenters []*frag.Fragmenter
-	every       int
-	ticks       int
-
-	// auditors, when set, undergo a full invariant audit every
-	// auditEvery ticks (Config.Audit).
-	auditors   []audit.Auditable
-	auditEvery int
-
-	// sampler, when set, captures flight-recorder gauge samples after
-	// the machine tick (EngineConfig.Trace). Nil for untraced runs.
-	sampler func()
-	// samplerNext reports the sampler's next possible capture tick
-	// (trace.Recorder.NextSampleTick) so fast-forward never jumps over
-	// a tick the sampler would have recorded. Nil for untraced runs.
-	samplerNext func(after uint64) uint64
-	// disableFF pins the run to dense ticking
-	// (EngineConfig.DisableFastForward).
-	disableFF bool
-	// skipped counts the ticks advanced in closed form.
-	skipped int
-}
-
-func (r *recovery) tick(m *machine.Machine) {
-	m.Tick()
-	r.ticks++
-	if r.every > 0 && r.ticks%r.every == 0 {
-		for _, f := range r.fragmenters {
-			f.ReleaseRegions(1)
-		}
-	}
-	if r.sampler != nil {
-		r.sampler()
-	}
-	if r.auditEvery > 0 && r.ticks%r.auditEvery == 0 {
-		r.audit()
-	}
-}
-
-// pendingRelease reports whether any fragmenter still holds regions,
-// i.e. whether a future release boundary will actually free memory.
-// Drained fragmenters stop constraining fast-forward.
-func (r *recovery) pendingRelease() bool {
-	for _, f := range r.fragmenters {
-		if f.HeldRegions() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// idleTicks reports how many upcoming ticks can be replayed in closed
-// form instead of densely, capped at limit — the engine-level deadline
-// query behind event-driven fast-forward (DESIGN.md §7.4). Zero means
-// the next tick must run densely. The horizon is the minimum over
-// every deadline source:
-//
-//   - the machine: compaction/reclaim pressure and each policy's
-//     promotion-period deadline (machine.Machine.IdleHorizon);
-//   - fragmentation recovery: a release boundary with regions still
-//     held frees memory, so it (and nothing before it) may be skipped;
-//   - the trace sampler: a tick the sampler could capture must run
-//     densely (a skipped SampleTick that would return false is
-//     unobservable, one that would return true is not);
-//   - the periodic audit: boundaries run densely so audited runs keep
-//     their exact audit schedule.
-//
-// Every source is conservative: underestimating the horizon costs one
-// dense tick that then does nothing, which is byte-identical.
-func (r *recovery) idleTicks(m *machine.Machine, limit int) int {
-	if r.disableFF || limit <= 0 {
-		return 0
-	}
-	k := m.IdleHorizon(limit)
-	if k <= 0 {
-		return 0
-	}
-	if r.every > 0 && r.pendingRelease() {
-		if gap := r.every - r.ticks%r.every - 1; k > gap {
-			k = gap
-		}
-	}
-	if r.samplerNext != nil {
-		next := r.samplerNext(m.Ticks)
-		if gap := int(next - m.Ticks - 1); k > gap {
-			k = gap
-		}
-	}
-	if r.auditEvery > 0 && len(r.auditors) > 0 {
-		if gap := r.auditEvery - r.ticks%r.auditEvery - 1; k > gap {
-			k = gap
-		}
-	}
-	return k
-}
-
-// skip advances the tick clock over k ticks idleTicks just proved
-// idle: machine state moves in closed form (machine.AdvanceTicks) and
-// the recovery tick counter stays in lockstep with m.Ticks, so release
-// and audit boundaries land on the same tick numbers as dense ticking.
-func (r *recovery) skip(m *machine.Machine, k int) {
-	m.AdvanceTicks(k)
-	r.ticks += k
-	r.skipped += k
-}
-
-// audit runs the configured invariant auditors, panicking with the
-// full report on any violation: a corrupted simulation must fail
-// loudly rather than skew results.
-func (r *recovery) audit() {
-	if vs := audit.Run(r.auditors...); len(vs) != 0 {
-		panic("sim: audit after tick " + fmt.Sprint(r.ticks) + ": " + audit.Report(vs))
-	}
-}
 
 // colocatedFragTarget and colocatedFragDensity are the consolidation
 // fragmenters' FMFI target and retained-population density (the
