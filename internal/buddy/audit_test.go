@@ -63,7 +63,16 @@ func TestAuditCatchesLeakedFrame(t *testing.T) {
 	// counters: a frame leak.
 	a.freeOrd[f] = -1
 	expectViolations(t, a.CheckInvariants(),
-		"conservation", "free-count", "fmfi-recompute")
+		"conservation", "free-count", "fmfi-recompute", "bitmap-agreement")
+}
+
+func TestAuditCatchesBitmapDrift(t *testing.T) {
+	a := mutatedAllocator(t)
+	f, _ := freeSingleton(t, a)
+	// Clear the block's bit behind the books' back: freeOrd still files
+	// it, but Alloc can no longer find it.
+	a.free[0].leaf[f/64] ^= 1 << (f % 64)
+	expectViolations(t, a.CheckInvariants(), "bitmap-agreement")
 }
 
 func TestAuditCatchesFreePageCounterDrift(t *testing.T) {

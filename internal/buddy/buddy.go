@@ -30,6 +30,7 @@ package buddy
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/audit"
 	"repro/internal/mem"
@@ -52,52 +53,68 @@ var (
 	ErrNotReserved = errors.New("buddy: region is not reserved")
 )
 
-// minHeap is a lazy min-heap of block start frames. Entries may be
-// stale (no longer free at this order); Allocator pops until it finds
-// a live one. It is a hand-rolled heap over raw uint64s rather than a
-// container/heap implementation: heap.Push boxes every frame number
-// into an interface value, and the fault path pushes a block on every
-// allocation, so the boxing allocations and interface dispatch showed
-// up directly in access-latency profiles.
-type minHeap []uint64
-
-func (h *minHeap) push(v uint64) {
-	s := append(*h, v)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-	*h = s
+// freeSet is the free book of one order: a two-level bitmap over block
+// indices (start>>order). Bit i of leaf is set while the block starting
+// at frame i<<order is free at this order; bit w of summary is set
+// while leaf[w] is nonzero. The lowest free block is then two
+// trailing-zero counts away, and insert and remove are a bit set and a
+// bit clear.
+type freeSet struct {
+	leaf    []uint64
+	summary []uint64
+	// lo is a lower bound on the first nonzero summary word: every
+	// summary word below it is zero. It only ever saves scanning.
+	lo int
 }
 
-func (h *minHeap) pop() uint64 {
-	s := *h
-	v := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		small := i
-		if l := 2*i + 1; l < n && s[l] < s[small] {
-			small = l
-		}
-		if r := 2*i + 2; r < n && s[r] < s[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+// newFreeSets builds the books of every order for totalPages frames
+// over one shared backing array, so a new allocator makes one
+// allocation for all of them.
+func newFreeSets(totalPages uint64) [NumOrders]freeSet {
+	var leafWords, sumWords [NumOrders]uint64
+	var total uint64
+	for o := range leafWords {
+		leafWords[o] = (totalPages>>o + 63) / 64
+		sumWords[o] = (leafWords[o] + 63) / 64
+		total += leafWords[o] + sumWords[o]
 	}
-	return v
+	backing := make([]uint64, total)
+	var sets [NumOrders]freeSet
+	for o := range sets {
+		sets[o].leaf, backing = backing[:leafWords[o]:leafWords[o]], backing[leafWords[o]:]
+		sets[o].summary, backing = backing[:sumWords[o]:sumWords[o]], backing[sumWords[o]:]
+	}
+	return sets
+}
+
+func (s *freeSet) has(i uint64) bool { return s.leaf[i/64]&(1<<(i%64)) != 0 }
+
+func (s *freeSet) add(i uint64) {
+	w := i / 64
+	s.leaf[w] |= 1 << (i % 64)
+	s.summary[w/64] |= 1 << (w % 64)
+	if sw := int(w / 64); sw < s.lo {
+		s.lo = sw
+	}
+}
+
+func (s *freeSet) remove(i uint64) {
+	w := i / 64
+	s.leaf[w] &^= 1 << (i % 64)
+	if s.leaf[w] == 0 {
+		s.summary[w/64] &^= 1 << (w % 64)
+	}
+}
+
+// lowest returns the smallest index in the set, or false when empty.
+func (s *freeSet) lowest() (uint64, bool) {
+	for ; s.lo < len(s.summary); s.lo++ {
+		if sum := s.summary[s.lo]; sum != 0 {
+			w := uint64(s.lo)*64 + uint64(bits.TrailingZeros64(sum))
+			return w*64 + uint64(bits.TrailingZeros64(s.leaf[w])), true
+		}
+	}
+	return 0, false
 }
 
 // Reservation tracks a huge-page-sized region booked by Gemini's huge
@@ -141,9 +158,9 @@ type Allocator struct {
 	// [0, totalPages), so the array replaces hashing (and map growth)
 	// with one indexed byte load at a cost of one byte per frame.
 	freeOrd []int8
-	// heaps[o] holds candidate starts of free order-o blocks
-	// (lazily invalidated).
-	heaps [NumOrders]minHeap
+	// free[o] marks the free order-o blocks by index start>>o; it
+	// agrees with freeOrd at every (start, order).
+	free [NumOrders]freeSet
 	// counts[o] is the number of live free blocks at order o.
 	counts [NumOrders]uint64
 
@@ -167,6 +184,7 @@ func New(totalPages uint64) *Allocator {
 	for i := range a.freeOrd {
 		a.freeOrd[i] = -1
 	}
+	a.free = newFreeSets(totalPages)
 	// Seed free lists with the largest aligned blocks that fit.
 	frame := uint64(0)
 	for frame < totalPages {
@@ -200,35 +218,32 @@ func (a *Allocator) FreeBlockCount(order int) uint64 {
 	return a.counts[order]
 }
 
-// insertFree adds a free block and registers it in the heap.
+// insertFree adds a free block to the books.
 func (a *Allocator) insertFree(start uint64, order uint8) {
 	a.freeOrd[start] = int8(order)
 	a.counts[order]++
 	a.epoch++
-	a.heaps[order].push(start)
+	a.free[order].add(start >> order)
 }
 
-// removeFree deletes a known-free block from the books. The heap entry
-// is left to lazy invalidation.
+// removeFree deletes a known-free block from the books.
 func (a *Allocator) removeFree(start uint64, order uint8) {
 	a.freeOrd[start] = -1
 	a.counts[order]--
 	a.epoch++
+	a.free[order].remove(start >> order)
 }
 
-// popLowest returns the lowest-addressed live free block of the order,
-// or false if none exists.
-func (a *Allocator) popLowest(order int) (uint64, bool) {
-	h := &a.heaps[order]
-	for len(*h) > 0 {
-		start := (*h)[0]
-		h.pop()
-		if a.freeOrd[start] == int8(order) {
-			return start, true
-		}
-		// Stale entry: keep popping.
+// lowestFree returns the lowest-addressed free block of the order, or
+// false if none exists. The block stays on the books. An empty order
+// is answered from its counter: Alloc asks on every split that drains
+// an order, and the bitmap would be scanned to its end to say no.
+func (a *Allocator) lowestFree(order int) (uint64, bool) {
+	if a.counts[order] == 0 {
+		return 0, false
 	}
-	return 0, false
+	i, ok := a.free[order].lowest()
+	return i << order, ok
 }
 
 // Alloc allocates a block of 2^order frames and returns its first
@@ -239,7 +254,7 @@ func (a *Allocator) Alloc(order int) (uint64, error) {
 		return 0, fmt.Errorf("%w: order %d", ErrBadArgument, order)
 	}
 	for o := order; o <= MaxOrder; o++ {
-		start, ok := a.popLowest(o)
+		start, ok := a.lowestFree(o)
 		if !ok {
 			continue
 		}
@@ -629,8 +644,9 @@ const auditLayer = "buddy"
 //   - per-order counts and freePages match a recount of the free map
 //     (block conservation: free + allocated + reserved == total, with
 //     allocated implicitly total minus the other two);
-//   - every live free block is reachable through its order's heap, so
-//     targeted and untargeted allocation agree on what is free;
+//   - each order's bitmap marks exactly the blocks the free map files
+//     at that order, so targeted and untargeted allocation agree on
+//     what is free;
 //   - reserved regions are wholly withdrawn from the free lists, and
 //     each reservation's claim bitmap matches its claim counter;
 //   - FMFI computed from the incremental counters matches an FMFI
@@ -687,21 +703,38 @@ func (a *Allocator) CheckInvariants() []audit.Violation {
 		}
 		prevEnd = sp.end
 	}
-	// Heap reachability: every live free block must appear in its
-	// order's heap (stale extra entries are fine, missing ones are not
-	// — Alloc would never find the block).
-	for o := 0; o <= MaxOrder; o++ {
-		if a.counts[o] == 0 {
-			continue
+	// Bitmap agreement: each order's bitmap marks exactly the blocks
+	// freeOrd files at that order (Alloc finds blocks through the
+	// bitmaps, AllocAt and Free through freeOrd), and its summary and
+	// scan hint agree with its leaf words.
+	for s, o := range a.freeOrd {
+		if o < 0 || int(o) > MaxOrder || uint64(s)%(1<<o) != 0 {
+			continue // not free, or reported above
 		}
-		inHeap := make(map[uint64]bool, len(a.heaps[o]))
-		for _, s := range a.heaps[o] {
-			inHeap[s] = true
+		if i := uint64(s) >> o; i >= uint64(len(a.free[o].leaf))*64 || !a.free[o].has(i) {
+			vs = append(vs, audit.Violationf(auditLayer, "bitmap-agreement", uint64(s),
+				"free order-%d block missing from its bitmap", o))
 		}
-		for s := range a.freeOrd {
-			if int(a.freeOrd[s]) == o && !inHeap[uint64(s)] {
-				vs = append(vs, audit.Violationf(auditLayer, "heap-membership", uint64(s),
-					"free order-%d block missing from its allocation heap", o))
+	}
+	for o := range a.free {
+		fs := &a.free[o]
+		for w, word := range fs.leaf {
+			for ; word != 0; word &= word - 1 {
+				s := (uint64(w)*64 + uint64(bits.TrailingZeros64(word))) << o
+				if s >= a.totalPages || a.freeOrd[s] != int8(o) {
+					vs = append(vs, audit.Violationf(auditLayer, "bitmap-agreement", s,
+						"order-%d bitmap marks a block that is not free at that order", o))
+				}
+			}
+			if sum := fs.summary[w/64]&(1<<(w%64)) != 0; sum != (fs.leaf[w] != 0) {
+				vs = append(vs, audit.Violationf(auditLayer, "bitmap-agreement", uint64(w),
+					"order-%d summary bit %v for leaf word %d holding %#x", o, sum, w, fs.leaf[w]))
+			}
+		}
+		for w := 0; w < fs.lo && w < len(fs.summary); w++ {
+			if fs.summary[w] != 0 {
+				vs = append(vs, audit.Violationf(auditLayer, "bitmap-agreement", uint64(w),
+					"order-%d summary word %d is nonzero below the scan hint %d", o, w, fs.lo))
 			}
 		}
 	}

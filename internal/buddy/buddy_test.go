@@ -495,21 +495,6 @@ func TestRandomOpsInvariant(t *testing.T) {
 	}
 }
 
-func TestMinHeapOrdering(t *testing.T) {
-	var h minHeap
-	for _, v := range []uint64{5, 3, 9, 1, 1, 0, 7} {
-		h.push(v)
-	}
-	var prev uint64
-	for i := 0; len(h) > 0; i++ {
-		v := h.pop()
-		if i > 0 && v < prev {
-			t.Fatalf("heap popped %d after %d", v, prev)
-		}
-		prev = v
-	}
-}
-
 func BenchmarkAllocFree(b *testing.B) {
 	a := New(1 << 20)
 	b.ResetTimer()

@@ -13,7 +13,9 @@ import (
 // allocator's own invariant audit, an external page-conservation model
 // kept by the fuzzer (total = free + tracked allocations + withdrawn
 // reservations), and FreeRegionsAtLeast's stride-32 sweep against the
-// full FreeRegions scan filtered to runs of at least 64 pages.
+// full FreeRegions scan filtered to runs of at least 64 pages. Every
+// untargeted Alloc is also checked against lowestFreeSweep, so the
+// bitmap books pick the same block the free map says they must.
 func FuzzBuddyAllocFree(f *testing.F) {
 	// Seeds touching every opcode at least once.
 	f.Add([]byte{0, 9, 0, 0, 1, 0, 2, 8, 3, 2, 4, 7, 5, 0, 6, 0})
@@ -83,7 +85,13 @@ func FuzzBuddyAllocFree(f *testing.F) {
 			switch op {
 			case 0: // Alloc
 				order := int(arg) % (MaxOrder + 1)
-				if start, err := a.Alloc(order); err == nil {
+				want, wantOK := lowestFreeSweep(a, order)
+				start, err := a.Alloc(order)
+				if (err == nil) != wantOK || (wantOK && start != want) {
+					t.Fatalf("step %d: Alloc(%d) = %#x, %v; free-map sweep says %#x, %v",
+						step, order, start, err, want, wantOK)
+				}
+				if err == nil {
 					allocs = append(allocs, block{start, order})
 				}
 				check(step, "Alloc")
@@ -152,4 +160,18 @@ func FuzzBuddyAllocFree(f *testing.F) {
 			}
 		}
 	})
+}
+
+// lowestFreeSweep is Alloc's reference choice, read off the free map
+// alone: the lowest-addressed free block of the smallest order >=
+// order that has one (Alloc splits that block and returns its start).
+func lowestFreeSweep(a *Allocator, order int) (uint64, bool) {
+	for o := order; o <= MaxOrder; o++ {
+		for s, fo := range a.freeOrd {
+			if int(fo) == o {
+				return uint64(s), true
+			}
+		}
+	}
+	return 0, false
 }

@@ -1,7 +1,9 @@
 // Package hotbench defines the hot-path microbenchmark suite: one
 // case per layer of the access pipeline (TLB lookup, native and
 // nested walk costing, page-table walk, the cached and uncached
-// access paths, and demand faulting), shared between `go test -bench`
+// access paths, and demand faulting) plus the tick side's structural
+// costs (a TLB region flush, buddy allocation on fragmented memory),
+// shared between `go test -bench`
 // and paperbench's -bench-export mode so both always measure the same
 // code with the same names. The suite pins the performance contract
 // of DESIGN.md §7: the steady-state access path allocates nothing
@@ -12,6 +14,7 @@ package hotbench
 import (
 	"testing"
 
+	"repro/internal/buddy"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/pagetable"
@@ -39,6 +42,8 @@ func Suite() []Case {
 		{"AccessUncached", benchAccessUncached},
 		{"FullFault", benchFullFault},
 		{"MicroSweep", benchMicroSweep},
+		{"TLBFlushHugeRegion", benchTLBFlushHugeRegion},
+		{"BuddyAllocFragmented", benchBuddyAllocFragmented},
 	}
 }
 
@@ -233,5 +238,53 @@ func benchFullFault(b *testing.B) {
 		}
 		vm.Access(base + next*mem.PageSize)
 		next++
+	}
+}
+
+// benchTLBFlushHugeRegion measures the 2 MiB region shootdown that
+// promotion, demotion and compaction issue, on a TLB whose every way
+// holds a live base entry. The flushed regions lie outside the filled
+// working set, so the TLB stays full: this is the common compaction
+// case, where every moved page after the first in a region finds its
+// entries already gone.
+func benchTLBFlushHugeRegion(b *testing.B) {
+	t := tlb.New(tlb.DefaultConfig())
+	for pn := uint64(0); pn < uint64(t.Entries())*4; pn++ {
+		t.Insert(pn<<mem.PageShift, mem.Base)
+	}
+	const far = uint64(1) << 30
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t.FlushHugeRegion(far + uint64(i&63)<<mem.HugeShift)
+	}
+}
+
+// benchBuddyAllocFragmented measures one untargeted Alloc(0) plus its
+// Free on fragmented memory: every page of a 256 MiB allocator was
+// handed out singly, then four in five were freed in scrambled order,
+// so thousands of small free blocks are scattered over the whole range
+// and many order-0 blocks were merged away on the way there.
+func benchBuddyAllocFragmented(b *testing.B) {
+	const pages = 1 << 16
+	a := buddy.New(pages)
+	for i := 0; i < pages; i++ {
+		if _, err := a.Alloc(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < pages; i++ {
+		if f := i * 40503 % pages; f%5 != 0 {
+			a.Free(f, 0)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := a.Alloc(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.Free(f, 0)
 	}
 }

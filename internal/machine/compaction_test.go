@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/audit"
@@ -62,6 +63,90 @@ func TestCompactRegionAbortsOnUnmovable(t *testing.T) {
 	}
 	if vs := vm.Guest.Buddy.CheckInvariants(); len(vs) != 0 {
 		t.Fatal(audit.Report(vs))
+	}
+}
+
+// recordFlushes wraps the layer's FlushRegion hook so a test sees the
+// 2 MiB regions it was called for, in call order.
+func recordFlushes(L *Layer) *[]uint64 {
+	var regions []uint64
+	inner := L.FlushRegion
+	L.FlushRegion = func(va uint64) {
+		regions = append(regions, va>>mem.HugeShift)
+		inner(va)
+	}
+	return &regions
+}
+
+// residentIn counts the TLB entries translating addresses in the 2 MiB
+// region.
+func residentIn(vm *VM, region uint64) int {
+	n := 0
+	vm.TLB.VisitEntries(func(va uint64, _ mem.PageSizeKind) bool {
+		if va>>mem.HugeShift == region {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
+// TestCompactRegionFlushesEachMovedRegionOnce pins compaction's
+// shootdowns: one FlushRegion per distinct input region a moved page
+// lives in, after the moves, leaving no TLB entry in those regions.
+func TestCompactRegionFlushesEachMovedRegionOnce(t *testing.T) {
+	_, vm := newTestMachine(basePolicy{}, basePolicy{})
+	v := vm.Guest.Space.MMap(4*mem.HugeSize, 0)
+	// Alternate between two input regions, so their pages interleave
+	// in frame region 0 and compaction moves both.
+	lo, hi := v.Start, v.Start+2*mem.HugeSize
+	for i := uint64(0); i < 50; i++ {
+		vm.Access(lo + i*mem.PageSize)
+		vm.Access(hi + i*mem.PageSize)
+	}
+	flushed := recordFlushes(vm.Guest)
+	if !vm.Guest.CompactRegion(0) {
+		t.Fatal("compaction failed on a fully movable region")
+	}
+	want := []uint64{lo >> mem.HugeShift, hi >> mem.HugeShift}
+	if !slices.Equal(*flushed, want) {
+		t.Fatalf("flushed regions %v, want %v", *flushed, want)
+	}
+	for _, r := range want {
+		if n := residentIn(vm, r); n != 0 {
+			t.Fatalf("%d TLB entries survive in moved region %#x", n, r)
+		}
+	}
+}
+
+// TestCompactRegionAbortFlushesMovedPages: when destinations run out
+// midway, the pages already moved keep their new frames, so their
+// region is still shot down before the rollback.
+func TestCompactRegionAbortFlushesMovedPages(t *testing.T) {
+	m := NewMachine(testHostPages, DefaultCosts())
+	vm := m.AddVM(2*mem.PagesPerHuge, basePolicy{}, basePolicy{}, tlb.DefaultConfig())
+	v := vm.Guest.Space.MMap(2*mem.HugeSize, 0)
+	// Map all but 10 frames: frame region 0 is full, and only 10
+	// destinations remain for its 512 pages.
+	for i := uint64(0); i < 2*mem.PagesPerHuge-10; i++ {
+		vm.Access(v.Start + i*mem.PageSize)
+	}
+	region := v.Start >> mem.HugeShift
+	if residentIn(vm, region) == 0 {
+		t.Fatal("setup: no TLB entries in the region compaction moves")
+	}
+	flushed := recordFlushes(vm.Guest)
+	if vm.Guest.CompactRegion(0) {
+		t.Fatal("compacted a region with too few destination frames")
+	}
+	if vm.Guest.Stats.MigratedPages != 10 {
+		t.Fatalf("migrated %d pages before aborting, want 10", vm.Guest.Stats.MigratedPages)
+	}
+	if want := []uint64{region}; !slices.Equal(*flushed, want) {
+		t.Fatalf("flushed regions %v, want %v", *flushed, want)
+	}
+	if n := residentIn(vm, region); n != 0 {
+		t.Fatalf("%d TLB entries survive in the moved region", n)
 	}
 }
 

@@ -17,6 +17,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/buddy"
 	"repro/internal/mem"
@@ -431,7 +432,7 @@ func (L *Layer) PromoteMigrate(va uint64, targetFrame *uint64) error {
 	})
 	for _, o := range olds {
 		if _, err := L.Table.Unmap4K(o.va); err != nil {
-			panic(fmt.Sprintf("machine: unmap during promotion: %v", err))
+			panic(fmt.Sprintf("machine: unmap %#x during promotion: %v", o.va, err))
 		}
 	}
 	if err := L.Table.Map2M(hugeBase, block); err != nil {
@@ -555,7 +556,7 @@ func (L *Layer) UnmapVMA(v *VMA) {
 			L.Buddy.Free(m.frame, mem.HugeOrder)
 		} else {
 			if _, err := L.Table.Unmap4K(m.va); err != nil {
-				panic(fmt.Sprintf("machine: UnmapVMA base: %v", err))
+				panic(fmt.Sprintf("machine: UnmapVMA base %#x: %v", m.va, err))
 			}
 			L.Buddy.Free(m.frame, 0)
 		}
@@ -665,7 +666,20 @@ func (L *Layer) CompactRegion(hugeIdx uint64) bool {
 	// inside the region being cleared.
 	var claimed []uint64
 	var migrate []uint64
+	// regions holds the distinct 2 MiB input regions of the pages moved
+	// so far. Nothing reads or fills the TLB until CompactRegion
+	// returns, so one flush per region once the moves are done leaves
+	// the TLB exactly as a flush after every move would.
+	var regions []uint64
+	flush := func() {
+		if L.FlushRegion != nil {
+			for _, r := range regions {
+				L.FlushRegion(r << mem.HugeShift)
+			}
+		}
+	}
 	abort := func() bool {
+		flush()
 		for _, f := range claimed {
 			L.Buddy.Free(f, 0)
 		}
@@ -701,10 +715,11 @@ func (L *Layer) CompactRegion(hugeIdx uint64) bool {
 		moves++
 		L.Stats.MigratedPages++
 		L.Stats.BackgroundCycles += L.Costs.CopyPage
-		if L.FlushRegion != nil {
-			L.FlushRegion(va)
+		if r := va >> mem.HugeShift; !slices.Contains(regions, r) {
+			regions = append(regions, r)
 		}
 	}
+	flush()
 	if moves > 0 {
 		L.AddStall(L.Costs.Shootdown + uint64(moves)*L.Costs.CachePollution)
 	}

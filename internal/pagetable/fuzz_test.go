@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/audit"
@@ -12,7 +13,8 @@ import (
 // structural audit after every operation. Frames are handed out by
 // monotone counters so no frame is ever legally double-mapped; the
 // audit is the oracle for everything else (partition, rmap inverse,
-// counters, live counts, alignment).
+// counters, live counts, alignment). After every operation the ranged
+// scans are also checked against ScanAll (checkScans).
 func FuzzPageTableMapUnmap(f *testing.F) {
 	// Seeds: scatter of base maps; full region + collapse + split;
 	// huge map + unmap; remap churn.
@@ -42,6 +44,16 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 			if vs := tb.CheckInvariants(); len(vs) != 0 {
 				t.Fatalf("step %d (%s): %s", step, op, audit.Report(vs))
 			}
+			// An unaligned range from this step's bytes: it starts
+			// anywhere in the window (often inside a huge mapping) and
+			// spans from nothing to past the window's end.
+			x := uint64(data[step+1]) | uint64(data[step+2])<<8 | uint64(data[step])<<16
+			start := x * 2654435761 % (regions*mem.HugeSize + mem.HugeSize)
+			end := start + x%(3*mem.HugeSize)
+			if x%5 == 0 {
+				end = start + x%mem.PageSize
+			}
+			checkScans(t, tb, start, end, int(x%7))
 		}
 
 		for step := 0; step+2 < len(data); step += 3 {
@@ -87,4 +99,46 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 			}
 		}
 	})
+}
+
+// collect gathers a scan's mappings, stopping it after limit mappings
+// when limit > 0.
+func collect(scan func(fn func(Mapping) bool), limit int) []Mapping {
+	var out []Mapping
+	scan(func(m Mapping) bool {
+		out = append(out, m)
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
+
+// checkScans compares the ranged scans with ScanAll filtered by their
+// definitions: ScanRange(start, end) reports the mappings with VA < end
+// and VA+size > start (so a huge mapping straddling start counts), and
+// ScanHuge the huge ones. limit > 0 also checks that a visitor
+// returning false stops ScanRange after exactly that prefix.
+func checkScans(t *testing.T, tb *Table, start, end uint64, limit int) {
+	t.Helper()
+	var inRange, huge []Mapping
+	for _, m := range collect(tb.ScanAll, 0) {
+		if m.VA < end && m.VA+m.Kind.Bytes() > start {
+			inRange = append(inRange, m)
+		}
+		if m.Kind == mem.Huge {
+			huge = append(huge, m)
+		}
+	}
+	ranged := func(fn func(Mapping) bool) { tb.ScanRange(start, end, fn) }
+	if got := collect(ranged, 0); !slices.Equal(got, inRange) {
+		t.Fatalf("ScanRange(%#x, %#x) = %v, filtered ScanAll = %v", start, end, got, inRange)
+	}
+	if limit > 0 && len(inRange) > limit {
+		if got := collect(ranged, limit); !slices.Equal(got, inRange[:limit]) {
+			t.Fatalf("ScanRange(%#x, %#x) stopped after %d: %v, want %v",
+				start, end, limit, got, inRange[:limit])
+		}
+	}
+	if got := collect(tb.ScanHuge, 0); !slices.Equal(got, huge) {
+		t.Fatalf("ScanHuge = %v, huge ScanAll = %v", got, huge)
+	}
 }

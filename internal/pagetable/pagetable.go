@@ -359,18 +359,21 @@ func (t *Table) LookupHugeRegion(va uint64) (hugeFrame uint64, isHuge bool, base
 }
 
 // Unmap4K removes the base mapping for the page containing va and
-// returns the frame it pointed to.
+// returns the frame it pointed to. Its errors are the bare ErrWrongSize
+// (va is huge-mapped) and ErrNotMapped sentinels, without the address:
+// reclaim probes unmapped pages routinely and discards the error, so
+// the miss must not allocate. Callers that report one add va.
 func (t *Table) Unmap4K(va uint64) (uint64, error) {
 	pte, blocked := t.walk(va, 0, false)
 	if blocked {
-		return 0, fmt.Errorf("%w: %#x is huge-mapped", ErrWrongSize, va)
+		return 0, ErrWrongSize
 	}
 	if pte == nil {
-		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+		return 0, ErrNotMapped
 	}
 	idx := index(va, 0)
 	if !pte.present[idx] {
-		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+		return 0, ErrNotMapped
 	}
 	frame := pte.frame[idx]
 	pte.present[idx] = false
@@ -551,21 +554,31 @@ func (t *Table) WalkSteps(va uint64) int {
 // ScanHuge calls fn for every huge mapping in ascending VA order.
 // Returning false from fn stops the scan.
 func (t *Table) ScanHuge(fn func(m Mapping) bool) {
-	t.scan(t.root, 0, numLevels-1, true, fn)
+	t.scan(t.root, 0, numLevels-1, 0, ^uint64(0), hugeLevel, fn)
 }
 
 // ScanAll calls fn for every mapping (base and huge) in ascending VA
 // order. Returning false stops the scan.
 func (t *Table) ScanAll(fn func(m Mapping) bool) {
-	t.scan(t.root, 0, numLevels-1, false, fn)
+	t.scan(t.root, 0, numLevels-1, 0, ^uint64(0), 0, fn)
 }
 
-// scan recursively visits mappings. hugeOnly limits output to 2 MiB
-// leaves. Returns false when the visitor aborted.
-func (t *Table) scan(n *node, vaBase uint64, level int, hugeOnly bool, fn func(m Mapping) bool) bool {
+// scan recursively visits, in ascending VA order, the mappings under n
+// that overlap [start, end): VA < end and VA+size > start. Subtrees
+// that cannot hold such a mapping are skipped without being entered,
+// and the scan descends no lower than minLevel (hugeLevel yields huge
+// mappings only). Returns false when the visitor aborted.
+func (t *Table) scan(n *node, vaBase uint64, level int, start, end uint64, minLevel int, fn func(m Mapping) bool) bool {
 	span := uint64(mem.PageSize) << (9 * uint(level))
-	for i := 0; i < entriesPerNode; i++ {
+	first := 0
+	if start > vaBase {
+		first = int(min((start-vaBase)/span, entriesPerNode))
+	}
+	for i := first; i < entriesPerNode; i++ {
 		va := vaBase + uint64(i)*span
+		if va >= end {
+			return true
+		}
 		if level == hugeLevel && n.present[i] && n.huge[i] {
 			if !fn(Mapping{VA: va, Frame: n.frame[i], Kind: mem.Huge}) {
 				return false
@@ -573,15 +586,15 @@ func (t *Table) scan(n *node, vaBase uint64, level int, hugeOnly bool, fn func(m
 			continue
 		}
 		if level == 0 {
-			if n.present[i] && !hugeOnly {
+			if n.present[i] {
 				if !fn(Mapping{VA: va, Frame: n.frame[i], Kind: mem.Base}) {
 					return false
 				}
 			}
 			continue
 		}
-		if child := n.children[i]; child != nil {
-			if !t.scan(child, va, level-1, hugeOnly, fn) {
+		if child := n.children[i]; child != nil && level > minLevel {
+			if !t.scan(child, va, level-1, start, end, minLevel, fn) {
 				return false
 			}
 		}
@@ -610,15 +623,10 @@ func (t *Table) ClearAccessed(va uint64) {
 	pte.accessed[index(va, 0)] = false
 }
 
-// ScanRange calls fn for every mapping whose VA lies in [start, end).
+// ScanRange calls fn, in ascending VA order, for every mapping that
+// overlaps [start, end), including a huge mapping that begins before
+// start. It descends straight to the range. Returning false stops the
+// scan.
 func (t *Table) ScanRange(start, end uint64, fn func(m Mapping) bool) {
-	t.ScanAll(func(m Mapping) bool {
-		if m.VA >= end {
-			return false
-		}
-		if m.VA+m.Kind.Bytes() <= start {
-			return true
-		}
-		return fn(m)
-	})
+	t.scan(t.root, 0, numLevels-1, start, end, 0, fn)
 }

@@ -88,6 +88,28 @@ func TestMap2MConflicts(t *testing.T) {
 	}
 }
 
+// TestUnmap4KMissAllocsNothing pins the reclaim paths' expected miss:
+// unmapping an absent page (no PTE node, or an empty PTE slot) or a
+// huge-mapped one returns a sentinel without allocating.
+func TestUnmap4KMissAllocsNothing(t *testing.T) {
+	pt := New()
+	if err := pt.Map4K(0x5000, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Map2M(mem.HugeSize, 512); err != nil {
+		t.Fatal(err)
+	}
+	for _, va := range []uint64{0x6000, 1 << 40, mem.HugeSize + 0x3000} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := pt.Unmap4K(va); err == nil {
+				t.Fatalf("Unmap4K(%#x) succeeded", va)
+			}
+		}); n != 0 {
+			t.Errorf("Unmap4K(%#x) miss allocates %.0f times", va, n)
+		}
+	}
+}
+
 func TestMap2MAfterUnmappedChild(t *testing.T) {
 	// A region whose PTE node exists but is empty can be huge-mapped.
 	pt := New()

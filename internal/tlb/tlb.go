@@ -264,28 +264,28 @@ func (t *TLB) FlushPage(va uint64) {
 // FlushHugeRegion removes all entries covering the 2 MiB region that
 // contains va: the huge entry and every base entry within. Used when a
 // region is promoted, demoted, or migrated.
+//
+// The region's 512 base pages select every set of the default
+// geometry, so instead of probing each page's set the flush makes one
+// pass over all ways. Each entry lives in the set its tag selects (the
+// audit's "set-index" rule), so matching tags alone removes exactly the
+// entries the per-page probes would: the huge tag region<<1|1, and
+// every base tag (pn<<1) whose page number pn lies in the region, i.e.
+// tag>>10 == region. The empty-way tag has its low bit set and can
+// equal neither.
 func (t *TLB) FlushHugeRegion(va uint64) {
-	base := va &^ uint64(mem.HugeSize-1)
-	for _, kind := range []mem.PageSizeKind{mem.Huge} {
-		tag, si := t.tagOf(base, kind)
-		set := t.set(si)
-		for i := range set {
-			if set[i].tag == tag {
-				set[i] = entry{tag: invalidTag}
-				t.stats.Flushes++
-			}
+	region := va >> mem.HugeShift
+	hugeTag := region<<1 | uint64(mem.Huge)
+	ways := t.ways
+	var flushed uint64
+	for i := range ways {
+		tag := ways[i].tag
+		if tag == hugeTag || (tag&1 == uint64(mem.Base) && tag>>(mem.HugeShift-mem.PageShift+1) == region) {
+			ways[i] = entry{tag: invalidTag}
+			flushed++
 		}
 	}
-	for p := uint64(0); p < mem.PagesPerHuge; p++ {
-		tag, si := t.tagOf(base+p*mem.PageSize, mem.Base)
-		set := t.set(si)
-		for i := range set {
-			if set[i].tag == tag {
-				set[i] = entry{tag: invalidTag}
-				t.stats.Flushes++
-			}
-		}
-	}
+	t.stats.Flushes += flushed
 }
 
 // FlushAll empties the TLB and both walk caches (full shootdown).
