@@ -154,7 +154,7 @@ func (p *GuestPolicy) prealloc(L *machine.Layer, bk *booking) {
 				return
 			}
 		}
-		if err := L.Table.Map4K(va, frame); err != nil {
+		if _, err := L.Table.Map4K(va, frame); err != nil {
 			panic("core: prealloc Map4K: " + err.Error())
 		}
 		bk.claimed[i] = true

@@ -1,7 +1,8 @@
 // Package hotbench defines the hot-path microbenchmark suite: one
 // case per layer of the access pipeline (TLB lookup, native and
 // nested walk costing, page-table walk, the cached and uncached
-// access paths, and demand faulting) plus the tick side's structural
+// access paths, and demand faulting one page and an ascending run)
+// plus the tick side's structural
 // costs (a TLB region flush, buddy allocation on fragmented memory),
 // shared between `go test -bench`
 // and paperbench's -bench-export mode so both always measure the same
@@ -41,6 +42,7 @@ func Suite() []Case {
 		{"AccessSteadyState", benchAccessSteadyState},
 		{"AccessUncached", benchAccessUncached},
 		{"FullFault", benchFullFault},
+		{"PopulateRun", benchPopulateRun},
 		{"MicroSweep", benchMicroSweep},
 		{"TLBFlushHugeRegion", benchTLBFlushHugeRegion},
 		{"BuddyAllocFragmented", benchBuddyAllocFragmented},
@@ -211,33 +213,65 @@ func benchMicroSweep(b *testing.B) {
 	}
 }
 
-// benchFullFault measures cold accesses: demand-faulting a fresh page
-// at both layers, walking both tables, and filling the walk cache.
-// The fixture is rebuilt (off the clock) whenever guest memory runs
-// out.
-func benchFullFault(b *testing.B) {
-	const faultPages = 1 << 15
-	build := func() *machine.VM {
-		m := machine.NewMachine(faultPages*4, machine.DefaultCosts())
-		vm := m.AddVM(faultPages*2, policy.BaseOnly{}, policy.BaseOnly{}, tlb.DefaultConfig())
-		vm.Guest.Space.MMap(faultPages*mem.PageSize, 0)
-		return vm
+// faultPages is the VMA size of the first-touch cases: the fixture
+// is rebuilt (off the clock) whenever its pages are all mapped.
+const faultPages = 1 << 15
+
+// faultVM builds a walk-cache-armed VM with base pages at both layers
+// and one fresh faultPages VMA, returning the VM and the VMA's page
+// addresses in ascending order.
+func faultVM() (*machine.VM, []uint64) {
+	m := machine.NewMachine(faultPages*4, machine.DefaultCosts())
+	vm := m.AddVM(faultPages*2, policy.BaseOnly{}, policy.BaseOnly{}, tlb.DefaultConfig())
+	v := vm.Guest.Space.MMap(faultPages*mem.PageSize, 0)
+	addrs := make([]uint64, faultPages)
+	for i := range addrs {
+		addrs[i] = v.Start + uint64(i)*mem.PageSize
 	}
-	vm := build()
-	base := vm.Guest.Space.VMAs()[0].Start
-	next := uint64(0)
+	return vm, addrs
+}
+
+// benchFullFault measures cold accesses one at a time: demand-faulting
+// a fresh page at both layers, walking both tables, and filling the
+// walk cache.
+func benchFullFault(b *testing.B) {
+	vm, addrs := faultVM()
+	next := 0
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if next == faultPages {
 			b.StopTimer()
-			vm = build()
-			base = vm.Guest.Space.VMAs()[0].Start
+			vm, addrs = faultVM()
 			next = 0
 			b.StartTimer()
 		}
-		vm.Access(base + next*mem.PageSize)
+		vm.Access(addrs[next])
 		next++
+	}
+}
+
+// benchPopulateRun measures first-touch population in the shape the
+// workload's growth issues it: one AccessN over an ascending run of
+// fresh pages (populateRun of them), where consecutive faults share a
+// page-table leaf. One op is one page.
+func benchPopulateRun(b *testing.B) {
+	const populateRun = 512
+	vm, addrs := faultVM()
+	next := 0
+	b.ResetTimer()
+	b.ReportAllocs()
+	for done := 0; done < b.N; {
+		if next == faultPages {
+			b.StopTimer()
+			vm, addrs = faultVM()
+			next = 0
+			b.StartTimer()
+		}
+		k := min(populateRun, b.N-done, faultPages-next)
+		vm.AccessN(addrs[next : next+k])
+		next += k
+		done += k
 	}
 }
 

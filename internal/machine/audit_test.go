@@ -90,7 +90,7 @@ func TestAuditCatchesCrossVMFrameSharing(t *testing.T) {
 		t.Fatal("setup: A's GPA not EPT-mapped")
 	}
 	stolenGPA := uint64(10) * mem.HugeSize // B never touched this GPA
-	if err := vmB.EPT.Table.Map4K(stolenGPA, hostFrame); err != nil {
+	if _, err := vmB.EPT.Table.Map4K(stolenGPA, hostFrame); err != nil {
 		t.Fatal(err)
 	}
 	expectViolations(t, m.CheckInvariants(), "ept-frame-shared")

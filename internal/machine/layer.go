@@ -278,17 +278,22 @@ func RegionInVMA(hugeBase uint64, v *VMA) bool {
 
 // EnsureMapped installs a translation for the page containing va if
 // none exists, consulting the policy. It returns the fault cost in
-// cycles and whether a fault occurred.
-func (L *Layer) EnsureMapped(va uint64) (uint64, bool) {
-	if _, _, ok := L.Table.Lookup(va); ok {
-		return 0, false
+// cycles (0 when no fault occurred) and the mapping it found or made:
+// the output frame of va's page, the mapping kind, and the PTE's
+// AccessRef (the zero ref for huge mappings). The ref stays valid
+// until the table's Version changes, so a caller marks the accessed
+// bit through it instead of walking the table again.
+func (L *Layer) EnsureMapped(va uint64) (cycles, frame uint64, kind mem.PageSizeKind, ref pagetable.AccessRef) {
+	frame, kind, ref, ok := L.Table.LookupRef(va)
+	if ok {
+		return 0, frame, kind, ref
 	}
 	v := L.Space.Find(va)
 	if v == nil {
 		panic(fmt.Sprintf("machine: %s layer fault outside any VMA: %#x", L.Name, va))
 	}
 	d := L.Policy.OnFault(L, va, v)
-	cycles := d.ExtraCycles
+	cycles = d.ExtraCycles
 
 	if d.Kind == mem.Huge {
 		hugeBase := va &^ uint64(mem.HugeSize-1)
@@ -309,7 +314,8 @@ func (L *Layer) EnsureMapped(va uint64) (uint64, bool) {
 				// so any swapped-out pages inside it come back first; the
 				// faulting access pays the readahead swap-in.
 				cycles += L.swapInRegion(hugeBase)
-				return cycles + L.Costs.FaultBase + L.Costs.FaultHugeZero, true
+				cycles += L.Costs.FaultBase + L.Costs.FaultHugeZero
+				return cycles, frame + va>>mem.PageShift&(mem.PagesPerHuge-1), mem.Huge, pagetable.AccessRef{}
 			}
 			// Region already partially mapped: return the block and
 			// fall back to a base mapping.
@@ -324,7 +330,7 @@ func (L *Layer) EnsureMapped(va uint64) (uint64, bool) {
 		d.Allocated = false // the huge frame is gone; allocate base below
 	}
 
-	frame := d.Frame
+	frame = d.Frame
 	if !(d.Allocated && d.Kind == mem.Base) {
 		f, err := L.Buddy.Alloc(0)
 		if err != nil && L.AllocFallback != nil && L.AllocFallback(1) {
@@ -337,7 +343,8 @@ func (L *Layer) EnsureMapped(va uint64) (uint64, bool) {
 		}
 		frame = f
 	}
-	if err := L.Table.Map4K(va, frame); err != nil {
+	ref, err := L.Table.Map4K(va, frame)
+	if err != nil {
 		panic(fmt.Sprintf("machine: Map4K(%#x): %v", va, err))
 	}
 	L.Stats.Faults++
@@ -360,7 +367,7 @@ func (L *Layer) EnsureMapped(va uint64) (uint64, bool) {
 			L.Trace.Event(trace.EvSwapIn, va&^uint64(mem.PageSize-1), frame, 0, 1, "refault")
 		}
 	}
-	return cycles, true
+	return cycles, frame, mem.Base, ref
 }
 
 // PromoteInPlace collapses the 2 MiB region containing va when its 512
@@ -527,45 +534,41 @@ func (L *Layer) DedupPage(va uint64) error {
 
 // UnmapVMA removes every mapping inside the VMA and frees the frames,
 // giving a FreeObserver policy the chance to claim whole huge blocks
-// (Gemini's huge bucket intercepts frees of well-aligned regions).
+// (Gemini's huge bucket intercepts frees of well-aligned regions). It
+// works one 2 MiB region at a time: the region's mappings are scanned
+// into a fixed array, then unmapped and freed in ascending order, so
+// the teardown allocates nothing.
 func (L *Layer) UnmapVMA(v *VMA) {
 	obs, _ := L.Policy.(FreeObserver)
-	type mapping struct {
-		va, frame uint64
-		kind      mem.PageSizeKind
-	}
-	var ms []mapping
-	L.Table.ScanRange(v.Start, v.End(), func(m pagetable.Mapping) bool {
-		ms = append(ms, mapping{m.VA, m.Frame, m.Kind})
-		return true
-	})
-	lastFlushed := ^uint64(0)
-	for _, m := range ms {
-		if m.kind == mem.Huge {
-			if _, err := L.Table.Unmap2M(m.va); err != nil {
-				panic(fmt.Sprintf("machine: UnmapVMA huge: %v", err))
-			}
-			L.Stats.HugeMappedPages -= mem.PagesPerHuge
-			if obs != nil && obs.OnFreeHugeBlock(L, m.frame) {
-				if L.FlushRegion != nil {
-					L.FlushRegion(m.va)
-					lastFlushed = m.va >> mem.HugeShift
+	var ms [mem.PagesPerHuge]pagetable.Mapping
+	for region := v.Start &^ uint64(mem.HugeSize-1); region < v.End(); region += mem.HugeSize {
+		n := 0
+		L.Table.ScanRange(max(region, v.Start), min(region+mem.HugeSize, v.End()), func(m pagetable.Mapping) bool {
+			ms[n] = m
+			n++
+			return true
+		})
+		for _, m := range ms[:n] {
+			if m.Kind == mem.Huge {
+				if _, err := L.Table.Unmap2M(m.VA); err != nil {
+					panic(fmt.Sprintf("machine: UnmapVMA huge: %v", err))
 				}
-				continue
+				L.Stats.HugeMappedPages -= mem.PagesPerHuge
+				if obs != nil && obs.OnFreeHugeBlock(L, m.Frame) {
+					continue
+				}
+				L.Buddy.Free(m.Frame, mem.HugeOrder)
+			} else {
+				if _, err := L.Table.Unmap4K(m.VA); err != nil {
+					panic(fmt.Sprintf("machine: UnmapVMA base %#x: %v", m.VA, err))
+				}
+				L.Buddy.Free(m.Frame, 0)
 			}
-			L.Buddy.Free(m.frame, mem.HugeOrder)
-		} else {
-			if _, err := L.Table.Unmap4K(m.va); err != nil {
-				panic(fmt.Sprintf("machine: UnmapVMA base %#x: %v", m.va, err))
-			}
-			L.Buddy.Free(m.frame, 0)
 		}
 		// Base unmaps need shootdowns too, or churned VMAs leave stale
-		// base-grain entries behind. ScanRange is ascending, so one
-		// ranged flush per 2 MiB region covers all its base pages.
-		if L.FlushRegion != nil && m.va>>mem.HugeShift != lastFlushed {
-			L.FlushRegion(m.va)
-			lastFlushed = m.va >> mem.HugeShift
+		// base-grain entries behind: one ranged flush covers the region.
+		if n > 0 && L.FlushRegion != nil {
+			L.FlushRegion(region)
 		}
 	}
 	// Swapped-out pages inside the VMA die with it: their owner is

@@ -253,7 +253,8 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 	var total uint64
 	if vm.wc.entries == nil {
 		for _, gva := range gvas {
-			total += vm.accessUncached(gva)
+			c, _ := vm.accessUncached(gva)
+			total += c
 		}
 		return total
 	}
@@ -275,8 +276,9 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 				total += res.Cycles + vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
 				continue
 			}
-			total += vm.accessUncached(gva)
-			vm.wcFill(gva)
+			c, tr := vm.accessUncached(gva)
+			total += c
+			vm.wcFill(gva, tr)
 			vm.wcRevalidate()
 			epoch = vm.wc.epoch
 		}
@@ -323,8 +325,9 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 		}
 		// Walk-cache miss: the staged run is flushed, so the uncached
 		// access sees the TLB exactly as the sequential order would.
-		total += vm.accessUncached(gvas[i])
-		vm.wcFill(gvas[i])
+		c, tr := vm.accessUncached(gvas[i])
+		total += c
+		vm.wcFill(gvas[i], tr)
 		vm.wcRevalidate()
 		epoch = vm.wc.epoch
 		i++
@@ -332,29 +335,44 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 	return total
 }
 
+// resolved is the nested translation one uncached access found or
+// made, handed to wcFill so that filling the walk cache walks neither
+// table again. It travels as a return value and an argument, never as
+// VM state.
+type resolved struct {
+	gfn          uint64
+	gRef, eRef   pagetable.AccessRef
+	gKind, hKind mem.PageSizeKind
+	// moved reports that the EPT fault changed the guest table's
+	// version, so gfn and gKind may no longer be what the guest table
+	// maps: the translation is not cached.
+	moved bool
+}
+
 // accessUncached is the reference access path: demand-fault both
-// layers, walk both tables, and charge the TLB access. The walk cache
-// replays precisely this sequence of simulated work on a hit, and a
-// VM with the walk cache disabled runs nothing else.
-func (vm *VM) accessUncached(gva uint64) uint64 {
-	var cycles uint64
-	c, _ := vm.Guest.EnsureMapped(gva)
-	cycles += c
-	gfn, gKind, ok := vm.Guest.Table.Lookup(gva)
-	if !ok {
-		panic("machine: guest unmapped after fault")
-	}
+// layers, mark both accessed bits, and charge the TLB access. Each
+// layer's fault path returns the mapping it found or made, so each
+// table is walked once. The walk cache replays precisely this sequence
+// of simulated work on a hit, and a VM with the walk cache disabled
+// runs nothing else.
+func (vm *VM) accessUncached(gva uint64) (uint64, resolved) {
+	cycles, gfn, gKind, gRef := vm.Guest.EnsureMapped(gva)
+	gVer := vm.Guest.Table.Version()
 	gpa := gfn*mem.PageSize + (gva & (mem.PageSize - 1))
-	c, _ = vm.EPT.EnsureMapped(gpa)
+	c, _, hKind, eRef := vm.EPT.EnsureMapped(gpa)
 	cycles += c
-	_, hKind, ok := vm.EPT.Table.Lookup(gpa)
-	if !ok {
-		panic("machine: EPT unmapped after fault")
+	tr := resolved{gfn: gfn, gRef: gRef, eRef: eRef, gKind: gKind, hKind: hKind}
+	if vm.Guest.Table.Version() != gVer {
+		// The EPT fault (direct reclaim, a policy side effect) mutated
+		// the guest table, which may have detached the node gRef points
+		// into. Retake it, so the bit lands on the live PTE.
+		_, _, tr.gRef, _ = vm.Guest.Table.LookupRef(gva)
+		tr.moved = true
 	}
 	vm.Guest.RecordAccess(gva)
 	vm.EPT.RecordAccess(gpa)
-	vm.Guest.Table.MarkAccessed(gva)
-	vm.EPT.Table.MarkAccessed(gpa)
+	tr.gRef.Mark()
+	tr.eRef.Mark()
 
 	// The §2.2 alignment rule: a 2 MiB TLB entry requires huge
 	// mappings at both layers. (Boundaries coincide automatically: a
@@ -373,14 +391,13 @@ func (vm *VM) accessUncached(gva uint64) uint64 {
 	}
 	cycles += res.Cycles
 	cycles += vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
-	return cycles
+	return cycles, tr
 }
 
 // Touch maps the page containing gva in both layers without charging
 // an access (used to pre-populate state in tests and workload setup).
 func (vm *VM) Touch(gva uint64) {
-	vm.Guest.EnsureMapped(gva)
-	gfn, _, _ := vm.Guest.Table.Lookup(gva)
+	_, gfn, _, _ := vm.Guest.EnsureMapped(gva)
 	vm.EPT.EnsureMapped(gfn * mem.PageSize)
 }
 

@@ -161,27 +161,22 @@ func (vm *VM) wcRevalidate() {
 	}
 }
 
-// wcFill resolves gva through both tables and installs the result in
-// its direct-mapped slot. Called after the slow path has ensured both
-// layers are mapped; the slow path itself may have mutated the tables
-// (faults, policy-triggered compaction), so the snapshot is
-// revalidated first and the entry is resolved fresh — it records what
-// the next access will see, not what the slow path saw mid-flight.
-func (vm *VM) wcFill(gva uint64) {
+// wcFill installs the translation the uncached access just resolved
+// for gva in its direct-mapped slot. That access may itself have
+// mutated the tables (faults, policy-triggered compaction), so the
+// snapshot is revalidated first; nothing mutates either table between
+// the fault paths handing out tr's refs and this call, so tr is what
+// the next access will see. A translation whose guest side moved
+// during the EPT fault (tr.moved) is not cached.
+func (vm *VM) wcFill(gva uint64, tr resolved) {
 	vm.wcRevalidate()
 	wc := &vm.wc
 	ent := &wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-	gfn, gKind, gRef, ok := vm.Guest.Table.LookupRef(gva)
-	if !ok {
+	if tr.moved {
 		ent.epoch = 0
 		return
 	}
-	gpa := gfn*mem.PageSize + (gva & (mem.PageSize - 1))
-	_, hKind, eRef, ok := vm.EPT.Table.LookupRef(gpa)
-	if !ok {
-		ent.epoch = 0
-		return
-	}
+	gKind, hKind := tr.gKind, tr.hKind
 	var eff mem.PageSizeKind
 	if vm.radix {
 		eff = mem.Base
@@ -196,9 +191,9 @@ func (vm *VM) wcFill(gva uint64) {
 	*ent = wcEntry{
 		tag:    gva >> mem.PageShift,
 		epoch:  wc.epoch,
-		gfn:    gfn,
-		gRef:   gRef,
-		eRef:   eRef,
+		gfn:    tr.gfn,
+		gRef:   tr.gRef,
+		eRef:   tr.eRef,
 		gKind:  gKind,
 		hKind:  hKind,
 		eff:    eff,

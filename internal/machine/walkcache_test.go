@@ -10,10 +10,12 @@ package machine_test
 // therefore stale-proof by construction.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/pagetable"
 	"repro/internal/policy"
 	"repro/internal/tlb"
 	"repro/internal/workload"
@@ -41,10 +43,12 @@ const fuzzSpan = (8 << 20) >> mem.PageShift
 // through an arbitrary interleaving of accesses and destructive
 // operations — promote, demote, unmap/remap, reclaim, background
 // ticks, cache re-arming — and requires every access to charge
-// identical cycles and the final machines to agree on all observable
-// state. A walk cache serving one stale translation (a missed
-// version bump anywhere in pagetable's destructive ops) shows up as
-// a cycle or TLB-stat divergence.
+// identical cycles, both layers of the twins to hold identical
+// mappings and accessed bits after every operation, and the final
+// machines to agree on all observable state. A walk cache serving one
+// stale translation (a missed version bump anywhere in pagetable's
+// destructive ops), or an accessed bit marked through a dead ref,
+// shows up as a divergence.
 func FuzzWalkCacheInvalidation(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 10, 0, 10})                          // access, promote, access
 	f.Add([]byte{0, 0, 2, 0, 0, 0})                             // access, demote, access
@@ -109,6 +113,8 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 			case 6: // re-arm the cached twin's cache (release + init path)
 				cached.SetWalkCacheEnabled(arg%2 == 0)
 			}
+			sameTables(t, i, cached.Guest, ref.Guest)
+			sameTables(t, i, cached.EPT, ref.EPT)
 		}
 		s1, s2 := cached.TLB.Stats(), ref.TLB.Stats()
 		if s1 != s2 {
@@ -117,20 +123,28 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 		if a1, a2 := cached.Alignment(), ref.Alignment(); a1 != a2 {
 			t.Fatalf("alignment diverged: %+v vs %+v", a1, a2)
 		}
-		for _, pair := range [][2]*machine.Layer{
-			{cached.Guest, ref.Guest}, {cached.EPT, ref.EPT},
-		} {
-			if m1, m2 := pair[0].Table.Mapped4K(), pair[1].Table.Mapped4K(); m1 != m2 {
-				t.Fatalf("%s mapped4K diverged: %d vs %d", pair[0].Name, m1, m2)
-			}
-			if m1, m2 := pair[0].Table.Mapped2M(), pair[1].Table.Mapped2M(); m1 != m2 {
-				t.Fatalf("%s mapped2M diverged: %d vs %d", pair[0].Name, m1, m2)
-			}
-		}
 		if vs := mc.CheckInvariants(); len(vs) != 0 {
 			t.Fatalf("cached machine corrupt after op sequence: %v", vs)
 		}
 	})
+}
+
+// sameTables fails the test unless two twin layers hold the same
+// mappings, in the same order, with the same accessed bits.
+func sameTables(t *testing.T, op int, a, b *machine.Layer) {
+	t.Helper()
+	var ma, mb []pagetable.Mapping
+	a.Table.ScanAll(func(m pagetable.Mapping) bool { ma = append(ma, m); return true })
+	b.Table.ScanAll(func(m pagetable.Mapping) bool { mb = append(mb, m); return true })
+	if !slices.Equal(ma, mb) {
+		t.Fatalf("op %d: %s mappings diverged:\ncached   %v\nuncached %v", op, a.Name, ma, mb)
+	}
+	for _, m := range ma {
+		if m.Kind == mem.Base && a.Table.Accessed(m.VA) != b.Table.Accessed(m.VA) {
+			t.Fatalf("op %d: %s accessed bit of %#x diverged: cached %v, uncached %v",
+				op, a.Name, m.VA, a.Table.Accessed(m.VA), b.Table.Accessed(m.VA))
+		}
+	}
 }
 
 // TestWalkCacheObserverEffect runs a real (churning, gradually

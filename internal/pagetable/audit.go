@@ -22,7 +22,13 @@ const auditLayer = "pagetable"
 //     block);
 //   - the reverse map is an exact inverse of the forward base
 //     mappings: every base mapping has its rmap entry and every rmap
-//     entry points back at a live base mapping.
+//     entry points back at a live base mapping;
+//   - the two memos are live: a fresh walk to the memoized leaf's
+//     region reaches that node (leaf-memo), and the memoized reverse
+//     chunk is the map's chunk for its key (rmap-memo).
+//
+// The traversal reads the tree and the reverse map directly, never
+// through the memos, so a corrupt memo cannot hide itself.
 func (t *Table) CheckInvariants() []audit.Violation {
 	var vs []audit.Violation
 	var n4k, n2m uint64
@@ -48,7 +54,11 @@ func (t *Table) CheckInvariants() []audit.Violation {
 	}
 	// rmap exact inverse of the forward base mappings.
 	for f, va := range baseFrames {
-		rva, ok := t.ReverseLookup(f)
+		var rva uint64
+		ok := false
+		if c := t.reverse[f>>revChunkBits]; c != nil && c[f&(1<<revChunkBits-1)] != 0 {
+			rva, ok = c[f&(1<<revChunkBits-1)]-1, true
+		}
 		if !ok {
 			vs = append(vs, audit.Violationf(auditLayer, "rmap-inverse", f,
 				"base mapping %#x -> frame %#x has no reverse entry", va, f))
@@ -69,7 +79,30 @@ func (t *Table) CheckInvariants() []audit.Violation {
 			}
 		}
 	}
+	if t.leaf != nil && t.freshLeaf(t.leafKey<<mem.HugeShift) != t.leaf {
+		vs = append(vs, audit.Violationf(auditLayer, "leaf-memo", t.leafKey<<mem.HugeShift,
+			"memoized leaf is not the node a fresh walk of its region reaches"))
+	}
+	if t.revKey != 0 && t.reverse[t.revKey-1] != t.revLast {
+		vs = append(vs, audit.Violationf(auditLayer, "rmap-memo", (t.revKey-1)<<revChunkBits,
+			"memoized reverse chunk is not the map's chunk %d", t.revKey-1))
+	}
 	return vs
+}
+
+// freshLeaf walks from the root, bypassing the leaf memo, to the
+// level-0 node of the region containing va. Nil when the region has
+// none or is huge-mapped.
+func (t *Table) freshLeaf(va uint64) *node {
+	n := t.root
+	for level := numLevels - 1; level > 0 && n != nil; level-- {
+		idx := index(va, level)
+		if level == hugeLevel && n.present[idx] && n.huge[idx] {
+			return nil
+		}
+		n = n.children[idx]
+	}
+	return n
 }
 
 // auditNode recursively validates one radix node and accumulates leaf

@@ -29,7 +29,7 @@ func populatedTable(t *testing.T) *Table {
 	t.Helper()
 	tb := New()
 	for i := uint64(0); i < 10; i++ {
-		if err := tb.Map4K(i*mem.PageSize, 100+i); err != nil {
+		if _, err := tb.Map4K(i*mem.PageSize, 100+i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,4 +93,20 @@ func TestAuditCatchesLiveCountDrift(t *testing.T) {
 	tb := populatedTable(t)
 	tb.root.live++
 	expectViolations(t, tb.CheckInvariants(), "live-count")
+}
+
+func TestAuditCatchesDetachedLeafMemo(t *testing.T) {
+	tb := populatedTable(t)
+	// A leaf node no walk reaches, memoized for the mapped region 0:
+	// lookups there would read its empty entries.
+	tb.leaf, tb.leafKey = &node{}, 0
+	expectViolations(t, tb.CheckInvariants(), "leaf-memo")
+}
+
+func TestAuditCatchesWrongChunkMemo(t *testing.T) {
+	tb := populatedTable(t)
+	// A chunk the map does not hold, memoized for the chunk of frames
+	// 100..109: reverse lookups there would miss.
+	tb.revLast, tb.revKey = new(revChunk), 100>>revChunkBits+1
+	expectViolations(t, tb.CheckInvariants(), "rmap-memo")
 }

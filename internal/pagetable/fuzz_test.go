@@ -13,8 +13,11 @@ import (
 // structural audit after every operation. Frames are handed out by
 // monotone counters so no frame is ever legally double-mapped; the
 // audit is the oracle for everything else (partition, rmap inverse,
-// counters, live counts, alignment). After every operation the ranged
-// scans are also checked against ScanAll (checkScans).
+// counters, live counts, alignment, the leaf and reverse-chunk memos).
+// After every operation the ranged scans, and Lookup, LookupRef and
+// Accessed at the step's addresses, are also checked against ScanAll
+// (checkScans), so every Collapse, Split and Map2M sequence runs
+// through the leaf memo.
 func FuzzPageTableMapUnmap(f *testing.F) {
 	// Seeds: scatter of base maps; full region + collapse + split;
 	// huge map + unmap; remap churn.
@@ -39,7 +42,7 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 			return h
 		}
 
-		check := func(step int, op string) {
+		check := func(step int, op string, va, hva uint64) {
 			t.Helper()
 			if vs := tb.CheckInvariants(); len(vs) != 0 {
 				t.Fatalf("step %d (%s): %s", step, op, audit.Report(vs))
@@ -53,7 +56,7 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 			if x%5 == 0 {
 				end = start + x%mem.PageSize
 			}
-			checkScans(t, tb, start, end, int(x%7))
+			checkScans(t, tb, start, end, int(x%7), va, hva, start)
 		}
 
 		for step := 0; step+2 < len(data); step += 3 {
@@ -62,40 +65,44 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 			va := (arg % pages) * mem.PageSize
 			hva := (arg % regions) * mem.HugeSize
 			switch op {
-			case 0: // Map4K with a fresh frame
-				if err := tb.Map4K(va, nextFrame); err == nil {
+			case 0: // Map4K with a fresh frame; its ref marks the new PTE
+				if ref, err := tb.Map4K(va, nextFrame); err == nil {
 					nextFrame++
+					ref.Mark()
+					if !tb.Accessed(va) {
+						t.Fatalf("step %d: Map4K's ref did not mark %#x", step, va)
+					}
 				}
-				check(step, "Map4K")
+				check(step, "Map4K", va, hva)
 			case 1: // Unmap4K
 				_, _ = tb.Unmap4K(va)
-				check(step, "Unmap4K")
+				check(step, "Unmap4K", va, hva)
 			case 2: // Map2M with a fresh aligned frame
 				if err := tb.Map2M(hva, nextHuge); err == nil {
 					nextHuge += mem.PagesPerHuge
 				}
-				check(step, "Map2M")
+				check(step, "Map2M", va, hva)
 			case 3: // Unmap2M
 				_, _ = tb.Unmap2M(hva)
-				check(step, "Unmap2M")
+				check(step, "Unmap2M", va, hva)
 			case 4: // Split a huge mapping into 512 base PTEs
 				_ = tb.Split(hva)
-				check(step, "Split")
+				check(step, "Split", va, hva)
 			case 5: // Collapse 512 contiguous base PTEs in place
 				_ = tb.Collapse(hva)
-				check(step, "Collapse")
+				check(step, "Collapse", va, hva)
 			case 6: // Remap4K (migration) to a fresh frame
 				if _, err := tb.Remap4K(va, nextFrame); err == nil {
 					nextFrame++
 				}
-				check(step, "Remap4K")
+				check(step, "Remap4K", va, hva)
 			case 7: // Populate a whole region with contiguous frames so
 				// a later Collapse can succeed.
 				base := takeHuge()
 				for i := uint64(0); i < mem.PagesPerHuge; i++ {
-					_ = tb.Map4K(hva+i*mem.PageSize, base+i)
+					_, _ = tb.Map4K(hva+i*mem.PageSize, base+i)
 				}
-				check(step, "PopulateRegion")
+				check(step, "PopulateRegion", va, hva)
 			}
 		}
 	})
@@ -116,11 +123,41 @@ func collect(scan func(fn func(Mapping) bool), limit int) []Mapping {
 // definitions: ScanRange(start, end) reports the mappings with VA < end
 // and VA+size > start (so a huge mapping straddling start counts), and
 // ScanHuge the huge ones. limit > 0 also checks that a visitor
-// returning false stops ScanRange after exactly that prefix.
-func checkScans(t *testing.T, tb *Table, start, end uint64, limit int) {
+// returning false stops ScanRange after exactly that prefix. At each of
+// vas, Lookup and LookupRef must report the ScanAll mapping covering
+// it, and a mark through LookupRef's ref must set the bit Accessed
+// reads exactly when that mapping is a base page.
+func checkScans(t *testing.T, tb *Table, start, end uint64, limit int, vas ...uint64) {
 	t.Helper()
+	all := collect(tb.ScanAll, 0)
+	for _, va := range vas {
+		var want Mapping
+		found := false
+		for _, m := range all {
+			if va >= m.VA && va < m.VA+m.Kind.Bytes() {
+				want, found = m, true
+				break
+			}
+		}
+		wantFrame := want.Frame + (va-want.VA)>>mem.PageShift
+		if f, k, ok := tb.Lookup(va); ok != found || ok && (f != wantFrame || k != want.Kind) {
+			t.Fatalf("Lookup(%#x) = %#x %v %v, ScanAll has %+v (found %v)", va, f, k, ok, want, found)
+		}
+		f, k, ref, ok := tb.LookupRef(va)
+		if ok != found || ok && (f != wantFrame || k != want.Kind) {
+			t.Fatalf("LookupRef(%#x) = %#x %v %v, ScanAll has %+v (found %v)", va, f, k, ok, want, found)
+		}
+		base := found && want.Kind == mem.Base
+		if (ref != AccessRef{}) != base {
+			t.Fatalf("LookupRef(%#x) ref %+v for mapping %+v (found %v)", va, ref, want, found)
+		}
+		ref.Mark()
+		if got := tb.Accessed(va); got != base {
+			t.Fatalf("Accessed(%#x) = %v after marking, want %v", va, got, base)
+		}
+	}
 	var inRange, huge []Mapping
-	for _, m := range collect(tb.ScanAll, 0) {
+	for _, m := range all {
 		if m.VA < end && m.VA+m.Kind.Bytes() > start {
 			inRange = append(inRange, m)
 		}

@@ -20,7 +20,8 @@
 //
 // See DESIGN.md §7 (performance model) for the version counter that
 // invalidates machine-level walk caches, the AccessRef fast path for
-// accessed-bit updates, and the chunked reverse map.
+// accessed-bit updates, and the chunked reverse map, and DESIGN.md
+// §7.6 for the leaf and reverse-chunk memos.
 package pagetable
 
 import (
@@ -99,6 +100,23 @@ type Table struct {
 	// the fuzzers) cost one 32 KiB chunk per touched window instead of
 	// an impossible frame-indexed flat array.
 	reverse map[uint64]*revChunk
+	// revLast memoizes the chunk the last reverse-map operation used,
+	// keyed by revKey (chunk index + 1; 0 means none). Fault paths and
+	// compaction touch runs of neighbouring frames, so most updates
+	// skip the map probe. Chunks are never removed, so the memo cannot
+	// go stale.
+	revLast *revChunk
+	revKey  uint64
+	// leaf memoizes the level-0 node of the 2 MiB input region leafKey
+	// (va >> HugeShift) that the last base-page walk reached; nil means
+	// none. Consecutive walks inside one region (ascending first-touch
+	// runs, a region's swap-out, compaction loops) then skip the top
+	// three levels. Every operation that changes a PMD child pointer
+	// under an existing entry (Map2M dropping an empty child, Collapse,
+	// Split) clears it, so the memo is always the node a fresh walk
+	// reaches (audit rule "leaf-memo").
+	leaf    *node
+	leafKey uint64
 }
 
 // revChunkBits sizes reverse-map chunks: 2^12 frames (16 MiB of
@@ -123,7 +141,7 @@ func (t *Table) Version() uint64 { return t.version }
 
 // ReverseLookup returns the VA whose base mapping points at the frame.
 func (t *Table) ReverseLookup(frame uint64) (uint64, bool) {
-	c := t.reverse[frame>>revChunkBits]
+	c := t.revChunkOf(frame, false)
 	if c == nil {
 		return 0, false
 	}
@@ -134,19 +152,34 @@ func (t *Table) ReverseLookup(frame uint64) (uint64, bool) {
 	return v - 1, true
 }
 
+// revChunkOf returns the reverse-map chunk holding frame's entry
+// through the revLast memo, creating the chunk when create is set (nil
+// when it is absent and create is not).
+func (t *Table) revChunkOf(frame uint64, create bool) *revChunk {
+	key := frame>>revChunkBits + 1
+	if key == t.revKey {
+		return t.revLast
+	}
+	c := t.reverse[key-1]
+	if c == nil {
+		if !create {
+			return nil
+		}
+		c = new(revChunk)
+		t.reverse[key-1] = c
+	}
+	t.revLast, t.revKey = c, key
+	return c
+}
+
 // reverseSet records frame -> va.
 func (t *Table) reverseSet(frame, va uint64) {
-	c := t.reverse[frame>>revChunkBits]
-	if c == nil {
-		c = new(revChunk)
-		t.reverse[frame>>revChunkBits] = c
-	}
-	c[frame&(1<<revChunkBits-1)] = va + 1
+	t.revChunkOf(frame, true)[frame&(1<<revChunkBits-1)] = va + 1
 }
 
 // reverseClear removes the frame's reverse entry if present.
 func (t *Table) reverseClear(frame uint64) {
-	if c := t.reverse[frame>>revChunkBits]; c != nil {
+	if c := t.revChunkOf(frame, false); c != nil {
 		c[frame&(1<<revChunkBits-1)] = 0
 	}
 }
@@ -169,8 +202,12 @@ func index(va uint64, level int) int {
 
 // walk descends to the node at the target level, optionally allocating
 // missing interior nodes. Returns nil if absent and alloc is false, or
-// if a huge leaf blocks the descent (blocked is then true).
+// if a huge leaf blocks the descent (blocked is then true). Base-page
+// walks go through the leaf memo.
 func (t *Table) walk(va uint64, targetLevel int, alloc bool) (n *node, blocked bool) {
+	if targetLevel == 0 && t.leaf != nil && va>>mem.HugeShift == t.leafKey {
+		return t.leaf, false
+	}
 	n = t.root
 	for level := numLevels - 1; level > targetLevel; level-- {
 		idx := index(va, level)
@@ -188,19 +225,22 @@ func (t *Table) walk(va uint64, targetLevel int, alloc bool) (n *node, blocked b
 		}
 		n = child
 	}
+	if targetLevel == 0 {
+		t.leaf, t.leafKey = n, va>>mem.HugeShift
+	}
 	return n, false
 }
 
 // Map4K installs a base mapping from the page containing va to the
-// given output frame.
-func (t *Table) Map4K(va uint64, frame uint64) error {
+// given output frame and returns the AccessRef of the entry it wrote.
+func (t *Table) Map4K(va uint64, frame uint64) (AccessRef, error) {
 	pte, blocked := t.walk(va, 0, true)
 	if blocked {
-		return fmt.Errorf("%w: huge mapping covers %#x", ErrMapped, va)
+		return AccessRef{}, fmt.Errorf("%w: huge mapping covers %#x", ErrMapped, va)
 	}
 	idx := index(va, 0)
 	if pte.present[idx] {
-		return fmt.Errorf("%w: %#x", ErrMapped, va)
+		return AccessRef{}, fmt.Errorf("%w: %#x", ErrMapped, va)
 	}
 	pte.present[idx] = true
 	pte.accessed[idx] = false
@@ -208,7 +248,7 @@ func (t *Table) Map4K(va uint64, frame uint64) error {
 	pte.live++
 	t.mapped4K++
 	t.reverseSet(frame, va&^(mem.PageSize-1))
-	return nil
+	return AccessRef{bits: &pte.accessed, idx: int32(idx)}, nil
 }
 
 // Map2M installs a huge mapping. va must be 2 MiB aligned and frame
@@ -235,6 +275,7 @@ func (t *Table) Map2M(va uint64, frame uint64) error {
 	if pmd.children[idx] != nil {
 		pmd.children[idx] = nil
 		pmd.live--
+		t.leaf = nil // the dropped child may be the memoized leaf
 	}
 	pmd.present[idx] = true
 	pmd.huge[idx] = true
@@ -247,34 +288,48 @@ func (t *Table) Map2M(va uint64, frame uint64) error {
 // Lookup translates va. It returns the output 4 KiB frame for the page
 // containing va, the mapping kind, and whether a mapping exists.
 func (t *Table) Lookup(va uint64) (frame uint64, kind mem.PageSizeKind, ok bool) {
-	n := t.root
-	for level := numLevels - 1; level >= 1; level-- {
-		idx := index(va, level)
-		if level == hugeLevel && n.present[idx] && n.huge[idx] {
-			base := n.frame[idx]
-			offsetPages := va >> mem.PageShift & (mem.PagesPerHuge - 1)
-			return base + offsetPages, mem.Huge, true
+	n, _, frame, kind := t.entry(va)
+	return frame, kind, n != nil
+}
+
+// entry finds the leaf entry translating va: the node holding it, its
+// index there, the output frame of va's page, and the mapping kind (a
+// PMD entry for huge mappings, a PTE otherwise). n is nil, and frame
+// 0, when va is unmapped. Base-page lookups go through the leaf memo
+// and refresh it. Every translation path shares this one descent, and
+// its callers are small enough to inline, so a lookup costs one call.
+func (t *Table) entry(va uint64) (n *node, idx int, frame uint64, kind mem.PageSizeKind) {
+	key := va >> mem.HugeShift
+	if n = t.leaf; n == nil || key != t.leafKey {
+		n = t.root
+		for level := numLevels - 1; level > hugeLevel; level-- {
+			if n = n.children[index(va, level)]; n == nil {
+				return nil, 0, 0, mem.Base
+			}
 		}
-		child := n.children[idx]
-		if child == nil {
-			return 0, mem.Base, false
+		idx = index(va, hugeLevel)
+		if n.present[idx] && n.huge[idx] {
+			return n, idx, n.frame[idx] + va>>mem.PageShift&(mem.PagesPerHuge-1), mem.Huge
 		}
-		n = child
+		if n = n.children[idx]; n == nil {
+			return nil, 0, 0, mem.Base
+		}
+		t.leaf, t.leafKey = n, key
 	}
-	idx := index(va, 0)
-	if !n.present[idx] {
-		return 0, mem.Base, false
+	if idx = index(va, 0); !n.present[idx] {
+		return nil, 0, 0, mem.Base
 	}
-	return n.frame[idx], mem.Base, true
+	return n, idx, n.frame[idx], mem.Base
 }
 
 // AccessRef is a stable reference to one base PTE's accessed bit,
 // letting a caller that already walked to the leaf set the bit again
-// without re-walking the radix tree. A reference is only meaningful
-// while Version() is unchanged from the LookupRef that produced it:
-// any destructive mutation may have detached the node it points into.
-// The zero AccessRef (returned for huge mappings, whose translated
-// accesses do not set a base-PTE bit) is a valid no-op.
+// without re-walking the radix tree. LookupRef and Map4K hand them
+// out. A reference is only meaningful while Version() is unchanged
+// from the call that produced it: any destructive mutation may have
+// detached the node it points into. The zero AccessRef (returned for
+// huge mappings, whose translated accesses set no base-PTE bit) is a
+// valid no-op.
 type AccessRef struct {
 	bits *[entriesPerNode]bool
 	idx  int32
@@ -289,65 +344,24 @@ func (r AccessRef) Mark() {
 
 // LookupRef translates va like Lookup and additionally returns an
 // AccessRef for the mapping's accessed bit (the zero ref for huge
-// mappings, matching MarkAccessed's no-op on them). The ref is valid
-// until the table's Version changes.
+// mappings). The ref is valid until the table's Version changes.
 func (t *Table) LookupRef(va uint64) (frame uint64, kind mem.PageSizeKind, ref AccessRef, ok bool) {
-	n := t.root
-	for level := numLevels - 1; level >= 1; level-- {
-		idx := index(va, level)
-		if level == hugeLevel && n.present[idx] && n.huge[idx] {
-			base := n.frame[idx]
-			offsetPages := va >> mem.PageShift & (mem.PagesPerHuge - 1)
-			return base + offsetPages, mem.Huge, AccessRef{}, true
-		}
-		child := n.children[idx]
-		if child == nil {
-			return 0, mem.Base, AccessRef{}, false
-		}
-		n = child
+	n, idx, frame, kind := t.entry(va)
+	if n != nil && kind == mem.Base {
+		ref = AccessRef{bits: &n.accessed, idx: int32(idx)}
 	}
-	idx := index(va, 0)
-	if !n.present[idx] {
-		return 0, mem.Base, AccessRef{}, false
-	}
-	return n.frame[idx], mem.Base, AccessRef{bits: &n.accessed, idx: int32(idx)}, true
-}
-
-// MarkAccessed sets the accessed bit of the base mapping for the page
-// containing va, as the hardware walker does on a translated access.
-// No-op for huge or absent mappings.
-func (t *Table) MarkAccessed(va uint64) {
-	pte, _ := t.walk(va, 0, false)
-	if pte == nil {
-		return
-	}
-	idx := index(va, 0)
-	if pte.present[idx] {
-		pte.accessed[idx] = true
-	}
+	return frame, kind, ref, n != nil
 }
 
 // LookupHugeRegion reports on the 2 MiB region containing va: whether
 // it is mapped huge (and its huge frame base), or how many base pages
 // are mapped within it.
 func (t *Table) LookupHugeRegion(va uint64) (hugeFrame uint64, isHuge bool, basePages int) {
-	hva := va &^ uint64(mem.HugeSize-1)
-	pmd, _ := t.walk(hva, hugeLevel, false)
+	pmd, _ := t.walk(va, hugeLevel, false)
 	if pmd == nil {
-		// Either absent or blocked by a huge page above hugeLevel
-		// (cannot happen: huge leaves only at hugeLevel). Re-walk to
-		// distinguish.
-		n := t.root
-		for level := numLevels - 1; level > hugeLevel; level-- {
-			idx := index(hva, level)
-			if n.children[idx] == nil {
-				return 0, false, 0
-			}
-			n = n.children[idx]
-		}
-		pmd = n
+		return 0, false, 0
 	}
-	idx := index(hva, hugeLevel)
+	idx := index(va, hugeLevel)
 	if pmd.present[idx] && pmd.huge[idx] {
 		return pmd.frame[idx], true, 0
 	}
@@ -364,18 +378,13 @@ func (t *Table) LookupHugeRegion(va uint64) (hugeFrame uint64, isHuge bool, base
 // reclaim probes unmapped pages routinely and discards the error, so
 // the miss must not allocate. Callers that report one add va.
 func (t *Table) Unmap4K(va uint64) (uint64, error) {
-	pte, blocked := t.walk(va, 0, false)
-	if blocked {
+	pte, idx, frame, kind := t.entry(va)
+	if kind == mem.Huge {
 		return 0, ErrWrongSize
 	}
 	if pte == nil {
 		return 0, ErrNotMapped
 	}
-	idx := index(va, 0)
-	if !pte.present[idx] {
-		return 0, ErrNotMapped
-	}
-	frame := pte.frame[idx]
 	pte.present[idx] = false
 	pte.frame[idx] = 0
 	pte.live--
@@ -474,6 +483,7 @@ func (t *Table) Collapse(va uint64) error {
 		return nil // already huge
 	}
 	pmd.children[idx] = nil
+	t.leaf = nil
 	pmd.present[idx] = true
 	pmd.huge[idx] = true
 	pmd.frame[idx] = info.Frame
@@ -490,18 +500,13 @@ func (t *Table) Collapse(va uint64) error {
 // Remap4K changes the output frame of an existing base mapping (page
 // migration). Returns the old frame.
 func (t *Table) Remap4K(va uint64, newFrame uint64) (uint64, error) {
-	pte, blocked := t.walk(va, 0, false)
-	if blocked {
+	pte, idx, old, kind := t.entry(va)
+	if kind == mem.Huge {
 		return 0, fmt.Errorf("%w: %#x is huge-mapped", ErrWrongSize, va)
 	}
 	if pte == nil {
 		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
 	}
-	idx := index(va, 0)
-	if !pte.present[idx] {
-		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
-	}
-	old := pte.frame[idx]
 	pte.frame[idx] = newFrame
 	t.version++
 	t.reverseClear(old)
@@ -533,6 +538,7 @@ func (t *Table) Split(va uint64) error {
 	pmd.huge[idx] = false
 	pmd.frame[idx] = 0
 	pmd.children[idx] = pt
+	t.leaf = nil
 	t.mapped2M--
 	t.mapped4K += mem.PagesPerHuge
 	t.version++
@@ -605,22 +611,16 @@ func (t *Table) scan(n *node, vaBase uint64, level int, start, end uint64, minLe
 // Accessed reports whether the base mapping for the page containing va
 // has been accessed since mapping or the last ClearAccessed.
 func (t *Table) Accessed(va uint64) bool {
-	pte, _ := t.walk(va, 0, false)
-	if pte == nil {
-		return false
-	}
-	idx := index(va, 0)
-	return pte.present[idx] && pte.accessed[idx]
+	pte, idx, _, kind := t.entry(va)
+	return pte != nil && kind == mem.Base && pte.accessed[idx]
 }
 
 // ClearAccessed resets the accessed bit of the base mapping for the
 // page containing va (the periodic A-bit harvesting OSes do).
 func (t *Table) ClearAccessed(va uint64) {
-	pte, _ := t.walk(va, 0, false)
-	if pte == nil {
-		return
+	if pte, idx, _, kind := t.entry(va); pte != nil && kind == mem.Base {
+		pte.accessed[idx] = false
 	}
-	pte.accessed[index(va, 0)] = false
 }
 
 // ScanRange calls fn, in ascending VA order, for every mapping that

@@ -11,7 +11,7 @@ import (
 
 func TestMapLookup4K(t *testing.T) {
 	pt := New()
-	if err := pt.Map4K(0x1000, 42); err != nil {
+	if _, err := pt.Map4K(0x1000, 42); err != nil {
 		t.Fatal(err)
 	}
 	f, kind, ok := pt.Lookup(0x1234)
@@ -31,10 +31,10 @@ func TestMapLookup4K(t *testing.T) {
 
 func TestMap4KDouble(t *testing.T) {
 	pt := New()
-	if err := pt.Map4K(0x1000, 1); err != nil {
+	if _, err := pt.Map4K(0x1000, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.Map4K(0x1000, 2); !errors.Is(err, ErrMapped) {
+	if _, err := pt.Map4K(0x1000, 2); !errors.Is(err, ErrMapped) {
 		t.Fatalf("double map: %v", err)
 	}
 }
@@ -70,7 +70,7 @@ func TestMap2MAlignment(t *testing.T) {
 
 func TestMap2MConflicts(t *testing.T) {
 	pt := New()
-	if err := pt.Map4K(0, 7); err != nil {
+	if _, err := pt.Map4K(0, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := pt.Map2M(0, 512); !errors.Is(err, ErrMapped) {
@@ -83,7 +83,7 @@ func TestMap2MConflicts(t *testing.T) {
 	if err := pt2.Map2M(0, 1024); !errors.Is(err, ErrMapped) {
 		t.Errorf("double Map2M: %v", err)
 	}
-	if err := pt2.Map4K(0x1000, 9); !errors.Is(err, ErrMapped) {
+	if _, err := pt2.Map4K(0x1000, 9); !errors.Is(err, ErrMapped) {
 		t.Errorf("Map4K under huge: %v", err)
 	}
 }
@@ -93,7 +93,7 @@ func TestMap2MConflicts(t *testing.T) {
 // huge-mapped one returns a sentinel without allocating.
 func TestUnmap4KMissAllocsNothing(t *testing.T) {
 	pt := New()
-	if err := pt.Map4K(0x5000, 3); err != nil {
+	if _, err := pt.Map4K(0x5000, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := pt.Map2M(mem.HugeSize, 512); err != nil {
@@ -113,7 +113,7 @@ func TestUnmap4KMissAllocsNothing(t *testing.T) {
 func TestMap2MAfterUnmappedChild(t *testing.T) {
 	// A region whose PTE node exists but is empty can be huge-mapped.
 	pt := New()
-	if err := pt.Map4K(0, 7); err != nil {
+	if _, err := pt.Map4K(0, 7); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pt.Unmap4K(0); err != nil {
@@ -126,7 +126,7 @@ func TestMap2MAfterUnmappedChild(t *testing.T) {
 
 func TestUnmap(t *testing.T) {
 	pt := New()
-	if err := pt.Map4K(0x5000, 3); err != nil {
+	if _, err := pt.Map4K(0x5000, 3); err != nil {
 		t.Fatal(err)
 	}
 	f, err := pt.Unmap4K(0x5000)
@@ -165,7 +165,7 @@ func TestCollapseInPlace(t *testing.T) {
 	pt := New()
 	// 512 contiguous, huge-aligned base pages.
 	for i := uint64(0); i < mem.PagesPerHuge; i++ {
-		if err := pt.Map4K(i*mem.PageSize, 1024+i); err != nil {
+		if _, err := pt.Map4K(i*mem.PageSize, 1024+i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestCollapseRejectsNonContiguous(t *testing.T) {
 		if i == 100 {
 			frame = 9999 // one stray page
 		}
-		if err := pt.Map4K(i*mem.PageSize, frame); err != nil {
+		if _, err := pt.Map4K(i*mem.PageSize, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestCollapseRejectsMisalignedBase(t *testing.T) {
 	pt := New()
 	// Contiguous but starting at a non-huge-aligned frame.
 	for i := uint64(0); i < mem.PagesPerHuge; i++ {
-		if err := pt.Map4K(i*mem.PageSize, 100+i); err != nil {
+		if _, err := pt.Map4K(i*mem.PageSize, 100+i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +226,7 @@ func TestCollapseRejectsMisalignedBase(t *testing.T) {
 func TestCollapseRejectsPartial(t *testing.T) {
 	pt := New()
 	for i := uint64(0); i < 100; i++ {
-		if err := pt.Map4K(i*mem.PageSize, 1024+i); err != nil {
+		if _, err := pt.Map4K(i*mem.PageSize, 1024+i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestSplit(t *testing.T) {
 
 func TestRemap4K(t *testing.T) {
 	pt := New()
-	if err := pt.Map4K(0, 5); err != nil {
+	if _, err := pt.Map4K(0, 5); err != nil {
 		t.Fatal(err)
 	}
 	old, err := pt.Remap4K(0, 99)
@@ -301,7 +301,7 @@ func TestRemap4K(t *testing.T) {
 
 func TestWalkSteps(t *testing.T) {
 	pt := New()
-	if err := pt.Map4K(0, 1); err != nil {
+	if _, err := pt.Map4K(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := pt.Map2M(mem.HugeSize, 512); err != nil {
@@ -327,10 +327,10 @@ func TestLookupHugeRegion(t *testing.T) {
 	if !isHuge || hf != 512 || n != 0 {
 		t.Fatalf("LookupHugeRegion huge = %d, %v, %d", hf, isHuge, n)
 	}
-	if err := pt.Map4K(mem.HugeSize, 7); err != nil {
+	if _, err := pt.Map4K(mem.HugeSize, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.Map4K(mem.HugeSize+mem.PageSize, 8); err != nil {
+	if _, err := pt.Map4K(mem.HugeSize+mem.PageSize, 8); err != nil {
 		t.Fatal(err)
 	}
 	_, isHuge, n = pt.LookupHugeRegion(mem.HugeSize + 5000)
@@ -351,7 +351,7 @@ func TestScanHuge(t *testing.T) {
 	if err := pt.Map2M(2*mem.HugeSize, 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.Map4K(0, 1); err != nil {
+	if _, err := pt.Map4K(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	var got []Mapping
@@ -381,13 +381,13 @@ func TestScanHuge(t *testing.T) {
 
 func TestScanAllAndRange(t *testing.T) {
 	pt := New()
-	if err := pt.Map4K(0x1000, 1); err != nil {
+	if _, err := pt.Map4K(0x1000, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := pt.Map2M(mem.HugeSize, 512); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.Map4K(1<<30, 2); err != nil {
+	if _, err := pt.Map4K(1<<30, 2); err != nil {
 		t.Fatal(err)
 	}
 	var all []Mapping
@@ -423,7 +423,7 @@ func TestRandomAgainstReference(t *testing.T) {
 			va := vpn * mem.PageSize
 			if rng.Intn(2) == 0 {
 				frame := uint64(rng.Intn(1 << 20))
-				err := pt.Map4K(va, frame)
+				_, err := pt.Map4K(va, frame)
 				if _, exists := ref[vpn]; exists {
 					if err == nil {
 						return false
@@ -469,7 +469,7 @@ func TestCollapseSplitRoundTrip(t *testing.T) {
 		pt := New()
 		va0 := hugeIdx * mem.HugeSize
 		for i := uint64(0); i < mem.PagesPerHuge; i++ {
-			if err := pt.Map4K(va0+i*mem.PageSize, frameBase+i); err != nil {
+			if _, err := pt.Map4K(va0+i*mem.PageSize, frameBase+i); err != nil {
 				return false
 			}
 		}
@@ -495,7 +495,7 @@ func TestCollapseSplitRoundTrip(t *testing.T) {
 func BenchmarkLookup(b *testing.B) {
 	pt := New()
 	for i := uint64(0); i < 1<<14; i++ {
-		if err := pt.Map4K(i*mem.PageSize, i); err != nil {
+		if _, err := pt.Map4K(i*mem.PageSize, i); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -510,7 +510,7 @@ func BenchmarkMapUnmap4K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := uint64(i%(1<<16)) * mem.PageSize
-		if err := pt.Map4K(va, uint64(i)); err != nil {
+		if _, err := pt.Map4K(va, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := pt.Unmap4K(va); err != nil {

@@ -348,14 +348,21 @@ func (w *Workload) growTo(n uint64) {
 
 // rebuildAddrs recomputes the page-index -> VA table from the current
 // VMA placements: page p lives in VMA (p / vmaPages) mod len(vmas) at
-// offset (p mod vmaPages) pages.
+// offset (p mod vmaPages) pages. The table is filled VMA by VMA, in
+// runs of vmaPages, cycling through the VMAs until every page has an
+// address, so no page pays a division.
 func (w *Workload) rebuildAddrs() {
 	if w.addrs == nil {
 		w.addrs = make([]uint64, w.totalPages)
 	}
-	for page := uint64(0); page < w.totalPages; page++ {
-		v := w.vmas[page/w.vmaPages%uint64(len(w.vmas))]
-		w.addrs[page] = v.Start + (page%w.vmaPages)*mem.PageSize
+	for page := uint64(0); page < w.totalPages; {
+		for _, v := range w.vmas {
+			run := w.addrs[page : page+min(w.vmaPages, w.totalPages-page)]
+			for off := range run {
+				run[off] = v.Start + uint64(off)*mem.PageSize
+			}
+			page += uint64(len(run))
+		}
 	}
 }
 

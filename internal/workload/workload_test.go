@@ -216,6 +216,39 @@ func TestTinyFootprintManyVMAs(t *testing.T) {
 	w.StepN(5, nil) // must not panic
 }
 
+// TestRebuildAddrsMatchesDivMod checks the run-by-run fill of addrs
+// against the layout's definition: page p lives in VMA
+// (p / vmaPages) mod len(vmas) at offset p mod vmaPages. The cases
+// cover footprints that are not a multiple of vmaPages (so the fill
+// wraps to the first VMAs again), more VMAs than pages, and a rebuild
+// after one VMA moved.
+func TestRebuildAddrsMatchesDivMod(t *testing.T) {
+	for _, c := range []struct{ total, vmas uint64 }{
+		{10, 3}, {1000, 7}, {5, 8}, {4096, 4}, {1, 1},
+	} {
+		space := machine.NewAddressSpace(64 * mem.HugeSize)
+		w := &Workload{totalPages: c.total, vmaPages: max(c.total/c.vmas, 1)}
+		for i := uint64(0); i < c.vmas; i++ {
+			w.vmas = append(w.vmas, space.MMap(w.vmaPages*mem.PageSize, 3*i))
+		}
+		check := func() {
+			t.Helper()
+			for p := uint64(0); p < c.total; p++ {
+				v := w.vmas[p/w.vmaPages%uint64(len(w.vmas))]
+				if want := v.Start + p%w.vmaPages*mem.PageSize; w.addrs[p] != want {
+					t.Fatalf("total %d, %d VMAs: addrs[%d] = %#x, want %#x",
+						c.total, c.vmas, p, w.addrs[p], want)
+				}
+			}
+		}
+		w.rebuildAddrs()
+		check()
+		w.vmas[0] = space.MMap(w.vmaPages*mem.PageSize, 5)
+		w.rebuildAddrs()
+		check()
+	}
+}
+
 // nextPage draws one page index from the access distribution,
 // confined to the touched frontier, through math/rand's own calls:
 // the page-at-a-time stream drawInto must reproduce.
