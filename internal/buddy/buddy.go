@@ -337,21 +337,25 @@ func (a *Allocator) IsFree(frame uint64, order int) bool {
 	return ok
 }
 
+// FreeBlockAt returns the free block that contains the frame: its
+// first frame and order. ok is false when the frame is allocated,
+// reserved or out of range. It reads the books and changes nothing, so
+// compaction can check a whole region before it claims any of it.
+func (a *Allocator) FreeBlockAt(frame uint64) (start uint64, order int, ok bool) {
+	if frame >= a.totalPages {
+		return 0, 0, false
+	}
+	s, o, ok := a.findContaining(frame, 0)
+	return s, int(o), ok
+}
+
 // FrameFree reports whether the single frame sits inside any free
 // block, regardless of alignment or reservations. The cross-layer
 // auditor uses it to detect frames that are simultaneously mapped and
 // free (a use-after-free or leak in the making).
 func (a *Allocator) FrameFree(frame uint64) bool {
-	if frame >= a.totalPages {
-		return false
-	}
-	for o := 0; o <= MaxOrder; o++ {
-		start := frame &^ ((uint64(1) << o) - 1)
-		if a.freeOrd[start] == int8(o) {
-			return true
-		}
-	}
-	return false
+	_, _, ok := a.FreeBlockAt(frame)
+	return ok
 }
 
 // Free returns the block [frame, frame+2^order) to the allocator,

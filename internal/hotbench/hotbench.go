@@ -2,9 +2,9 @@
 // case per layer of the access pipeline (TLB lookup, native and
 // nested walk costing, page-table walk, the cached and uncached
 // access paths, and demand faulting one page and an ascending run)
-// plus the tick side's structural
-// costs (a TLB region flush, buddy allocation on fragmented memory),
-// shared between `go test -bench`
+// plus the tick side's structural costs (a TLB region flush, buddy
+// allocation on fragmented memory, a compaction that aborts, a
+// region's swap round trip), shared between `go test -bench`
 // and paperbench's -bench-export mode so both always measure the same
 // code with the same names. The suite pins the performance contract
 // of DESIGN.md §7: the steady-state access path allocates nothing
@@ -46,6 +46,8 @@ func Suite() []Case {
 		{"MicroSweep", benchMicroSweep},
 		{"TLBFlushHugeRegion", benchTLBFlushHugeRegion},
 		{"BuddyAllocFragmented", benchBuddyAllocFragmented},
+		{"CompactRegionAbort", benchCompactRegionAbort},
+		{"SwapRegionRoundTrip", benchSwapRegionRoundTrip},
 	}
 }
 
@@ -320,5 +322,62 @@ func benchBuddyAllocFragmented(b *testing.B) {
 			b.Fatal(err)
 		}
 		a.Free(f, 0)
+	}
+}
+
+// bareLayer builds a base-page layer over its own allocator of the
+// given number of frames, with no TLB behind it.
+func bareLayer(pages uint64) *machine.Layer {
+	return machine.NewLayer("guest", buddy.New(pages), machine.NewAddressSpace(0),
+		policy.BaseOnly{}, machine.DefaultCosts())
+}
+
+// benchCompactRegionAbort measures kcompactd's most common outcome
+// under pressure: a region that cannot be freed. Every other frame of
+// frame region 0 is mapped, the frames between are free, and the
+// region's last frame is pinned, so the check walks the whole region
+// before it gives up.
+func benchCompactRegionAbort(b *testing.B) {
+	L := bareLayer(4 * mem.PagesPerHuge)
+	v := L.Space.MMap(mem.HugeSize, 0)
+	for f := uint64(0); f < mem.PagesPerHuge-1; f += 2 {
+		if err := L.Buddy.AllocAt(f, 0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := L.Table.Map4K(v.Start+f*mem.PageSize, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := L.Buddy.AllocAt(mem.PagesPerHuge-1, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if L.CompactRegion(0) {
+			b.Fatal("compacted a region with a pinned frame")
+		}
+	}
+}
+
+// benchSwapRegionRoundTrip measures one resident 2 MiB region going
+// out to swap and coming back: SwapOutRegion demotes the huge mapping
+// and evicts its 512 pages, then MapHugeEager maps the region huge
+// again, which reads the 512 pages back through the readahead swap-in.
+func benchSwapRegionRoundTrip(b *testing.B) {
+	L := bareLayer(4 * mem.PagesPerHuge)
+	v := L.Space.MMap(mem.HugeSize, 0)
+	if err := L.MapHugeEager(v.Start); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if n := L.SwapOutRegion(v.Start>>mem.HugeShift, mem.PagesPerHuge); n != mem.PagesPerHuge {
+			b.Fatalf("swapped out %d pages", n)
+		}
+		if err := L.MapHugeEager(v.Start); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,7 +2,8 @@ package machine
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/audit"
 	"repro/internal/mem"
@@ -55,30 +56,47 @@ func (L *Layer) CheckInvariants() []audit.Violation {
 }
 
 // checkSwapInvariants recomputes the swap tier's contract (swap.go):
-// a page is swapped XOR resident — never both — and the cumulative
+// a page is swapped XOR resident — never both — the swapped bitmaps
+// hold nSwapped bits and no empty region entry, and the cumulative
 // counters account for every page that ever left through the swap
 // device (out = in + dropped + still-swapped). Because every huge
 // mapping makes its whole region resident, the first check also proves
 // huge coverage excludes swapped pages.
 func (L *Layer) checkSwapInvariants() []audit.Violation {
 	var vs []audit.Violation
-	vpns := make([]uint64, 0, len(L.swapped))
-	for vpn := range L.swapped {
-		vpns = append(vpns, vpn)
+	regions := make([]uint64, 0, len(L.swapped))
+	for idx := range L.swapped {
+		regions = append(regions, idx)
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
-		va := vpn << mem.PageShift
-		if _, _, ok := L.Table.Lookup(va); ok {
-			vs = append(vs, audit.Violationf(L.Name, "swap-resident", va,
-				"page is marked swapped out but the table still maps it"))
+	slices.Sort(regions)
+	var bitCount uint64
+	for _, idx := range regions {
+		bm := L.swapped[idx]
+		if bm == ([8]uint64{}) {
+			vs = append(vs, audit.Violationf(L.Name, "swap-bitmap", idx<<mem.HugeShift,
+				"region has a swapped-set entry with no swapped page"))
+		}
+		for w, word := range bm {
+			for ; word != 0; word &= word - 1 {
+				bitCount++
+				p := uint64(w)*64 + uint64(bits.TrailingZeros64(word))
+				va := idx<<mem.HugeShift + p<<mem.PageShift
+				if _, _, ok := L.Table.Lookup(va); ok {
+					vs = append(vs, audit.Violationf(L.Name, "swap-resident", va,
+						"page is marked swapped out but the table still maps it"))
+				}
+			}
 		}
 	}
-	if want := L.Stats.SwappedInPages + L.Stats.SwapDroppedPages + uint64(len(L.swapped)); L.Stats.SwappedOutPages != want {
+	if bitCount != L.nSwapped {
+		vs = append(vs, audit.Violationf(L.Name, "swap-bitmap", 0,
+			"swapped bitmaps hold %d pages but the counter says %d", bitCount, L.nSwapped))
+	}
+	if want := L.Stats.SwappedInPages + L.Stats.SwapDroppedPages + L.nSwapped; L.Stats.SwappedOutPages != want {
 		vs = append(vs, audit.Violationf(L.Name, "swap-count", 0,
 			"Stats.SwappedOutPages = %d but in+dropped+pending = %d+%d+%d",
 			L.Stats.SwappedOutPages, L.Stats.SwappedInPages,
-			L.Stats.SwapDroppedPages, len(L.swapped)))
+			L.Stats.SwapDroppedPages, L.nSwapped))
 	}
 	return vs
 }

@@ -141,12 +141,20 @@ type Layer struct {
 	// a bump pointer, so the slice stays compact.
 	heat    []uint64
 	deduped map[uint64]bool // vpn -> was deduplicated (refault pays CoW)
-	// swapped marks pages currently paged out to the swap device
-	// (vpn -> true). Nil until the swap tier first evicts from this
-	// layer, and probed behind len guards on the fault path, so the
-	// pressure-off cost is zero (same discipline as deduped).
-	swapped map[uint64]bool
-	stall   uint64 // pending foreground stall cycles
+	// swapped marks the pages currently paged out to the swap device:
+	// one 512-bit bitmap per 2 MiB input region (va >> HugeShift), bit p
+	// for the region's page p. A region has an entry only while it holds
+	// a swapped page (audit rule "swap-bitmap"). It is keyed by region,
+	// not a flat slice, so sparse input spaces stay cheap, and holds the
+	// bitmaps by value, so a region's round trip through swap allocates
+	// nothing once the map has grown. Nil until the swap tier first
+	// evicts from this layer, and probed behind len guards on the fault
+	// path, so the pressure-off cost is zero (same discipline as
+	// deduped).
+	swapped map[uint64][8]uint64
+	// nSwapped counts the set bits of swapped.
+	nSwapped uint64
+	stall    uint64 // pending foreground stall cycles
 	// compactCursor round-robins kcompactd's scan over frame regions.
 	compactCursor uint64
 }
@@ -359,8 +367,7 @@ func (L *Layer) EnsureMapped(va uint64) (cycles, frame uint64, kind mem.PageSize
 	}
 	// Same len-guard discipline for the swap tier: a refault of a
 	// swapped page pays the swap device's read latency.
-	if len(L.swapped) != 0 && L.swapped[vpn] {
-		delete(L.swapped, vpn)
+	if len(L.swapped) != 0 && L.swapDrop(va, va+1) != 0 {
 		L.Stats.SwappedInPages++
 		cycles += L.Costs.SwapInPage
 		if L.Trace != nil {
@@ -542,8 +549,15 @@ func (L *Layer) UnmapVMA(v *VMA) {
 	obs, _ := L.Policy.(FreeObserver)
 	var ms [mem.PagesPerHuge]pagetable.Mapping
 	for region := v.Start &^ uint64(mem.HugeSize-1); region < v.End(); region += mem.HugeSize {
+		lo, hi := max(region, v.Start), min(region+mem.HugeSize, v.End())
+		// Swapped-out pages inside the VMA die with it: their owner is
+		// gone, so they can never fault back in. Discarding them keeps
+		// the swapped set's accounting exact (audit.go, "swap-count").
+		if len(L.swapped) != 0 {
+			L.Stats.SwapDroppedPages += L.swapDrop(lo, hi)
+		}
 		n := 0
-		L.Table.ScanRange(max(region, v.Start), min(region+mem.HugeSize, v.End()), func(m pagetable.Mapping) bool {
+		L.Table.ScanRange(lo, hi, func(m pagetable.Mapping) bool {
 			ms[n] = m
 			n++
 			return true
@@ -569,17 +583,6 @@ func (L *Layer) UnmapVMA(v *VMA) {
 		// base-grain entries behind: one ranged flush covers the region.
 		if n > 0 && L.FlushRegion != nil {
 			L.FlushRegion(region)
-		}
-	}
-	// Swapped-out pages inside the VMA die with it: their owner is
-	// gone, so they can never fault back in. Discarding them keeps the
-	// swapped set's accounting exact (audit.go, "swap-count").
-	if len(L.swapped) != 0 {
-		for vpn := range L.swapped {
-			if va := vpn << mem.PageShift; va >= v.Start && va < v.End() {
-				delete(L.swapped, vpn)
-				L.Stats.SwapDroppedPages++
-			}
 		}
 	}
 	L.Space.Remove(v)
@@ -656,82 +659,100 @@ func (L *Layer) MappedPages() uint64 {
 // given huge index by migrating the movable (mapped) pages inside it
 // to frames outside it — the kcompactd mechanism that lets every
 // promotion path find order-9 blocks on long-running systems. It
-// aborts (rolling back) when the region holds frames that are neither
-// free nor mapped by this layer's table (unmovable allocations).
-// On success the region becomes one free order-9 block.
+// aborts when the region holds frames that are neither free nor mapped
+// by this layer's table (unmovable allocations). On success the region
+// becomes one free order-9 block.
+//
+// The region is checked before anything is claimed, and free memory is
+// claimed a whole buddy block at a time. The buddy books are canonical
+// once blocks coalesce, so this ends in the same state as claiming and
+// freeing the region frame by frame (TestCompactRegionMatchesPerFrameClaims).
 func (L *Layer) CompactRegion(hugeIdx uint64) bool {
 	start := hugeIdx * mem.PagesPerHuge
-	if start+mem.PagesPerHuge > L.Buddy.TotalPages() {
+	end := start + mem.PagesPerHuge
+	if end > L.Buddy.TotalPages() {
 		return false
 	}
-	// Pass 1: claim every free frame of the region and check that the
-	// rest are movable, so that migration destinations can never land
-	// inside the region being cleared.
-	var claimed []uint64
-	var migrate []uint64
-	// regions holds the distinct 2 MiB input regions of the pages moved
-	// so far. Nothing reads or fills the TLB until CompactRegion
-	// returns, so one flush per region once the moves are done leaves
-	// the TLB exactly as a flush after every move would.
-	var regions []uint64
-	flush := func() {
-		if L.FlushRegion != nil {
-			for _, r := range regions {
-				L.FlushRegion(r << mem.HugeShift)
+	// Pass 1 reads only: list the region's free blocks and the pages to
+	// move, and give up with nothing changed at the first frame that is
+	// neither (pinned, or covered by a huge mapping).
+	type block struct {
+		start uint64
+		order int
+	}
+	type page struct{ frame, va uint64 }
+	var blocks [mem.PagesPerHuge]block
+	var movable [mem.PagesPerHuge]page
+	nFree, nMove := 0, 0
+	for f := start; f < end; {
+		if b, o, ok := L.Buddy.FreeBlockAt(f); ok {
+			if o > mem.HugeOrder { // a larger free block holds the whole region
+				b, o = start, mem.HugeOrder
 			}
-		}
-	}
-	abort := func() bool {
-		flush()
-		for _, f := range claimed {
-			L.Buddy.Free(f, 0)
-		}
-		return false
-	}
-	for f := start; f < start+mem.PagesPerHuge; f++ {
-		if L.Buddy.AllocAt(f, 0) == nil {
-			claimed = append(claimed, f)
+			blocks[nFree] = block{b, o}
+			nFree++
+			f = b + 1<<o
 			continue
 		}
-		if _, ok := L.Table.ReverseLookup(f); !ok {
-			// Unmovable (pinned, or covered by a huge mapping).
-			return abort()
-		}
-		migrate = append(migrate, f)
-	}
-	// Pass 2: migrate the mapped pages out.
-	moves := 0
-	for _, f := range migrate {
 		va, ok := L.Table.ReverseLookup(f)
 		if !ok {
-			return abort()
+			return false
 		}
+		movable[nMove] = page{f, va}
+		nMove++
+		f++
+	}
+	// Claim the free blocks, so that migration destinations can never
+	// land inside the region being cleared.
+	for _, b := range blocks[:nFree] {
+		if err := L.Buddy.AllocAt(b.start, b.order); err != nil {
+			panic(fmt.Sprintf("machine: claiming free block %#x/%d: %v", b.start, b.order, err))
+		}
+	}
+	// Pass 2: migrate the mapped pages out, until destinations run out.
+	// regions holds the distinct 2 MiB input regions of the pages moved.
+	// Nothing reads or fills the TLB until CompactRegion returns, so one
+	// flush per region once the moves are done leaves the TLB exactly as
+	// a flush after every move would.
+	var regions []uint64
+	moved := 0
+	for _, p := range movable[:nMove] {
 		dest, err := L.Buddy.Alloc(0)
 		if err != nil {
-			return abort()
+			break
 		}
-		if _, err := L.Table.Remap4K(va, dest); err != nil {
-			L.Buddy.Free(dest, 0)
-			return abort()
+		if _, err := L.Table.Remap4K(p.va, dest); err != nil {
+			panic(fmt.Sprintf("machine: migrating %#x during compaction: %v", p.va, err))
 		}
-		claimed = append(claimed, f)
-		moves++
+		moved++
 		L.Stats.MigratedPages++
 		L.Stats.BackgroundCycles += L.Costs.CopyPage
-		if r := va >> mem.HugeShift; !slices.Contains(regions, r) {
+		if r := p.va >> mem.HugeShift; !slices.Contains(regions, r) {
 			regions = append(regions, r)
 		}
 	}
-	flush()
-	if moves > 0 {
-		L.AddStall(L.Costs.Shootdown + uint64(moves)*L.Costs.CachePollution)
+	if L.FlushRegion != nil {
+		for _, r := range regions {
+			L.FlushRegion(r << mem.HugeShift)
+		}
 	}
-	// All 512 frames are ours: release them as one block.
-	for _, f := range claimed {
-		L.Buddy.Free(f, 0)
+	// Free the region's frames that are now ours: the claimed blocks at
+	// their orders, and the moved pages' old frames at order 0 (a frame
+	// of a reservation goes back to it).
+	for _, b := range blocks[:nFree] {
+		L.Buddy.Free(b.start, b.order)
+	}
+	for _, p := range movable[:moved] {
+		L.Buddy.Free(p.frame, 0)
+	}
+	if moved < nMove {
+		return false
+	}
+	if moved > 0 {
+		L.AddStall(L.Costs.Shootdown + uint64(moved)*L.Costs.CachePollution)
 	}
 	if L.Trace != nil {
-		L.Trace.Event(trace.EvCompactionPass, 0, start, mem.HugeOrder, uint64(moves), "compact")
+		L.Trace.Event(trace.EvCompactionPass, 0, start, mem.HugeOrder, uint64(moved), "compact")
 	}
 	L.Stats.CompactedRegions++
 	return true

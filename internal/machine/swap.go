@@ -1,12 +1,13 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/mem"
-	"repro/internal/pagetable"
 	"repro/internal/trace"
 )
 
@@ -106,11 +107,12 @@ func init() {
 	RegisterPressurePolicy(DefaultPressurePolicy, func() PressurePolicy { return &lruHeatPolicy{} })
 }
 
-// lruHeatPolicy is the default victim selector: regions orderd by
+// lruHeatPolicy is the default victim selector: regions ordered by
 // decayed access heat ascending (coldest first), region index breaking
 // ties so the order is total. Heat decays every tick, so this is an
 // LRU approximation over 2 MiB regions — the granularity at which
-// demotion-on-swap costs coverage.
+// demotion-on-swap costs coverage. The candidates are the regions
+// ScanRegions reports, which it finds without visiting leaf entries.
 type lruHeatPolicy struct {
 	scratch []uint64
 }
@@ -122,20 +124,16 @@ func (p *lruHeatPolicy) Victims(L *Layer, max int) []uint64 {
 		return nil
 	}
 	p.scratch = p.scratch[:0]
-	last := ^uint64(0)
-	L.Table.ScanAll(func(m pagetable.Mapping) bool {
-		if idx := m.VA >> mem.HugeShift; idx != last {
-			p.scratch = append(p.scratch, idx)
-			last = idx
-		}
+	L.Table.ScanRegions(func(va uint64) bool {
+		p.scratch = append(p.scratch, va>>mem.HugeShift)
 		return true
 	})
-	sort.SliceStable(p.scratch, func(i, j int) bool {
-		hi, hj := L.Heat(p.scratch[i]<<mem.HugeShift), L.Heat(p.scratch[j]<<mem.HugeShift)
-		if hi != hj {
-			return hi < hj
+	// The tie-break makes the order total, so an unstable sort is exact.
+	slices.SortFunc(p.scratch, func(a, b uint64) int {
+		if c := cmp.Compare(L.Heat(a<<mem.HugeShift), L.Heat(b<<mem.HugeShift)); c != 0 {
+			return c
 		}
-		return p.scratch[i] < p.scratch[j]
+		return cmp.Compare(a, b)
 	})
 	if len(p.scratch) > max {
 		p.scratch = p.scratch[:max]
@@ -248,12 +246,44 @@ func (m *Machine) armDirectReclaim(vm *VM) {
 
 // SwappedPages returns the number of this layer's pages currently
 // paged out to the swap device.
-func (L *Layer) SwappedPages() uint64 { return uint64(len(L.swapped)) }
+func (L *Layer) SwappedPages() uint64 { return L.nSwapped }
 
 // Swapped reports whether the page containing va is currently paged
 // out (test hook).
 func (L *Layer) Swapped(va uint64) bool {
-	return len(L.swapped) != 0 && L.swapped[va>>mem.PageShift]
+	p := va >> mem.PageShift & (mem.PagesPerHuge - 1)
+	return L.swapped[va>>mem.HugeShift][p/64]&(1<<(p%64)) != 0
+}
+
+// swapDrop clears the swapped bits of the pages overlapping [start,
+// end), a non-empty byte range inside one 2 MiB region, and returns how
+// many were set. The region's entry goes once its bitmap empties.
+func (L *Layer) swapDrop(start, end uint64) uint64 {
+	idx := start >> mem.HugeShift
+	bm, ok := L.swapped[idx]
+	if !ok {
+		return 0
+	}
+	lo := start >> mem.PageShift & (mem.PagesPerHuge - 1)
+	hi := (end-1)>>mem.PageShift&(mem.PagesPerHuge-1) + 1
+	var n, left uint64
+	for w := range bm {
+		// Page bits [a, b) of the region fall in word w.
+		if a, b := max(lo, uint64(w)*64), min(hi, uint64(w)*64+64); a < b {
+			mask := ^uint64(0) >> (64 - (b - a)) << (a % 64)
+			n += uint64(bits.OnesCount64(bm[w] & mask))
+			bm[w] &^= mask
+		}
+		left |= bm[w]
+	}
+	switch {
+	case left == 0:
+		delete(L.swapped, idx)
+	case n != 0:
+		L.swapped[idx] = bm
+	}
+	L.nSwapped -= n
+	return n
 }
 
 // SwapOutRegion pages out up to max resident base pages of the 2 MiB
@@ -277,21 +307,27 @@ func (L *Layer) SwapOutRegion(hugeIdx uint64, max int) int {
 			L.Trace.Event(trace.EvDemote, base, 0, mem.HugeOrder, 0, "swap")
 		}
 	}
-	if L.swapped == nil {
-		L.swapped = make(map[uint64]bool)
-	}
+	var out [8]uint64
 	n := 0
 	for p := uint64(0); p < mem.PagesPerHuge && n < max; p++ {
-		va := base + p*mem.PageSize
-		frame, err := L.Table.Unmap4K(va)
+		frame, err := L.Table.Unmap4K(base + p*mem.PageSize)
 		if err != nil {
 			continue // not resident (never faulted, or already swapped)
 		}
 		L.Buddy.Free(frame, 0)
-		L.swapped[va>>mem.PageShift] = true
+		out[p/64] |= 1 << (p % 64)
 		n++
 	}
 	if n > 0 {
+		if L.swapped == nil {
+			L.swapped = make(map[uint64][8]uint64)
+		}
+		bm := L.swapped[hugeIdx]
+		for w := range bm {
+			bm[w] |= out[w]
+		}
+		L.swapped[hugeIdx] = bm
+		L.nSwapped += uint64(n)
 		L.Stats.SwappedOutPages += uint64(n)
 		L.Stats.BackgroundCycles += uint64(n) * L.Costs.SwapOutPage
 		L.AddStall(L.Costs.Shootdown)
@@ -314,14 +350,7 @@ func (L *Layer) swapInRegion(hugeBase uint64) uint64 {
 	if len(L.swapped) == 0 {
 		return 0
 	}
-	firstVPN := hugeBase >> mem.PageShift
-	var n uint64
-	for p := uint64(0); p < mem.PagesPerHuge; p++ {
-		if vpn := firstVPN + p; L.swapped[vpn] {
-			delete(L.swapped, vpn)
-			n++
-		}
-	}
+	n := L.swapDrop(hugeBase, hugeBase+mem.HugeSize)
 	if n == 0 {
 		return 0
 	}
@@ -365,10 +394,12 @@ func (L *Layer) DiscardBacking(start, end uint64) uint64 {
 			if frame, err := L.Table.Unmap4K(va); err == nil {
 				L.Buddy.Free(frame, 0)
 				freed++
-			} else if len(L.swapped) != 0 && L.swapped[va>>mem.PageShift] {
-				delete(L.swapped, va>>mem.PageShift)
-				L.Stats.SwapDroppedPages++
 			}
+		}
+		// A page is resident XOR swapped, so every swapped page of the
+		// range is one the loop found unmapped.
+		if len(L.swapped) != 0 {
+			L.Stats.SwapDroppedPages += L.swapDrop(lo, hi)
 		}
 	}
 	return freed

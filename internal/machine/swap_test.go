@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/audit"
+	"repro/internal/buddy"
 	"repro/internal/mem"
 	"repro/internal/tlb"
 )
@@ -106,6 +108,40 @@ func TestDiscardBackingFreesResidentAndSwapped(t *testing.T) {
 	}
 	if vs := vm.CheckInvariants(); len(vs) != 0 {
 		t.Fatalf("audit after discard: %v", vs)
+	}
+}
+
+// TestUnmapVMADropsSwappedPages: a VMA's swapped pages die with it,
+// including those in the partial regions at its unaligned ends, while
+// another VMA's swapped pages stay.
+func TestUnmapVMADropsSwappedPages(t *testing.T) {
+	space := NewAddressSpace(0)
+	L := NewLayer("ept", buddy.New(16*mem.PagesPerHuge), space, basePolicy{}, DefaultCosts())
+	dying := space.MMap(2*mem.HugeSize, 7)
+	kept := space.MMap(mem.HugeSize, 0)
+	for _, v := range []*VMA{dying, kept} {
+		for va := v.Start; va < v.End(); va += mem.PageSize {
+			L.EnsureMapped(va)
+		}
+		for r := v.Start >> mem.HugeShift; r <= (v.End()-1)>>mem.HugeShift; r++ {
+			L.SwapOutRegion(r, int(mem.PagesPerHuge))
+		}
+	}
+	if got, want := L.SwappedPages(), dying.Pages()+kept.Pages(); got != want {
+		t.Fatalf("setup: %d pages swapped, want %d", got, want)
+	}
+	L.UnmapVMA(dying)
+	if got := L.SwappedPages(); got != kept.Pages() {
+		t.Fatalf("%d pages still swapped, want the kept VMA's %d", got, kept.Pages())
+	}
+	if got := L.Stats.SwapDroppedPages; got != dying.Pages() {
+		t.Fatalf("SwapDroppedPages = %d, want %d", got, dying.Pages())
+	}
+	if !L.Swapped(kept.Start) || L.Swapped(dying.End()-mem.PageSize) {
+		t.Fatal("UnmapVMA dropped the wrong VMA's swapped pages")
+	}
+	if vs := L.checkSwapInvariants(); len(vs) != 0 {
+		t.Fatal(audit.Report(vs))
 	}
 }
 
@@ -240,12 +276,31 @@ func TestEnableSwapTwicePanics(t *testing.T) {
 func TestAuditCatchesSwappedButResident(t *testing.T) {
 	_, vm, _ := hugeBackedVM(t)
 	vm.EPT.SwapOutRegion(0, 4)
-	// Corrupt: mark a still-mapped page of region 1 as swapped without
-	// unmapping it. Fix up the cumulative counter so only the
-	// exactly-once invariant fires, not the conservation one.
-	vm.EPT.swapped[mem.PagesPerHuge] = true
+	// Corrupt: mark the first, still-mapped page of region 1 as swapped
+	// without unmapping it. Fix up the page counter and the cumulative
+	// counter so only the exactly-once invariant fires, not the bitmap
+	// or conservation ones.
+	vm.EPT.swapped[1] = [8]uint64{1}
+	vm.EPT.nSwapped++
 	vm.EPT.Stats.SwappedOutPages++
 	expectViolations(t, vm.EPT.checkSwapInvariants(), "swap-resident")
+}
+
+func TestAuditCatchesSwapBitmapDrift(t *testing.T) {
+	_, vm, _ := hugeBackedVM(t)
+	vm.EPT.SwapOutRegion(0, 4)
+	// The page counter drifts from the bitmaps; the cumulative counter
+	// drifts with it, so conservation still balances.
+	vm.EPT.nSwapped++
+	vm.EPT.Stats.SwappedOutPages++
+	expectViolations(t, vm.EPT.checkSwapInvariants(), "swap-bitmap")
+}
+
+func TestAuditCatchesEmptySwapEntry(t *testing.T) {
+	_, vm, _ := hugeBackedVM(t)
+	vm.EPT.SwapOutRegion(0, 4)
+	vm.EPT.swapped[7] = [8]uint64{} // a region entry with no page
+	expectViolations(t, vm.EPT.checkSwapInvariants(), "swap-bitmap")
 }
 
 func TestAuditCatchesSwapCountDrift(t *testing.T) {

@@ -25,6 +25,7 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 5, 0, 0, 4, 0, 0, 7, 1, 0, 5, 1, 0})
 	f.Add([]byte{2, 2, 0, 3, 2, 0, 2, 3, 0, 4, 3, 0})
 	f.Add([]byte{7, 4, 0, 6, 0, 8, 6, 1, 8, 1, 0, 8, 5, 4, 0})
+	f.Add([]byte{0, 1, 0, 2, 3, 0, 1, 1, 0, 0, 2, 4}) // Unmap4K empties a leaf
 
 	const regions = 8
 	const pages = regions * mem.PagesPerHuge
@@ -121,9 +122,11 @@ func collect(scan func(fn func(Mapping) bool), limit int) []Mapping {
 
 // checkScans compares the ranged scans with ScanAll filtered by their
 // definitions: ScanRange(start, end) reports the mappings with VA < end
-// and VA+size > start (so a huge mapping straddling start counts), and
-// ScanHuge the huge ones. limit > 0 also checks that a visitor
-// returning false stops ScanRange after exactly that prefix. At each of
+// and VA+size > start (so a huge mapping straddling start counts),
+// ScanHuge the huge ones, and ScanRegions the distinct 2 MiB regions
+// of all of them (never the empty leaf nodes Unmap4K leaves). limit > 0
+// also checks that a visitor returning false stops ScanRange and
+// ScanRegions after exactly that prefix. At each of
 // vas, Lookup and LookupRef must report the ScanAll mapping covering
 // it, and a mark through LookupRef's ref must set the bit Accessed
 // reads exactly when that mapping is a base page.
@@ -157,6 +160,7 @@ func checkScans(t *testing.T, tb *Table, start, end uint64, limit int, vas ...ui
 		}
 	}
 	var inRange, huge []Mapping
+	var regions []uint64
 	for _, m := range all {
 		if m.VA < end && m.VA+m.Kind.Bytes() > start {
 			inRange = append(inRange, m)
@@ -164,6 +168,21 @@ func checkScans(t *testing.T, tb *Table, start, end uint64, limit int, vas ...ui
 		if m.Kind == mem.Huge {
 			huge = append(huge, m)
 		}
+		if r := m.VA &^ (mem.HugeSize - 1); len(regions) == 0 || regions[len(regions)-1] != r {
+			regions = append(regions, r)
+		}
+	}
+	want := regions
+	if limit > 0 && len(want) > limit {
+		want = want[:limit]
+	}
+	var got []uint64
+	tb.ScanRegions(func(va uint64) bool {
+		got = append(got, va)
+		return limit <= 0 || len(got) < limit
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("ScanRegions (stop after %d) = %#x, regions of ScanAll = %#x", limit, got, regions)
 	}
 	ranged := func(fn func(Mapping) bool) { tb.ScanRange(start, end, fn) }
 	if got := collect(ranged, 0); !slices.Equal(got, inRange) {

@@ -569,6 +569,32 @@ func (t *Table) ScanAll(fn func(m Mapping) bool) {
 	t.scan(t.root, 0, numLevels-1, 0, ^uint64(0), 0, fn)
 }
 
+// ScanRegions calls fn, in ascending order, with the base VA of every
+// 2 MiB region that holds a mapping: a huge entry, or a leaf node with
+// a live entry (Unmap4K leaves emptied leaf nodes in place, and those
+// do not count). It stops at the PMD level and never visits leaf
+// entries. Returning false stops the scan.
+func (t *Table) ScanRegions(fn func(va uint64) bool) {
+	t.scanRegions(t.root, 0, numLevels-1, fn)
+}
+
+func (t *Table) scanRegions(n *node, vaBase uint64, level int, fn func(va uint64) bool) bool {
+	span := uint64(mem.PageSize) << (9 * uint(level))
+	for i := 0; i < entriesPerNode; i++ {
+		child := n.children[i]
+		if level == hugeLevel {
+			if (n.present[i] && n.huge[i] || child != nil && child.live > 0) && !fn(vaBase+uint64(i)*span) {
+				return false
+			}
+			continue
+		}
+		if child != nil && child.live > 0 && !t.scanRegions(child, vaBase+uint64(i)*span, level-1, fn) {
+			return false
+		}
+	}
+	return true
+}
+
 // scan recursively visits, in ascending VA order, the mappings under n
 // that overlap [start, end): VA < end and VA+size > start. Subtrees
 // that cannot hold such a mapping are skipped without being entered,
