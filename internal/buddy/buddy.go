@@ -16,6 +16,13 @@
 //     consumption are allowed until release.
 //   - FMFI: the free memory fragmentation index used by Ingens, HawkEye
 //     and Gemini's Algorithm 1 to measure fragmentation.
+//   - FreeMask: frees any set of frames of one 2 MiB region in one
+//     call. Free merges buddies eagerly, so the books are canonical (a
+//     block is free at order k exactly when all its frames are free
+//     and its parent is not) and FreeMask can rebuild a region's
+//     blocks from its free frames instead of freeing them one by one.
+//     The fragmenter and its recovery, compaction and reservation
+//     release free whole regions this way.
 //
 // Allocation is deterministic: untargeted allocations always return the
 // lowest-addressed free block of the requested order, which both keeps
@@ -106,6 +113,25 @@ func (s *freeSet) remove(i uint64) {
 	}
 }
 
+// take clears the bits of m in leaf word w and returns those that were
+// set.
+func (s *freeSet) take(w, m uint64) uint64 {
+	got := s.leaf[w] & m
+	if s.leaf[w] &^= got; got != 0 && s.leaf[w] == 0 {
+		s.summary[w/64] &^= 1 << (w % 64)
+	}
+	return got
+}
+
+// put sets the bits of m, which must be nonzero, in leaf word w.
+func (s *freeSet) put(w, m uint64) {
+	s.leaf[w] |= m
+	s.summary[w/64] |= 1 << (w % 64)
+	if sw := int(w / 64); sw < s.lo {
+		s.lo = sw
+	}
+}
+
 // lowest returns the smallest index in the set, or false when empty.
 func (s *freeSet) lowest() (uint64, bool) {
 	for ; s.lo < len(s.summary); s.lo++ {
@@ -124,8 +150,8 @@ func (s *freeSet) lowest() (uint64, bool) {
 type Reservation struct {
 	// HugeIndex identifies the 2 MiB region (frame / 512).
 	HugeIndex uint64
-	// allocated marks which of the 512 pages have been handed out.
-	allocated [mem.PagesPerHuge]bool
+	// claimed marks which of the 512 pages have been handed out.
+	claimed Mask
 	// nAllocated counts handed-out pages.
 	nAllocated int
 	// Deadline is the tick at which the booking times out; maintained
@@ -142,7 +168,7 @@ func (r *Reservation) Allocated() int { return r.nAllocated }
 // Claimed reports whether page i (0..511) of the reservation has been
 // handed out.
 func (r *Reservation) Claimed(i int) bool {
-	return i >= 0 && i < mem.PagesPerHuge && r.allocated[i]
+	return i >= 0 && i < mem.PagesPerHuge && r.claimed[i/64]&(1<<(i%64)) != 0
 }
 
 // Allocator is a binary buddy allocator over a contiguous range of
@@ -374,10 +400,10 @@ func (a *Allocator) Free(frame uint64, order int) {
 	if order == 0 {
 		if r, ok := a.reservations[frame/mem.PagesPerHuge]; ok {
 			idx := frame - r.Start()
-			if !r.allocated[idx] {
+			if r.claimed[idx/64]&(1<<(idx%64)) == 0 {
 				panic(fmt.Sprintf("buddy: double free of reserved page %#x", frame))
 			}
-			r.allocated[idx] = false
+			r.claimed[idx/64] &^= 1 << (idx % 64)
 			r.nAllocated--
 			return
 		}
@@ -402,6 +428,138 @@ func (a *Allocator) Free(frame uint64, order int) {
 		o++
 	}
 	a.insertFree(start, o)
+}
+
+// Mask is a 2 MiB region's frames as a bitmap: bit i of word i/64
+// stands for frame i%64 of that word's 64-frame run.
+type Mask = [mem.PagesPerHuge / 64]uint64
+
+// FreeMask frees every frame whose bit is set in mask, of the 2 MiB
+// region with the given huge index, in one call. It ends in exactly the
+// state that Free(f, 0) on each set frame in ascending order leaves
+// (FuzzFreeMask). A set frame that is already free panics: Free checks
+// only frames that start a free block, FreeMask checks every frame, and
+// on the one-call path it does so before it changes anything.
+//
+// The books are canonical: a block is free at order k exactly when all
+// its frames are free and its parent block is not, whatever order the
+// frees came in. So FreeMask works on the region's blocks one order at
+// a time, one bit per block: the mask's frames and the region's free
+// blocks come off the books, buddy pairs of wholly free blocks combine
+// into the next order, and the blocks left unpaired go on the books. A
+// wholly free region then merges upward the way Free(start, HugeOrder)
+// does. A reserved region, whose frames go back to the reservation,
+// and a region running past the last frame take the per-frame path.
+func (a *Allocator) FreeMask(huge uint64, mask *Mask) {
+	base := huge * mem.PagesPerHuge
+	if _, reserved := a.reservations[huge]; reserved || base+mem.PagesPerHuge > a.totalPages {
+		for w, word := range mask {
+			for ; word != 0; word &= word - 1 {
+				a.Free(base+uint64(w*64+bits.TrailingZeros64(word)), 0)
+			}
+		}
+		return
+	}
+	n := 0
+	for _, word := range mask {
+		n += bits.OnesCount64(word)
+	}
+	if n == 0 {
+		return
+	}
+	// Check first: no free block may hold a set frame. touched marks
+	// the region's order-k blocks that hold one.
+	if top := base &^ (1<<MaxOrder - 1); a.freeOrd[top] == MaxOrder {
+		panic(fmt.Sprintf("buddy: double free inside free block %#x", top))
+	}
+	touched := *mask
+	for k, nw := 0, len(touched); k <= mem.HugeOrder; k, nw = k+1, max(1, nw/2) {
+		for w := range nw {
+			i, sh, m := regionSlot(huge, k, w)
+			if hit := (a.free[k].leaf[i] & m >> sh) & touched[w]; hit != 0 {
+				b := base + uint64(w*64+bits.TrailingZeros64(hit))<<k
+				panic(fmt.Sprintf("buddy: double free inside free block %#x", b))
+			}
+			halve(&touched, w, touched[w]|touched[w]>>1)
+		}
+	}
+	a.epoch++
+	// free marks the region's order-k blocks that are wholly free with
+	// the mask freed, excluding those inside a larger free block. The
+	// books' order-k blocks join them; a block whose buddy is free too
+	// pairs up into order k+1, and the rest go on the books at order k.
+	free := *mask
+	for k, nw := 0, len(free); k < mem.HugeOrder; k, nw = k+1, max(1, nw/2) {
+		for w := range nw {
+			i, sh, m := regionSlot(huge, k, w)
+			old := a.free[k].take(i, m) >> sh
+			a.markStarts(base, k, w, old, -1)
+			x := free[w] | old
+			pairs := x & (x >> 1) & evenBits
+			blocks := x &^ (pairs | pairs<<1)
+			if blocks != 0 {
+				a.free[k].put(i, blocks<<sh)
+				a.markStarts(base, k, w, blocks, int8(k))
+			}
+			a.counts[k] += uint64(bits.OnesCount64(blocks))
+			a.counts[k] -= uint64(bits.OnesCount64(old))
+			halve(&free, w, pairs)
+		}
+	}
+	if free[0] == 0 {
+		a.freePages += uint64(n)
+		return
+	}
+	// The region is wholly free: Free files it as one order-9 block,
+	// merged upward, and counts all 512 frames as freed.
+	a.freePages += uint64(n) - mem.PagesPerHuge
+	a.Free(base, mem.HugeOrder)
+}
+
+// markStarts sets freeOrd to o at the start of each order-k block of
+// the region at base that word w of a region bitmap marks.
+func (a *Allocator) markStarts(base uint64, k, w int, blocks uint64, o int8) {
+	for ; blocks != 0; blocks &= blocks - 1 {
+		a.freeOrd[base+uint64(w*64+bits.TrailingZeros64(blocks))<<k] = o
+	}
+}
+
+// evenBits selects the even bit positions: the first block of each
+// buddy pair.
+const evenBits = 0x5555555555555555
+
+// halve packs the even bits of x, word w of one order's region bitmap,
+// into word w/2 of the next order's: the low half when w is even, the
+// high half when it is odd. Words are read in ascending order and
+// w/2 <= w, so no word still to be read is overwritten.
+func halve(lvl *Mask, w int, x uint64) {
+	x &= evenBits
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	x = (x | x>>16) & 0x00000000ffffffff
+	if w%2 == 0 {
+		lvl[w/2] = x
+	} else {
+		lvl[w/2] |= x << 32
+	}
+}
+
+// regionSlot locates word w of a region bitmap at order k (one bit per
+// order-k block of the 2 MiB region with the given huge index, from
+// bit 0) in the order-k books: leaf word i holds it at the bits of m,
+// shifted left by sh. A region is 512>>k blocks: whole leaf words up
+// to order 3, part of one word above.
+func regionSlot(huge uint64, k, w int) (i uint64, sh uint, m uint64) {
+	nb := uint64(mem.PagesPerHuge) >> k
+	first := huge*nb + uint64(w)*64
+	m = ^uint64(0)
+	if nb < 64 {
+		m = 1<<nb - 1
+	}
+	sh = uint(first % 64)
+	return first / 64, sh, m << sh
 }
 
 // --- Reservations (huge booking) ---
@@ -469,10 +627,10 @@ func (a *Allocator) AllocReservedPage(hugeIndex, frame uint64) error {
 	if idx < 0 || idx >= mem.PagesPerHuge {
 		return fmt.Errorf("%w: frame %#x outside reservation %d", ErrBadArgument, frame, hugeIndex)
 	}
-	if r.allocated[idx] {
+	if r.claimed[idx/64]&(1<<(idx%64)) != 0 {
 		return ErrNotFree
 	}
-	r.allocated[idx] = true
+	r.claimed[idx/64] |= 1 << (idx % 64)
 	r.nAllocated++
 	return nil
 }
@@ -502,17 +660,11 @@ func (a *Allocator) FinishReservation(hugeIndex uint64) (int, error) {
 		return 0, ErrNotReserved
 	}
 	delete(a.reservations, hugeIndex)
-	// Free unclaimed pages, coalescing runs to limit churn.
-	start := r.Start()
-	i := 0
-	for i < mem.PagesPerHuge {
-		if r.allocated[i] {
-			i++
-			continue
-		}
-		a.Free(start+uint64(i), 0)
-		i++
+	var unclaimed Mask
+	for w, c := range r.claimed {
+		unclaimed[w] = ^c
 	}
+	a.FreeMask(hugeIndex, &unclaimed)
 	return r.nAllocated, nil
 }
 
@@ -756,10 +908,8 @@ func (a *Allocator) CheckInvariants() []audit.Violation {
 			continue
 		}
 		n := 0
-		for i := 0; i < mem.PagesPerHuge; i++ {
-			if r.allocated[i] {
-				n++
-			}
+		for _, c := range r.claimed {
+			n += bits.OnesCount64(c)
 		}
 		if n != r.nAllocated {
 			vs = append(vs, audit.Violationf(auditLayer, "reservation-claims", start,

@@ -9,6 +9,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/buddy"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -115,12 +116,13 @@ func (p *GuestPolicy) finishBooking(L *machine.Layer, bk *booking, complete bool
 	delete(p.bookings, bk.hugeIdx)
 	if bk.owned {
 		// Return unclaimed frames of the bucket-origin block.
-		start := bk.hugeIdx * mem.PagesPerHuge
-		for i := 0; i < mem.PagesPerHuge; i++ {
-			if !bk.claimed[i] {
-				L.Buddy.Free(start+uint64(i), 0)
+		var unclaimed buddy.Mask
+		for i, c := range bk.claimed {
+			if !c {
+				unclaimed[i/64] |= 1 << (i % 64)
 			}
 		}
+		L.Buddy.FreeMask(bk.hugeIdx, &unclaimed)
 	} else {
 		if _, err := L.Buddy.FinishReservation(bk.hugeIdx); err != nil {
 			panic("core: booking lost its reservation: " + err.Error())

@@ -53,6 +53,7 @@ func (r Report) String() string {
 // huge-page-sized regions at a time).
 type Fragmenter struct {
 	rng *rand.Rand
+	src rand.Source // rng's source, drawn directly for the pinned bits
 	a   *buddy.Allocator
 	// regions lists the huge regions that hold pinned pages, in the
 	// order ReleaseRegions frees them.
@@ -61,18 +62,22 @@ type Fragmenter struct {
 }
 
 // heldRegion is one huge region's pinned pages as a 512-bit bitmap, so
-// the books need no per-frame map and release walks set bits in
-// ascending frame order.
+// the books need no per-frame map and release frees the region in one
+// buddy call.
 type heldRegion struct {
 	huge uint64 // huge index (frame / 512)
-	bits [mem.PagesPerHuge / 64]uint64
+	bits buddy.Mask
 	n    int // set bits
 }
 
 // New returns a fragmenter over the allocator, seeded deterministically.
 func New(a *buddy.Allocator, seed int64) *Fragmenter {
-	return &Fragmenter{rng: rand.New(rand.NewSource(seed)), a: a}
+	src := rand.NewSource(seed)
+	return &Fragmenter{rng: rand.New(src), src: src, a: a}
 }
+
+// evenFrames marks the even frames of a 64-frame word.
+const evenFrames = 0x5555555555555555
 
 // HeldPages returns the number of frames the fragmenter is pinning.
 func (f *Fragmenter) HeldPages() int { return f.held }
@@ -109,18 +114,23 @@ func (f *Fragmenter) FragmentTo(target float64, maxConsumeFraction float64) floa
 			break
 		}
 		r := heldRegion{huge: start / mem.PagesPerHuge}
-		for i := 0; i < mem.PagesPerHuge; i++ {
-			keep := i%2 == 0
-			if f.rng.Intn(8) == 0 {
-				keep = !keep
+		var free buddy.Mask
+		for w := range r.bits {
+			// Even frames are pinned and odd ones freed, each choice
+			// flipped with probability 1/8 by one draw per frame in
+			// ascending order: src.Int63()>>32&7 is exactly the value
+			// rng.Intn(8) returns.
+			var flips uint64
+			for i := range 64 {
+				if f.src.Int63()>>32&7 == 0 {
+					flips |= 1 << i
+				}
 			}
-			if keep {
-				r.bits[i/64] |= 1 << (i % 64)
-				r.n++
-			} else {
-				f.a.Free(start+uint64(i), 0)
-			}
+			r.bits[w] = evenFrames ^ flips
+			free[w] = ^r.bits[w]
+			r.n += bits.OnesCount64(r.bits[w])
 		}
+		f.a.FreeMask(r.huge, &free)
 		if r.n > 0 {
 			f.regions = append(f.regions, r)
 			f.held += r.n
@@ -139,14 +149,9 @@ func (f *Fragmenter) FragmentTo(target float64, maxConsumeFraction float64) floa
 // whole huge-page-sized blocks over time. Returns regions released.
 func (f *Fragmenter) ReleaseRegions(n int) int {
 	n = max(0, min(n, len(f.regions)))
-	for _, r := range f.regions[:n] {
-		// Free in ascending frame order.
-		base := r.huge * mem.PagesPerHuge
-		for w, word := range r.bits {
-			for ; word != 0; word &= word - 1 {
-				f.a.Free(base+uint64(w*64+bits.TrailingZeros64(word)), 0)
-			}
-		}
+	for i := range f.regions[:n] {
+		r := &f.regions[i]
+		f.a.FreeMask(r.huge, &r.bits)
 		f.held -= r.n
 	}
 	f.regions = f.regions[n:]

@@ -105,8 +105,8 @@ func TestFragmentOutOfMemoryStops(t *testing.T) {
 	a := buddy.New(1024) // tiny arena
 	f := New(a, 9)
 	got := f.FragmentTo(0.9999, 1)
-	// Must terminate; leftover batch is rolled back so free pages and
-	// held pages account for everything.
+	// Must terminate once Alloc(HugeOrder) fails, which takes nothing,
+	// so free pages and held pages account for everything.
 	if a.FreePages()+uint64(f.HeldPages()) != 1024 {
 		t.Fatalf("page leak: free=%d held=%d", a.FreePages(), f.HeldPages())
 	}

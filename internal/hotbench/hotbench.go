@@ -3,8 +3,9 @@
 // nested walk costing, page-table walk, the cached and uncached
 // access paths, and demand faulting one page and an ascending run)
 // plus the tick side's structural costs (a TLB region flush, buddy
-// allocation on fragmented memory, a compaction that aborts, a
-// region's swap round trip), shared between `go test -bench`
+// allocation on fragmented memory, a region's fragment-and-recover
+// frees, the fragmenter's release of one region, a compaction that
+// aborts, a region's swap round trip), shared between `go test -bench`
 // and paperbench's -bench-export mode so both always measure the same
 // code with the same names. The suite pins the performance contract
 // of DESIGN.md §7: the steady-state access path allocates nothing
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/buddy"
+	"repro/internal/frag"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/pagetable"
@@ -46,6 +48,8 @@ func Suite() []Case {
 		{"MicroSweep", benchMicroSweep},
 		{"TLBFlushHugeRegion", benchTLBFlushHugeRegion},
 		{"BuddyAllocFragmented", benchBuddyAllocFragmented},
+		{"BuddyFreeMask", benchBuddyFreeMask},
+		{"FragReleaseRegion", benchFragReleaseRegion},
 		{"CompactRegionAbort", benchCompactRegionAbort},
 		{"SwapRegionRoundTrip", benchSwapRegionRoundTrip},
 	}
@@ -322,6 +326,62 @@ func benchBuddyAllocFragmented(b *testing.B) {
 			b.Fatal(err)
 		}
 		a.Free(f, 0)
+	}
+}
+
+// benchBuddyFreeMask measures one 2 MiB region's life under the
+// fragmenter, one FreeMask call per step: the region is claimed whole,
+// its unpinned frames are freed (about half, leaving it shattered into
+// small blocks), then its pinned frames are freed and it merges back
+// into an order-10 block with its free buddy.
+func benchBuddyFreeMask(b *testing.B) {
+	a := buddy.New(4 * mem.PagesPerHuge)
+	// The fragmenter's pattern: even frames pinned, each choice flipped
+	// for one frame in eight.
+	var pinned, unpinned buddy.Mask
+	x := uint64(0x9e3779b97f4a7c15)
+	for w := range pinned {
+		var flips uint64
+		for i := range 64 {
+			if x = x*6364136223846793005 + 1442695040888963407; x>>61 == 0 {
+				flips |= 1 << i
+			}
+		}
+		pinned[w] = 0x5555555555555555 ^ flips
+		unpinned[w] = ^pinned[w]
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := a.AllocAt(mem.PagesPerHuge, mem.HugeOrder); err != nil {
+			b.Fatal(err)
+		}
+		a.FreeMask(1, &unpinned)
+		a.FreeMask(1, &pinned)
+	}
+}
+
+// benchFragReleaseRegion measures the recovery step the fragmented
+// runs take every few ticks: the fragmenter frees the pinned pages of
+// one region (about half its frames) and the region merges back. The
+// 256 MiB fixture is fragmented again, off the clock, whenever every
+// region has been released.
+func benchFragReleaseRegion(b *testing.B) {
+	fragmented := func() *frag.Fragmenter {
+		f := frag.New(buddy.New(1<<16), 1)
+		f.FragmentTo(0.96, 0.55)
+		return f
+	}
+	f := fragmented()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if f.HeldRegions() == 0 {
+			b.StopTimer()
+			f = fragmented()
+			b.StartTimer()
+		}
+		f.ReleaseRegions(1)
 	}
 }
 

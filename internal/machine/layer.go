@@ -703,10 +703,15 @@ func (L *Layer) CompactRegion(hugeIdx uint64) bool {
 		f++
 	}
 	// Claim the free blocks, so that migration destinations can never
-	// land inside the region being cleared.
+	// land inside the region being cleared; ours marks the region's
+	// frames this call now holds.
+	var ours buddy.Mask
 	for _, b := range blocks[:nFree] {
 		if err := L.Buddy.AllocAt(b.start, b.order); err != nil {
 			panic(fmt.Sprintf("machine: claiming free block %#x/%d: %v", b.start, b.order, err))
+		}
+		for f := b.start - start; f < b.start-start+1<<b.order; f++ {
+			ours[f/64] |= 1 << (f % 64)
 		}
 	}
 	// Pass 2: migrate the mapped pages out, until destinations run out.
@@ -725,6 +730,7 @@ func (L *Layer) CompactRegion(hugeIdx uint64) bool {
 			panic(fmt.Sprintf("machine: migrating %#x during compaction: %v", p.va, err))
 		}
 		moved++
+		ours[(p.frame-start)/64] |= 1 << ((p.frame - start) % 64)
 		L.Stats.MigratedPages++
 		L.Stats.BackgroundCycles += L.Costs.CopyPage
 		if r := p.va >> mem.HugeShift; !slices.Contains(regions, r) {
@@ -736,15 +742,10 @@ func (L *Layer) CompactRegion(hugeIdx uint64) bool {
 			L.FlushRegion(r << mem.HugeShift)
 		}
 	}
-	// Free the region's frames that are now ours: the claimed blocks at
-	// their orders, and the moved pages' old frames at order 0 (a frame
-	// of a reservation goes back to it).
-	for _, b := range blocks[:nFree] {
-		L.Buddy.Free(b.start, b.order)
-	}
-	for _, p := range movable[:moved] {
-		L.Buddy.Free(p.frame, 0)
-	}
+	// Free the region's frames that are now ours, the claimed blocks
+	// and the moved pages' old frames, in one call (the frames of a
+	// reservation go back to it).
+	L.Buddy.FreeMask(hugeIdx, &ours)
 	if moved < nMove {
 		return false
 	}
