@@ -132,6 +132,25 @@ func (s *freeSet) put(w, m uint64) {
 	}
 }
 
+// next returns the smallest index in the set at or above i, or false
+// when there is none.
+func (s *freeSet) next(i uint64) (uint64, bool) {
+	w := i / 64
+	if w >= uint64(len(s.leaf)) {
+		return 0, false
+	}
+	if m := s.leaf[w] &^ (1<<(i%64) - 1); m != 0 {
+		return w*64 + uint64(bits.TrailingZeros64(m)), true
+	}
+	for w++; w/64 < uint64(len(s.summary)); w = (w/64 + 1) * 64 {
+		if sum := s.summary[w/64] &^ (1<<(w%64) - 1); sum != 0 {
+			w = w/64*64 + uint64(bits.TrailingZeros64(sum))
+			return w*64 + uint64(bits.TrailingZeros64(s.leaf[w])), true
+		}
+	}
+	return 0, false
+}
+
 // lowest returns the smallest index in the set, or false when empty.
 func (s *freeSet) lowest() (uint64, bool) {
 	for ; s.lo < len(s.summary); s.lo++ {
@@ -308,6 +327,29 @@ func (a *Allocator) findContaining(frame uint64, order int) (uint64, uint8, bool
 	return 0, 0, false
 }
 
+// overlapsFree reports whether a block starting at frame, aligned to
+// its order, overlaps a free block: one starts at frame, or one of a
+// higher order contains it. A block containing frame starts at frame
+// rounded down to that block's order, and those starts change only at
+// frame's set bits, so it reads one start per set bit, lowest first.
+// It stops at the first start that begins a free block: a free block
+// there of order at most the bit rules out any larger free block
+// around frame, because free blocks never overlap. Free asks on every
+// call, so this usually answers within a load or two, where
+// findContaining always reads one start per order.
+func (a *Allocator) overlapsFree(frame uint64) bool {
+	if a.freeOrd[frame] >= 0 {
+		return true
+	}
+	for rest := frame & (1<<MaxOrder - 1); rest != 0; rest &= rest - 1 {
+		b := bits.TrailingZeros64(rest)
+		if v := a.freeOrd[frame&^(1<<(b+1)-1)]; v >= 0 {
+			return int(v) > b
+		}
+	}
+	return false
+}
+
 // AllocAt allocates the specific block [frame, frame+2^order). The
 // frame must be naturally aligned to the order and the whole block must
 // be free (possibly inside a larger free block, which is split).
@@ -408,8 +450,8 @@ func (a *Allocator) Free(frame uint64, order int) {
 			return
 		}
 	}
-	if a.freeOrd[frame] >= 0 {
-		panic(fmt.Sprintf("buddy: double free of block %#x", frame))
+	if a.overlapsFree(frame) {
+		panic(fmt.Sprintf("buddy: double free of block %#x order %d", frame, order))
 	}
 	a.freePages += size
 	o := uint8(order)
@@ -746,8 +788,8 @@ func (a *Allocator) FreeRegions() []mem.Region {
 	return regions
 }
 
-// FreeRegionsAtLeast probes every sweepStride-th frame for a free block
-// of order >= sweepOrder.
+// Every run FreeRegionsAtLeast reports holds a free block of order >=
+// sweepOrder, which starts on a sweepStride boundary.
 const (
 	sweepOrder  = 5
 	sweepStride = 1 << sweepOrder
@@ -755,18 +797,26 @@ const (
 
 // FreeRegionsAtLeast returns the maximal runs of at least minPages free
 // frames in address order (FreeRegions filtered by length), appended to
-// out[:0]. It probes only every 32nd frame, which is exact for
-// minPages >= 64 because Free merges buddies eagerly: every such run
-// holds a free block of order >= 5 (DESIGN.md §7.2).
+// out[:0]. For minPages >= 64 every such run holds a free block of
+// order >= 5, because Free merges buddies eagerly (DESIGN.md §7.2), so
+// it visits only those blocks, in address order, merging the free
+// bitmaps of orders 5 through MaxOrder, and grows each into its run.
 func (a *Allocator) FreeRegionsAtLeast(minPages uint64, out []mem.Region) []mem.Region {
 	if minPages < 2*sweepStride {
 		panic(fmt.Sprintf("buddy: FreeRegionsAtLeast(%d) below %d pages", minPages, 2*sweepStride))
 	}
 	out = out[:0]
-	for i := uint64(0); i < a.totalPages; {
-		if a.freeOrd[i] < sweepOrder {
-			i += sweepStride
-			continue
+	// next[o] is the first frame of the lowest free order-o block at or
+	// after the scan position, or totalPages when there is none.
+	var next [NumOrders]uint64
+	a.nextBlocks(&next, 0)
+	for {
+		i := a.totalPages
+		for o := sweepOrder; o <= MaxOrder; o++ {
+			i = min(i, next[o])
+		}
+		if i == a.totalPages {
+			return out
 		}
 		// Walk back: a free order-o block ending at start begins at
 		// start-2^o, which must be 2^o-aligned. After each step the
@@ -785,9 +835,23 @@ func (a *Allocator) FreeRegionsAtLeast(minPages uint64, out []mem.Region) []mem.
 		if end-start >= minPages {
 			out = append(out, mem.Region{Start: start, Pages: end - start})
 		}
-		i = (end + sweepStride - 1) &^ (sweepStride - 1)
+		a.nextBlocks(&next, end)
 	}
-	return out
+}
+
+// nextBlocks moves every next[o] at or below pos, for orders
+// sweepOrder through MaxOrder, to the first free order-o block at or
+// after pos. pos is never itself the start of a free block, except on
+// the first call, where it is 0 and so is every next[o].
+func (a *Allocator) nextBlocks(next *[NumOrders]uint64, pos uint64) {
+	for o := sweepOrder; o <= MaxOrder; o++ {
+		if next[o] <= pos {
+			next[o] = a.totalPages
+			if i, ok := a.free[o].next((pos + 1<<o - 1) >> o); ok {
+				next[o] = i << o
+			}
+		}
+	}
 }
 
 // auditLayer labels buddy violations in audit reports.

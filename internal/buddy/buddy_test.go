@@ -179,6 +179,66 @@ func TestDoubleFreePanics(t *testing.T) {
 	a.Free(f, 0)
 }
 
+// TestFreeInsideFreeBlockPanics: freeing a block that lies inside a
+// larger free block is a double free too, even though the freed frame
+// does not start a free block itself; Free must not file an
+// overlapping block.
+func TestFreeInsideFreeBlockPanics(t *testing.T) {
+	a := New(2 * mem.PagesPerHuge * 2)
+	if err := a.AllocAt(0, MaxOrder); err != nil {
+		t.Fatal(err)
+	}
+	a.Free(16, 4)
+	free := a.FreePages()
+	for _, c := range []struct {
+		frame uint64
+		order int
+	}{{17, 0}, {16, 0}, {24, 3}, {16, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Free(%d, %d) inside the free block [16, 32) did not panic", c.frame, c.order)
+				}
+			}()
+			a.Free(c.frame, c.order)
+		}()
+	}
+	if a.FreePages() != free {
+		t.Fatalf("FreePages = %d after the rejected frees, want %d", a.FreePages(), free)
+	}
+	if vs := a.CheckInvariants(); len(vs) != 0 {
+		t.Fatal(audit.Report(vs))
+	}
+}
+
+// TestOverlapsFreeMatchesFindContaining checks Free's double-free test
+// against its definition on fragmented books: for every aligned block,
+// it says yes exactly when a free block starts at the block's first
+// frame or contains the block.
+func TestOverlapsFreeMatchesFindContaining(t *testing.T) {
+	const pages = 4 * 1 << MaxOrder
+	a := New(pages)
+	for range pages {
+		if _, err := a.Alloc(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < pages; i++ {
+		if f := i * 40503 % pages; f%5 != 0 && f%7 != 3 && f>>MaxOrder != 2 {
+			a.Free(f, 0)
+		}
+	}
+	a.Free(2*1<<MaxOrder, MaxOrder) // one whole free order-10 block
+	for order := 0; order <= MaxOrder; order++ {
+		for f := uint64(0); f < pages; f += 1 << order {
+			_, _, contained := a.findContaining(f, order)
+			if want := a.freeOrd[f] >= 0 || contained; a.overlapsFree(f) != want {
+				t.Fatalf("overlapsFree(%d) at order %d = %v, want %v", f, order, !want, want)
+			}
+		}
+	}
+}
+
 func TestReservation(t *testing.T) {
 	a := New(testPages)
 	r, err := a.Reserve(3)

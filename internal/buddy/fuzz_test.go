@@ -12,7 +12,7 @@ import (
 // against the allocator and checks three oracles after every step: the
 // allocator's own invariant audit, an external page-conservation model
 // kept by the fuzzer (total = free + tracked allocations + withdrawn
-// reservations), and FreeRegionsAtLeast's stride-32 sweep against the
+// reservations), and FreeRegionsAtLeast's bitmap merge against the
 // full FreeRegions scan filtered to runs of at least 64 pages. Every
 // untargeted Alloc is also checked against lowestFreeSweep, so the
 // bitmap books pick the same block the free map says they must.

@@ -35,6 +35,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/pagetable"
@@ -122,8 +125,11 @@ type Gemini struct {
 	dominantGVABase map[uint64]uint64
 	dominantCount   map[uint64]int
 	// reverse lists GVA->frame pairs for base pages mapped into
-	// host-huge regions (type-2 fix material only, to bound memory).
+	// host-huge regions (type-2 fix material only, to bound memory),
+	// in ascending VA order. The lists share revBuf, which each scan
+	// reuses; policies read them only until the next scan.
 	reverse map[uint64][]RevEntry
+	revBuf  []RevEntry
 
 	guest *GuestPolicy
 	host  *HostPolicy
@@ -195,9 +201,17 @@ func (g *Gemini) Attach(vm *machine.VM) {
 // VM returns the attached VM (nil before Attach).
 func (g *Gemini) VM() *machine.VM { return g.vm }
 
-// Scan runs MHPS: one pass over the guest process page table and the
-// EPT. The scan cost is charged to the host layer (kgeminid runs in
-// the host, §5). Idempotent within a tick.
+// Scan runs MHPS over the guest process page table and the EPT. The
+// scan cost is charged to the host layer (kgeminid runs in the host,
+// §5). Idempotent within a tick.
+//
+// Huge pages at both layers come from PMD-level scans. Guest base
+// presence per GPA region is read from the guest table's per-region
+// reverse-map counts, and the type-2 material (reverse lists and the
+// dominant guest virtual region) is built only for host-huge regions
+// that still hold guest base pages, from their 512 reverse entries
+// sorted by VA. The results and the charged cycles are those of a
+// full walk of every guest PTE (TestScanMatchesFullWalk).
 func (g *Gemini) Scan(nowTick uint64) {
 	if g.vm == nil {
 		return
@@ -208,11 +222,8 @@ func (g *Gemini) Scan(nowTick uint64) {
 	g.scanTick = nowTick
 	g.ScanCount++
 
-	for i := range g.guestHugeGPA {
-		g.guestHugeGPA[i] = false
-		g.hostHugeGPA[i] = false
-		g.guestPresence[i] = 0
-	}
+	clear(g.guestHugeGPA)
+	clear(g.hostHugeGPA)
 	clear(g.dominantGVABase)
 	clear(g.dominantCount)
 	clear(g.reverse)
@@ -229,48 +240,47 @@ func (g *Gemini) Scan(nowTick uint64) {
 		ept.Stats.BackgroundCycles += ept.Costs.ScanRegion
 		return true
 	})
-	// Guest-side mappings: huge pages and per-region base presence.
-	// One full pass also yields, for every GPA region, the guest
-	// virtual huge region with the most pages mapped into it — the
-	// promoter's target for type-2 fixes.
-	perRegion := make(map[uint64]map[uint64]int) // gpaHuge -> gvaHugeBase -> pages
-	guest.Table.ScanAll(func(m pagetable.Mapping) bool {
-		hi := m.Frame / mem.PagesPerHuge
-		if hi >= nRegions {
-			return true
-		}
-		if m.Kind == mem.Huge {
+	guest.Table.ScanHuge(func(m pagetable.Mapping) bool {
+		if hi := m.Frame / mem.PagesPerHuge; hi < nRegions {
 			g.guestHugeGPA[hi] = true
-			return true
-		}
-		g.guestPresence[hi]++
-		if !g.hostHugeGPA[hi] {
-			return true // per-GVA detail only needed for type-2 fixes
-		}
-		gvaBase := m.VA &^ uint64(mem.HugeSize-1)
-		pr := perRegion[hi]
-		if pr == nil {
-			pr = make(map[uint64]int)
-			perRegion[hi] = pr
-		}
-		pr[gvaBase]++
-		if len(g.reverse[hi]) < mem.PagesPerHuge {
-			g.reverse[hi] = append(g.reverse[hi], RevEntry{VA: m.VA, Frame: m.Frame})
 		}
 		return true
 	})
-	for hi, pr := range perRegion {
+	// Per-region guest base presence, and for host-huge regions the
+	// guest virtual huge region with the most pages mapped into it —
+	// the promoter's target for type-2 fixes.
+	g.revBuf = g.revBuf[:0]
+	withBase := uint64(0)
+	for hi := range nRegions {
+		n := guest.Table.RegionBasePages(hi)
+		g.guestPresence[hi] = int32(n)
+		if n == 0 || !g.hostHugeGPA[hi] {
+			continue
+		}
+		withBase++
+		first := len(g.revBuf)
+		guest.Table.RegionReverse(hi, func(m pagetable.Mapping) {
+			g.revBuf = append(g.revBuf, RevEntry{VA: m.VA, Frame: m.Frame})
+		})
+		rev := g.revBuf[first:len(g.revBuf):len(g.revBuf)]
+		slices.SortFunc(rev, func(a, b RevEntry) int { return cmp.Compare(a.VA, b.VA) })
+		g.reverse[hi] = rev
 		var bestVA uint64
-		best := -1
-		for va, n := range pr {
-			if n > best || (n == best && va < bestVA) {
-				bestVA, best = va, n
+		best := 0
+		for i := 0; i < len(rev); {
+			base, j := rev[i].VA&^uint64(mem.HugeSize-1), i+1
+			for j < len(rev) && rev[j].VA&^uint64(mem.HugeSize-1) == base {
+				j++
 			}
+			if j-i > best {
+				bestVA, best = base, j-i
+			}
+			i = j
 		}
 		g.dominantGVABase[hi] = bestVA
 		g.dominantCount[hi] = best
 	}
-	ept.Stats.BackgroundCycles += uint64(len(perRegion)) * ept.Costs.ScanRegion
+	ept.Stats.BackgroundCycles += withBase * ept.Costs.ScanRegion
 }
 
 // MisalignedHostRegions returns GPA huge indices where the host maps a

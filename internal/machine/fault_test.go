@@ -81,13 +81,14 @@ func TestFaultRefRetakenAfterDirectReclaim(t *testing.T) {
 
 		vm.wcRevalidate()
 		ent := vm.wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-		cached := ent.epoch == vm.wc.epoch && ent.tag == gva>>mem.PageShift
+		cached := vm.wc.hit(&ent, gva)
 		if cached == guestMoves {
 			t.Fatalf("moves=%v: walk-cache entry cached=%v", guestMoves, cached)
 		}
 		if cached {
 			_, hKind, eRef, ok := vm.EPT.Table.LookupRef(gfn * mem.PageSize)
-			if !ok || ent.gfn != gfn || ent.gKind != gKind || ent.hKind != hKind ||
+			_, entGKind, entHKind := ent.kinds()
+			if !ok || ent.gfn != gfn || entGKind != gKind || entHKind != hKind ||
 				ent.gRef != gRef || ent.eRef != eRef {
 				t.Fatalf("walk-cache entry %+v does not match fresh LookupRefs "+
 					"(gfn %#x %v, ept %v)", ent, gfn, gKind, hKind)

@@ -235,11 +235,11 @@ type accessBatch struct {
 // resolved — is served from the walk cache without touching either
 // page table and without allocating (pinned by
 // BenchmarkAccessSteadyState). The cache changes only wall time, in
-// two ways. First, the revalidation check, epoch, and entry-array
-// pointer are hoisted out of the loop and refreshed after any
-// uncached access (the only point table versions can move). Second,
-// on the radix path each run of walk-cache hits is split into two
-// passes: pass one does the per-address bookkeeping (heat, accessed
+// two ways. First, the stamps are brought up to date at the start and
+// after any uncached access (the only point a table can be mutated;
+// wcFill does it), so a hit compares stamps that cannot have moved.
+// Second, on the radix path each run of walk-cache hits is split into
+// two passes: pass one does the per-address bookkeeping (heat, accessed
 // bits, stall draining) and stages the resolved translation, pass two
 // runs the TLB batch kernel over the staged run. Heat/PTE state and
 // TLB state are disjoint and nothing reads either until the batch
@@ -262,25 +262,23 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 		// Translation-replacing modes route through mode.Access;
 		// keep the straightforward hoisted loop.
 		vm.wcRevalidate()
-		entries := vm.wc.entries
-		epoch := vm.wc.epoch
+		wc := &vm.wc
 		for _, gva := range gvas {
-			ent := &entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-			if ent.epoch == epoch && ent.tag == gva>>mem.PageShift {
+			ent := &wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
+			if wc.hit(ent, gva) {
 				vm.Guest.heatBump(gva >> mem.HugeShift)
 				vm.EPT.heatBump(ent.gfn >> (mem.HugeShift - mem.PageShift))
 				ent.gRef.Mark()
 				ent.eRef.Mark()
 				gpa := ent.gfn*mem.PageSize + (gva & (mem.PageSize - 1))
-				res := vm.mode.Access(vm.TLB, gva, ent.eff, ent.gKind, ent.hKind, gpa)
+				eff, gKind, hKind := ent.kinds()
+				res := vm.mode.Access(vm.TLB, gva, eff, gKind, hKind, gpa)
 				total += res.Cycles + vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
 				continue
 			}
 			c, tr := vm.accessUncached(gva)
 			total += c
 			vm.wcFill(gva, tr)
-			vm.wcRevalidate()
-			epoch = vm.wc.epoch
 		}
 		return total
 	}
@@ -292,16 +290,15 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 		}
 	}
 	vm.wcRevalidate()
-	entries := vm.wc.entries
-	epoch := vm.wc.epoch
+	wc := &vm.wc
 	i := 0
 	for i < len(gvas) {
 		// Pass one: walk-cache bookkeeping for a run of cached hits.
 		start, n := i, 0
 		for i < len(gvas) && n < accessBatchChunk {
 			gva := gvas[i]
-			ent := &entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-			if ent.epoch != epoch || ent.tag != gva>>mem.PageShift {
+			ent := &wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
+			if !wc.hit(ent, gva) {
 				break
 			}
 			vm.Guest.heatBump(gva >> mem.HugeShift)
@@ -328,8 +325,6 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 		c, tr := vm.accessUncached(gvas[i])
 		total += c
 		vm.wcFill(gvas[i], tr)
-		vm.wcRevalidate()
-		epoch = vm.wc.epoch
 		i++
 	}
 	return total

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/mem"
@@ -21,77 +22,131 @@ import (
 // page-table accessed bits, heat counters, cycle charges — is
 // bit-identical with the cache on or off; only wall-clock time differs.
 //
-// Validity is tracked with a single epoch, not per-entry hooks: every
-// destructive page-table mutation (unmap, collapse, split, remap)
-// bumps that table's Version counter, and AccessN compares the two
-// tables' versions (and the guest table's identity, which
-// ResetGuestProcess replaces wholesale) against a snapshot at the start
-// of every batch and after every uncached access, the only points at
-// which a table can have changed. Any change bumps the cache epoch,
-// invalidating all entries at once in O(1). This catches every invalidation source by
-// construction — including paths like ReclaimUnderPressure's EPT bloat
-// unmapping that bypass the TLB FlushRegion hooks — so the cache can
-// never serve a stale translation.
+// Validity is tracked per 2 MiB region, not per entry hook. Every
+// destructive page-table mutation (unmap, collapse, split, remap) logs
+// the input region it touched in its table (pagetable.Table.Dirty).
+// The cache keeps generation stamps: one per guest physical region
+// (the EPT side; guest physical memory is the dense [0, N)) and one
+// per group of 512 direct-mapped slots (the guest side: a slot group
+// holds the guest virtual regions that share bits 21..27). An entry
+// records both stamps when it is filled and hits only while the tag
+// and both stamps still match. AccessN drains the two logs at the
+// start of every batch and after every uncached access, the only
+// points at which a table can have changed, and gives each logged
+// region a fresh stamp; regions sharing a slot group invalidate
+// together, which is always safe. A saturated log or a replaced guest
+// table (ResetGuestProcess) gives every guest group a fresh stamp,
+// which drops every entry. Stamps are issued from one counter that
+// only grows, so an entry can never match a stamp issued after it was
+// filled. This catches every invalidation source by construction —
+// including paths like ReclaimUnderPressure's EPT bloat unmapping that
+// bypass the TLB FlushRegion hooks — so the cache can never serve a
+// stale translation.
 
 // walkCacheSize is the number of direct-mapped entries, indexed by the
 // low bits of the guest virtual page number. Must be a power of two.
-// 64 Ki entries cover a 256 MiB-resident hot set per VM at ~6 MiB of
+// 64 Ki entries cover a 256 MiB-resident hot set per VM at 4 MiB of
 // host memory — sized for the Figure 2 sweep's uniform accesses over
 // datasets up to that scale, where a smaller cache would thrash (VMA
 // pages are contiguous, so a footprint up to the cache size maps with
 // zero conflicts; Zipf-skewed workloads effectively cache far more).
 const walkCacheSize = 1 << 16
 
+// wcGroups is the number of guest-side stamps: one per run of
+// PagesPerHuge slots, so the slots of one guest virtual 2 MiB region
+// share a stamp.
+const wcGroups = walkCacheSize / mem.PagesPerHuge
+
 // wcEntry caches one resolved nested translation for a 4 KiB guest
 // virtual page: everything the fast path needs to re-play an access
-// without touching either page table. The layout is exactly 64 bytes —
-// one cache line — because a probe into the (large, randomly indexed)
-// entry array costs one memory access per line touched; quantities
-// derivable from gva or gfn (heat indices, PTE slots) are recomputed
+// without touching either page table. The layout is 64 bytes — one
+// cache line, pinned by TestWalkCacheEntryIs64Bytes — because a probe
+// into the (large, randomly indexed) entry array costs one memory
+// access per line touched; quantities derivable from gva, gfn or meta
+// (heat indices, PTE slots, the three page-size kinds) are recomputed
 // on the hit path instead of stored.
 type wcEntry struct {
-	tag   uint64 // gva >> PageShift
-	epoch uint64 // valid iff equal to walkCache.epoch (0 = never)
-	gfn   uint64 // guest frame number (gpa = gfn*PageSize + offset)
-	gRef  pagetable.AccessRef
-	eRef  pagetable.AccessRef
-	gKind mem.PageSizeKind
-	hKind mem.PageSizeKind
-	eff   mem.PageSizeKind // TLB entry kind under the §2.2 alignment rule
-	// tlbSet is the precomputed TLB set index for (gva, eff) — it fits
-	// in the line's padding and saves the batch kernel a per-access
-	// modulo (tlb.SetIndexOf).
+	tag  uint64 // gva >> PageShift
+	gfn  uint64 // guest frame number (gpa = gfn*PageSize + offset)
+	gRef pagetable.AccessRef
+	eRef pagetable.AccessRef
+	// tlbSet is the precomputed TLB set index for (gva, eff), which
+	// saves the batch kernel a per-access modulo (tlb.SetIndexOf).
 	tlbSet uint32
-	// meta packs eff | gKind<<2 | hKind<<4 (tlb.PackKinds) so AccessN
-	// stages one byte per access instead of three kind slices; like
-	// tlbSet it lives in padding the 64-byte layout already paid for.
+	// gStamp and eStamp are the guest slot group's and the guest
+	// physical region's stamps at fill time; 0 never matches.
+	gStamp uint32
+	eStamp uint32
+	// meta packs eff | gKind<<2 | hKind<<4 (tlb.PackKinds), where eff
+	// is the TLB entry kind under the §2.2 alignment rule, so AccessN
+	// stages one byte per access instead of three kind slices.
 	meta uint8
+}
+
+// kinds unpacks meta into the TLB entry kind and the two mapping kinds.
+func (e *wcEntry) kinds() (eff, gKind, hKind mem.PageSizeKind) {
+	return mem.PageSizeKind(e.meta & 3), mem.PageSizeKind(e.meta >> 2 & 3), mem.PageSizeKind(e.meta >> 4 & 3)
 }
 
 // walkCache is a per-VM direct-mapped cache of resolved translations.
 type walkCache struct {
 	entries []wcEntry
-	// epoch invalidates the whole cache when bumped; entries are live
-	// iff their epoch matches. Starts at 1 so zero-value entries are
-	// invalid.
-	epoch uint64
-	// Snapshot the cache epoch was established under: the guest table's
-	// identity (ResetGuestProcess installs a fresh table, whose version
-	// counter restarts) and both tables' destructive-mutation versions.
-	// Holding the *Table pointer also pins the old table, so a freshly
+	// gStamp holds the guest-side stamp of each slot group, eStamp the
+	// EPT-side stamp of each guest physical 2 MiB region.
+	gStamp [wcGroups]uint32
+	eStamp []uint32
+	// next is the next stamp to issue; every stamp in use is below it.
+	next uint32
+	// gTable is the guest table the stamps describe. ResetGuestProcess
+	// installs a fresh table, whose log says nothing about the old
+	// one. Holding the pointer also pins the old table, so a freshly
 	// allocated replacement can never alias it.
 	gTable *pagetable.Table
-	gVer   uint64
-	eVer   uint64
 }
 
-// wcArena is a pooled walk-cache entry array. lastEpoch records the
-// highest epoch any entry in the array may carry, so a VM reusing the
-// arena can start at lastEpoch+1 and treat every recycled entry as
-// invalid without clearing the 4 MiB array.
+// hit reports whether ent holds a live translation for gva.
+func (wc *walkCache) hit(ent *wcEntry, gva uint64) bool {
+	return ent.tag == gva>>mem.PageShift && ent.gStamp == wc.gStamp[gva>>mem.HugeShift%wcGroups] &&
+		ent.eStamp == wc.eStamp[ent.gfn/mem.PagesPerHuge]
+}
+
+// issue returns a fresh stamp. Should the counter ever run out, every
+// entry is cleared and stamps restart, so no stale entry can match a
+// reissued value.
+func (wc *walkCache) issue() uint32 {
+	if wc.next == math.MaxUint32 {
+		wc.restamp()
+	}
+	wc.next++
+	return wc.next - 1
+}
+
+// restamp gives every guest slot group and guest physical region one
+// fresh stamp, which no filled entry carries. At the end of the stamp
+// range it clears every entry first and starts over at 1.
+func (wc *walkCache) restamp() {
+	if wc.next == math.MaxUint32 {
+		clear(wc.entries)
+		wc.next = 1
+	}
+	for i := range wc.gStamp {
+		wc.gStamp[i] = wc.next
+	}
+	for i := range wc.eStamp {
+		wc.eStamp[i] = wc.next
+	}
+	wc.next++
+}
+
+// wcArena is a pooled walk-cache entry array. next is the lowest stamp
+// no entry in the array carries, so a VM reusing the arena starts its
+// stamps there and treats every recycled entry as invalid without
+// clearing the 4 MiB array. eStamp is the reusable backing of the
+// EPT-side stamps.
 type wcArena struct {
-	entries   []wcEntry
-	lastEpoch uint64
+	entries []wcEntry
+	eStamp  []uint32
+	next    uint32
 }
 
 // wcPool recycles walk-cache arenas across VMs. Benchmark sweeps build
@@ -108,16 +163,22 @@ func (vm *VM) wcInit() {
 	}
 	ar, _ := wcPool.Get().(*wcArena)
 	if ar == nil {
-		ar = &wcArena{entries: make([]wcEntry, walkCacheSize)}
+		ar = &wcArena{entries: make([]wcEntry, walkCacheSize), next: 1}
 	}
 	vm.wcArena = ar
+	regions := (vm.guestPages + mem.PagesPerHuge - 1) / mem.PagesPerHuge
+	if uint64(cap(ar.eStamp)) < regions {
+		ar.eStamp = make([]uint32, regions)
+	}
 	vm.wc = walkCache{
 		entries: ar.entries,
-		epoch:   ar.lastEpoch + 1,
+		eStamp:  ar.eStamp[:regions],
+		next:    ar.next,
 		gTable:  vm.Guest.Table,
-		gVer:    vm.Guest.Table.Version(),
-		eVer:    vm.EPT.Table.Version(),
 	}
+	vm.wc.restamp()
+	vm.Guest.Table.ClearDirty()
+	vm.EPT.Table.ClearDirty()
 }
 
 // wcRelease disables the walk cache and returns its arena to the pool.
@@ -127,7 +188,7 @@ func (vm *VM) wcRelease() {
 	if vm.wcArena == nil {
 		return
 	}
-	vm.wcArena.lastEpoch = vm.wc.epoch
+	vm.wcArena.next = vm.wc.next
 	wcPool.Put(vm.wcArena)
 	vm.wcArena = nil
 	vm.wc = walkCache{}
@@ -149,16 +210,35 @@ func (vm *VM) SetWalkCacheEnabled(on bool) {
 // WalkCacheEnabled reports whether the walk cache is armed.
 func (vm *VM) WalkCacheEnabled() bool { return vm.wc.entries != nil }
 
-// wcRevalidate re-checks the epoch snapshot against the live tables,
-// bumping the epoch (a whole-cache invalidation) when either table saw
-// a destructive mutation or the guest table was replaced.
+// wcRevalidate brings the stamps up to date with both tables: it gives
+// a fresh stamp to every guest slot group and guest physical region
+// their logs name, or to every guest slot group when a log saturated or
+// the guest table was replaced, and empties the logs.
 func (vm *VM) wcRevalidate() {
 	wc := &vm.wc
 	g, e := vm.Guest.Table, vm.EPT.Table
-	if wc.gTable != g || wc.gVer != g.Version() || wc.eVer != e.Version() {
-		wc.epoch++
-		wc.gTable, wc.gVer, wc.eVer = g, g.Version(), e.Version()
+	if wc.gTable == g && g.Clean() && e.Clean() {
+		return
 	}
+	gDirty, gAll := g.Dirty()
+	eDirty, eAll := e.Dirty()
+	if gAll || eAll || wc.gTable != g {
+		for i := range wc.gStamp {
+			wc.gStamp[i] = wc.issue()
+		}
+	} else {
+		for _, r := range gDirty {
+			wc.gStamp[r%wcGroups] = wc.issue()
+		}
+		for _, r := range eDirty {
+			if r < uint64(len(wc.eStamp)) {
+				wc.eStamp[r] = wc.issue()
+			}
+		}
+	}
+	g.ClearDirty()
+	e.ClearDirty()
+	wc.gTable = g
 }
 
 // wcFill installs the translation the uncached access just resolved
@@ -173,7 +253,7 @@ func (vm *VM) wcFill(gva uint64, tr resolved) {
 	wc := &vm.wc
 	ent := &wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
 	if tr.moved {
-		ent.epoch = 0
+		ent.gStamp = 0
 		return
 	}
 	gKind, hKind := tr.gKind, tr.hKind
@@ -190,14 +270,12 @@ func (vm *VM) wcFill(gva uint64, tr resolved) {
 	}
 	*ent = wcEntry{
 		tag:    gva >> mem.PageShift,
-		epoch:  wc.epoch,
 		gfn:    tr.gfn,
 		gRef:   tr.gRef,
 		eRef:   tr.eRef,
-		gKind:  gKind,
-		hKind:  hKind,
-		eff:    eff,
 		tlbSet: vm.TLB.SetIndexOf(gva, eff),
+		gStamp: wc.gStamp[gva>>mem.HugeShift%wcGroups],
+		eStamp: wc.eStamp[tr.gfn/mem.PagesPerHuge],
 		meta:   tlb.PackKinds(eff, gKind, hKind),
 	}
 }

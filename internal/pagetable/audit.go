@@ -23,6 +23,8 @@ const auditLayer = "pagetable"
 //   - the reverse map is an exact inverse of the forward base
 //     mappings: every base mapping has its rmap entry and every rmap
 //     entry points back at a live base mapping;
+//   - each 2 MiB output region's reverse-entry count equals a recount
+//     of its entries (rmap-region-count);
 //   - the two memos are live: a fresh walk to the memoized leaf's
 //     region reaches that node (leaf-memo), and the memoized reverse
 //     chunk is the map's chunk for its key (rmap-memo).
@@ -56,8 +58,8 @@ func (t *Table) CheckInvariants() []audit.Violation {
 	for f, va := range baseFrames {
 		var rva uint64
 		ok := false
-		if c := t.reverse[f>>revChunkBits]; c != nil && c[f&(1<<revChunkBits-1)] != 0 {
-			rva, ok = c[f&(1<<revChunkBits-1)]-1, true
+		if c := t.reverse[f>>revChunkBits]; c != nil && c.va[f&(1<<revChunkBits-1)] != 0 {
+			rva, ok = c.va[f&(1<<revChunkBits-1)]-1, true
 		}
 		if !ok {
 			vs = append(vs, audit.Violationf(auditLayer, "rmap-inverse", f,
@@ -68,14 +70,23 @@ func (t *Table) CheckInvariants() []audit.Violation {
 		}
 	}
 	for hi, c := range t.reverse {
-		for i, v := range c {
+		var n [revChunkRegions]uint16
+		for i, v := range c.va {
 			if v == 0 {
 				continue
 			}
+			n[i/mem.PagesPerHuge]++
 			f := hi<<revChunkBits | uint64(i)
 			if _, ok := baseFrames[f]; !ok {
 				vs = append(vs, audit.Violationf(auditLayer, "rmap-inverse", f,
 					"reverse entry -> %#x has no live base mapping", v-1))
+			}
+		}
+		for r := range n {
+			if n[r] != c.n[r] {
+				f := hi<<revChunkBits | uint64(r)*mem.PagesPerHuge
+				vs = append(vs, audit.Violationf(auditLayer, "rmap-region-count", f,
+					"output region holds %d reverse entries but its count says %d", n[r], c.n[r]))
 			}
 		}
 	}

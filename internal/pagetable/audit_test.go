@@ -110,3 +110,11 @@ func TestAuditCatchesWrongChunkMemo(t *testing.T) {
 	tb.revLast, tb.revKey = new(revChunk), 100>>revChunkBits+1
 	expectViolations(t, tb.CheckInvariants(), "rmap-memo")
 }
+
+func TestAuditCatchesRegionCountDrift(t *testing.T) {
+	tb := populatedTable(t)
+	// Frames 100..109 sit in output region 0; its count now says one
+	// more base page than the reverse map holds.
+	tb.reverse[0].n[0]++
+	expectViolations(t, tb.CheckInvariants(), "rmap-region-count")
+}

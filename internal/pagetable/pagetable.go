@@ -18,10 +18,11 @@
 // Addresses are uint64 byte addresses within a 48-bit space, as on
 // x86-64 with four 9-bit index levels below the page offset.
 //
-// See DESIGN.md §7 (performance model) for the version counter that
+// See DESIGN.md §7 (performance model) for the dirty-region log that
 // invalidates machine-level walk caches, the AccessRef fast path for
-// accessed-bit updates, and the chunked reverse map, and DESIGN.md
-// §7.6 for the leaf and reverse-chunk memos.
+// accessed-bit updates, and the chunked reverse map with its
+// per-region counts, and DESIGN.md §7.6 for the leaf and reverse-chunk
+// memos.
 package pagetable
 
 import (
@@ -86,9 +87,17 @@ type Table struct {
 	// change an existing translation (Unmap4K, Unmap2M, Collapse,
 	// Split, Remap4K). Pure additions (Map4K, Map2M) do not bump it,
 	// because they cannot affect any translation that already resolved.
-	// Software walk caches key their validity off this counter; see
-	// DESIGN.md §7 (performance model).
+	// A caller holding an AccessRef checks it to see whether the ref
+	// may have been detached.
 	version uint64
+	// dirty logs the 2 MiB input regions (va >> HugeShift) that
+	// destructive mutations touched since the last ClearDirty, so a
+	// software walk cache can drop just the translations they changed
+	// (DESIGN.md §7.1). nDirty counts the logged regions; once more
+	// distinct regions arrive than the log holds it saturates at
+	// dirtyLogSize+1, meaning "every region", and logs nothing more.
+	dirty  [dirtyLogSize]uint64
+	nDirty int
 	// reverse maps output frame -> input VA for base mappings, the
 	// "movable page" lookup memory compaction needs. It is chunked:
 	// a small map from frame/revChunkSize to flat per-chunk arrays of
@@ -119,14 +128,30 @@ type Table struct {
 	leafKey uint64
 }
 
+// dirtyLogSize is how many distinct regions the destructive-mutation
+// log holds before it saturates. A tick's compaction and reclaim
+// touch a few dozen regions; a workload restart or a large unmap
+// saturates it, which costs one whole-cache flush.
+const dirtyLogSize = 128
+
 // revChunkBits sizes reverse-map chunks: 2^12 frames (16 MiB of
 // mapped memory) per chunk.
 const revChunkBits = 12
 
-// revChunk holds va+1 per frame within one chunk; 0 marks no entry
-// (VA 0 is legitimate — the EPT input space starts at guest physical
-// address 0 — hence the +1 bias).
-type revChunk [1 << revChunkBits]uint64
+// revChunkRegions is the number of 2 MiB output regions per chunk.
+const revChunkRegions = 1 << revChunkBits / mem.PagesPerHuge
+
+// revChunk is one window of the reverse map. va holds va+1 per frame;
+// 0 marks no entry (VA 0 is legitimate — the EPT input space starts at
+// guest physical address 0 — hence the +1 bias). n counts the set
+// entries of each 2 MiB output region of the window, the per-region
+// base-page presence MHPS reads (audit rule "rmap-region-count"). The
+// counts live beside the 32 KiB array, not in it, so the array keeps
+// its allocation size class.
+type revChunk struct {
+	va *[1 << revChunkBits]uint64
+	n  [revChunkRegions]uint16
+}
 
 // New returns an empty table.
 func New() *Table {
@@ -139,13 +164,78 @@ func New() *Table {
 // guaranteed still valid.
 func (t *Table) Version() uint64 { return t.version }
 
+// mutated records one destructive mutation of the 2 MiB input region
+// holding va: it bumps version and logs the region, skipping a repeat
+// of the last logged one.
+func (t *Table) mutated(va uint64) {
+	t.version++
+	r := va >> mem.HugeShift
+	switch n := t.nDirty; {
+	case n > dirtyLogSize || n > 0 && t.dirty[n-1] == r:
+		// Saturated, or a repeat of the last logged region.
+	case n == dirtyLogSize:
+		t.nDirty++
+	default:
+		t.dirty[n] = r
+		t.nDirty++
+	}
+}
+
+// Clean reports whether no destructive mutation happened since the
+// last ClearDirty.
+func (t *Table) Clean() bool { return t.nDirty == 0 }
+
+// Dirty returns the 2 MiB input regions (va >> HugeShift) that
+// destructive mutations touched since the last ClearDirty, possibly
+// with repeats, or all = true when more distinct regions were touched
+// than the log holds. The slice aliases the log: read it before the
+// next mutation. The log has one reader, the VM walk cache that owns
+// the table's translations.
+func (t *Table) Dirty() (regions []uint64, all bool) {
+	if t.nDirty > dirtyLogSize {
+		return nil, true
+	}
+	return t.dirty[:t.nDirty], false
+}
+
+// ClearDirty empties the destructive-mutation log.
+func (t *Table) ClearDirty() { t.nDirty = 0 }
+
+// RegionBasePages returns how many base mappings point into the 2 MiB
+// output region (frames region*512 through region*512+511), from the
+// reverse map's per-region counts.
+func (t *Table) RegionBasePages(region uint64) int {
+	c := t.revChunkOf(region*mem.PagesPerHuge, false)
+	if c == nil {
+		return 0
+	}
+	return int(c.n[region%revChunkRegions])
+}
+
+// RegionReverse calls fn, in ascending frame order, for every base
+// mapping that points into the 2 MiB output region, read from the
+// reverse map's 512 entries for it.
+func (t *Table) RegionReverse(region uint64, fn func(m Mapping)) {
+	first := region * mem.PagesPerHuge
+	c := t.revChunkOf(first, false)
+	if c == nil || c.n[region%revChunkRegions] == 0 {
+		return
+	}
+	off := first & (1<<revChunkBits - 1)
+	for i, v := range c.va[off : off+mem.PagesPerHuge] {
+		if v != 0 {
+			fn(Mapping{VA: v - 1, Frame: first + uint64(i), Kind: mem.Base})
+		}
+	}
+}
+
 // ReverseLookup returns the VA whose base mapping points at the frame.
 func (t *Table) ReverseLookup(frame uint64) (uint64, bool) {
 	c := t.revChunkOf(frame, false)
 	if c == nil {
 		return 0, false
 	}
-	v := c[frame&(1<<revChunkBits-1)]
+	v := c.va[frame&(1<<revChunkBits-1)]
 	if v == 0 {
 		return 0, false
 	}
@@ -165,7 +255,7 @@ func (t *Table) revChunkOf(frame uint64, create bool) *revChunk {
 		if !create {
 			return nil
 		}
-		c = new(revChunk)
+		c = &revChunk{va: new([1 << revChunkBits]uint64)}
 		t.reverse[key-1] = c
 	}
 	t.revLast, t.revKey = c, key
@@ -174,13 +264,40 @@ func (t *Table) revChunkOf(frame uint64, create bool) *revChunk {
 
 // reverseSet records frame -> va.
 func (t *Table) reverseSet(frame, va uint64) {
-	t.revChunkOf(frame, true)[frame&(1<<revChunkBits-1)] = va + 1
+	c, i := t.revChunkOf(frame, true), frame&(1<<revChunkBits-1)
+	if c.va[i] == 0 {
+		c.n[i/mem.PagesPerHuge]++
+	}
+	c.va[i] = va + 1
+}
+
+// reverseRegion points the reverse entries of the 512 frames of the
+// huge-aligned block at base at the pages of the 2 MiB region at hva
+// (Split), or clears them when set is false (Collapse): one chunk
+// lookup and one count store for the whole region.
+func (t *Table) reverseRegion(base, hva uint64, set bool) {
+	c := t.revChunkOf(base, set)
+	if c == nil {
+		return
+	}
+	off := base & (1<<revChunkBits - 1)
+	es := c.va[off : off+mem.PagesPerHuge]
+	if !set {
+		clear(es)
+		c.n[off/mem.PagesPerHuge] = 0
+		return
+	}
+	for i := range es {
+		es[i] = hva + uint64(i)*mem.PageSize + 1
+	}
+	c.n[off/mem.PagesPerHuge] = mem.PagesPerHuge
 }
 
 // reverseClear removes the frame's reverse entry if present.
 func (t *Table) reverseClear(frame uint64) {
-	if c := t.revChunkOf(frame, false); c != nil {
-		c[frame&(1<<revChunkBits-1)] = 0
+	if c, i := t.revChunkOf(frame, false), frame&(1<<revChunkBits-1); c != nil && c.va[i] != 0 {
+		c.va[i] = 0
+		c.n[i/mem.PagesPerHuge]--
 	}
 }
 
@@ -389,7 +506,7 @@ func (t *Table) Unmap4K(va uint64) (uint64, error) {
 	pte.frame[idx] = 0
 	pte.live--
 	t.mapped4K--
-	t.version++
+	t.mutated(va)
 	t.reverseClear(frame)
 	return frame, nil
 }
@@ -412,7 +529,7 @@ func (t *Table) Unmap2M(va uint64) (uint64, error) {
 	pmd.frame[idx] = 0
 	pmd.live--
 	t.mapped2M--
-	t.version++
+	t.mutated(hva)
 	return frame, nil
 }
 
@@ -490,10 +607,8 @@ func (t *Table) Collapse(va uint64) error {
 	// live: child pointer replaced by leaf -> net 0 change for pmd.
 	t.mapped4K -= mem.PagesPerHuge
 	t.mapped2M++
-	t.version++
-	for i := uint64(0); i < mem.PagesPerHuge; i++ {
-		t.reverseClear(info.Frame + i)
-	}
+	t.mutated(hva)
+	t.reverseRegion(info.Frame, hva, false)
 	return nil
 }
 
@@ -508,7 +623,7 @@ func (t *Table) Remap4K(va uint64, newFrame uint64) (uint64, error) {
 		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
 	}
 	pte.frame[idx] = newFrame
-	t.version++
+	t.mutated(va)
 	t.reverseClear(old)
 	t.reverseSet(newFrame, va&^(mem.PageSize-1))
 	return old, nil
@@ -531,8 +646,8 @@ func (t *Table) Split(va uint64) error {
 	for i := 0; i < entriesPerNode; i++ {
 		pt.present[i] = true
 		pt.frame[i] = base + uint64(i)
-		t.reverseSet(base+uint64(i), hva+uint64(i)*mem.PageSize)
 	}
+	t.reverseRegion(base, hva, true)
 	pt.live = entriesPerNode
 	pmd.present[idx] = false
 	pmd.huge[idx] = false
@@ -541,7 +656,7 @@ func (t *Table) Split(va uint64) error {
 	t.leaf = nil
 	t.mapped2M--
 	t.mapped4K += mem.PagesPerHuge
-	t.version++
+	t.mutated(hva)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package pagetable
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -516,5 +517,109 @@ func BenchmarkMapUnmap4K(b *testing.B) {
 		if _, err := pt.Unmap4K(va); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDirtyLog checks the destructive-mutation log: each of the five
+// destructive operations logs its input region once per run of
+// repeats, additions log nothing, ClearDirty empties the log, and more
+// distinct regions than the log holds saturate it to "all" until the
+// next ClearDirty.
+func TestDirtyLog(t *testing.T) {
+	tb := New()
+	region := func(r uint64) uint64 { return r * mem.HugeSize }
+	for i := uint64(0); i < 4; i++ {
+		if _, err := tb.Map4K(region(1)+i*mem.PageSize, 1000+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.Map2M(region(2), 0); err != nil {
+		t.Fatal(err)
+	}
+	if !tb.Clean() {
+		t.Fatal("pure additions dirtied the log")
+	}
+	tb.Unmap4K(region(1))
+	tb.Unmap4K(region(1) + mem.PageSize)
+	if _, err := tb.Remap4K(region(1)+2*mem.PageSize, 2000); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Split(region(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Collapse(region(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Unmap2M(region(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got, all := tb.Dirty(); all || !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("Dirty() = %v, %v; want [1 2], false", got, all)
+	}
+	tb.ClearDirty()
+	if !tb.Clean() {
+		t.Fatal("ClearDirty left the log dirty")
+	}
+	for r := uint64(0); r <= dirtyLogSize; r++ {
+		if _, err := tb.Map4K(region(10+r), 5000+r); err != nil {
+			t.Fatal(err)
+		}
+		tb.Unmap4K(region(10 + r))
+		if got, all := tb.Dirty(); all != (r == dirtyLogSize) || !all && len(got) != int(r+1) {
+			t.Fatalf("after %d regions: Dirty() = %d regions, all %v", r+1, len(got), all)
+		}
+	}
+	tb.Unmap4K(region(1) + 3*mem.PageSize)
+	if _, all := tb.Dirty(); !all {
+		t.Fatal("a saturated log stopped saying all")
+	}
+	tb.ClearDirty()
+	if _, all := tb.Dirty(); all || !tb.Clean() {
+		t.Fatal("ClearDirty left a saturated log saturated")
+	}
+}
+
+// TestRegionReverse checks the per-output-region counts and entries
+// through base mappings, remaps, splits and collapses.
+func TestRegionReverse(t *testing.T) {
+	tb := New()
+	reverse := func(region uint64) []Mapping {
+		var ms []Mapping
+		tb.RegionReverse(region, func(m Mapping) { ms = append(ms, m) })
+		return ms
+	}
+	va := uint64(7) * mem.HugeSize
+	for _, p := range []struct{ va, frame uint64 }{{va + 5*mem.PageSize, 512 + 9}, {va, 512 + 3}, {va + mem.PageSize, 4096 + 1}} {
+		if _, err := tb.Map4K(p.va, p.frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []Mapping{{VA: va, Frame: 512 + 3}, {VA: va + 5*mem.PageSize, Frame: 512 + 9}}
+	if n, got := tb.RegionBasePages(1), reverse(1); n != 2 || !slices.Equal(got, want) {
+		t.Fatalf("region 1: %d pages, %v; want 2, %v", n, got, want)
+	}
+	if _, err := tb.Remap4K(va, 4096+2); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := tb.RegionBasePages(1), tb.RegionBasePages(8); a != 1 || b != 2 {
+		t.Fatalf("after remap: regions 1 and 8 hold %d and %d pages, want 1 and 2", a, b)
+	}
+	if err := tb.Map2M(0, 3*mem.PagesPerHuge); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Split(0); err != nil {
+		t.Fatal(err)
+	}
+	if n := tb.RegionBasePages(3); n != mem.PagesPerHuge {
+		t.Fatalf("after split: region 3 holds %d pages, want 512", n)
+	}
+	if err := tb.Collapse(0); err != nil {
+		t.Fatal(err)
+	}
+	if n, got := tb.RegionBasePages(3), reverse(3); n != 0 || len(got) != 0 {
+		t.Fatalf("after collapse: region 3 holds %d pages, %v", n, got)
+	}
+	if n := tb.RegionBasePages(1 << 30); n != 0 {
+		t.Fatalf("a region with no reverse chunk holds %d pages", n)
 	}
 }
