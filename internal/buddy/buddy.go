@@ -211,12 +211,6 @@ type Allocator struct {
 
 	// reservations maps huge index -> active reservation.
 	reservations map[uint64]*Reservation
-
-	// epoch increments on every free-list mutation; FreeRegions
-	// results are cached against it.
-	epoch        uint64
-	regionsEpoch uint64
-	regionsCache []mem.Region
 }
 
 // New creates an allocator managing totalPages base frames, all free.
@@ -267,7 +261,6 @@ func (a *Allocator) FreeBlockCount(order int) uint64 {
 func (a *Allocator) insertFree(start uint64, order uint8) {
 	a.freeOrd[start] = int8(order)
 	a.counts[order]++
-	a.epoch++
 	a.free[order].add(start >> order)
 }
 
@@ -275,7 +268,6 @@ func (a *Allocator) insertFree(start uint64, order uint8) {
 func (a *Allocator) removeFree(start uint64, order uint8) {
 	a.freeOrd[start] = -1
 	a.counts[order]--
-	a.epoch++
 	a.free[order].remove(start >> order)
 }
 
@@ -315,39 +307,29 @@ func (a *Allocator) Alloc(order int) (uint64, error) {
 	return 0, ErrNoMemory
 }
 
-// findContaining locates the free block that contains the range
-// [frame, frame+2^order). Returns the block start and order, or false.
-func (a *Allocator) findContaining(frame uint64, order int) (uint64, uint8, bool) {
-	for o := order; o <= MaxOrder; o++ {
-		start := frame &^ ((uint64(1) << o) - 1)
-		if start < a.totalPages && a.freeOrd[start] == int8(o) {
-			return start, uint8(o), true
-		}
-	}
-	return 0, 0, false
-}
-
-// overlapsFree reports whether a block starting at frame, aligned to
-// its order, overlaps a free block: one starts at frame, or one of a
-// higher order contains it. A block containing frame starts at frame
-// rounded down to that block's order, and those starts change only at
-// frame's set bits, so it reads one start per set bit, lowest first.
-// It stops at the first start that begins a free block: a free block
-// there of order at most the bit rules out any larger free block
-// around frame, because free blocks never overlap. Free asks on every
-// call, so this usually answers within a load or two, where
-// findContaining always reads one start per order.
-func (a *Allocator) overlapsFree(frame uint64) bool {
-	if a.freeOrd[frame] >= 0 {
-		return true
+// containing returns the free block that holds frame, which must be
+// below totalPages: its first frame and order. ok is false when no free
+// block holds it; start and order mean nothing then. A block holding
+// frame starts at frame rounded down to the block's order, and those
+// starts change only at frame's set bits, so it reads frame's own entry
+// and then one start per set bit, lowest first. It stops at the first
+// start that begins a free block: a free block there of order at most
+// the bit rules out any larger free block around frame, because free
+// blocks never overlap. Free asks on every call, so this usually
+// answers within a load or two, where probing every order would read
+// eleven.
+func (a *Allocator) containing(frame uint64) (start uint64, order uint8, ok bool) {
+	if o := a.freeOrd[frame]; o >= 0 {
+		return frame, uint8(o), true
 	}
 	for rest := frame & (1<<MaxOrder - 1); rest != 0; rest &= rest - 1 {
 		b := bits.TrailingZeros64(rest)
-		if v := a.freeOrd[frame&^(1<<(b+1)-1)]; v >= 0 {
-			return int(v) > b
+		s := frame &^ (1<<(b+1) - 1)
+		if o := a.freeOrd[s]; o >= 0 {
+			return s, uint8(o), int(o) > b
 		}
 	}
-	return false
+	return 0, 0, false
 }
 
 // AllocAt allocates the specific block [frame, frame+2^order). The
@@ -367,8 +349,8 @@ func (a *Allocator) AllocAt(frame uint64, order int) error {
 	if a.isReservedRange(frame, size) {
 		return ErrReserved
 	}
-	start, fo, ok := a.findContaining(frame, order)
-	if !ok {
+	start, fo, ok := a.containing(frame)
+	if !ok || int(fo) < order {
 		return ErrNotFree
 	}
 	a.removeFree(start, fo)
@@ -388,23 +370,6 @@ func (a *Allocator) AllocAt(frame uint64, order int) error {
 	return nil
 }
 
-// IsFree reports whether the whole block [frame, frame+2^order) is
-// currently free (and unreserved).
-func (a *Allocator) IsFree(frame uint64, order int) bool {
-	if order < 0 || order > MaxOrder {
-		return false
-	}
-	size := uint64(1) << order
-	if frame%size != 0 || frame+size > a.totalPages {
-		return false
-	}
-	if a.isReservedRange(frame, size) {
-		return false
-	}
-	_, _, ok := a.findContaining(frame, order)
-	return ok
-}
-
 // FreeBlockAt returns the free block that contains the frame: its
 // first frame and order. ok is false when the frame is allocated,
 // reserved or out of range. It reads the books and changes nothing, so
@@ -413,7 +378,7 @@ func (a *Allocator) FreeBlockAt(frame uint64) (start uint64, order int, ok bool)
 	if frame >= a.totalPages {
 		return 0, 0, false
 	}
-	s, o, ok := a.findContaining(frame, 0)
+	s, o, ok := a.containing(frame)
 	return s, int(o), ok
 }
 
@@ -450,7 +415,7 @@ func (a *Allocator) Free(frame uint64, order int) {
 			return
 		}
 	}
-	if a.overlapsFree(frame) {
+	if _, _, ok := a.containing(frame); ok {
 		panic(fmt.Sprintf("buddy: double free of block %#x order %d", frame, order))
 	}
 	a.freePages += size
@@ -480,8 +445,8 @@ type Mask = [mem.PagesPerHuge / 64]uint64
 // region with the given huge index, in one call. It ends in exactly the
 // state that Free(f, 0) on each set frame in ascending order leaves
 // (FuzzFreeMask). A set frame that is already free panics: Free checks
-// only frames that start a free block, FreeMask checks every frame, and
-// on the one-call path it does so before it changes anything.
+// only the first frame of the block it frees, FreeMask checks every
+// frame, and on the one-call path it does so before it changes anything.
 //
 // The books are canonical: a block is free at order k exactly when all
 // its frames are free and its parent block is not, whatever order the
@@ -525,7 +490,6 @@ func (a *Allocator) FreeMask(huge uint64, mask *Mask) {
 			halve(&touched, w, touched[w]|touched[w]>>1)
 		}
 	}
-	a.epoch++
 	// free marks the region's order-k blocks that are wholly free with
 	// the mask freed, excluding those inside a larger free block. The
 	// books' order-k blocks join them; a block whose buddy is free too
@@ -750,69 +714,24 @@ func (a *Allocator) FreeHugeCandidates() uint64 {
 	return n
 }
 
-// FreeRegions returns the maximal runs of free frames in address order,
-// merging adjacent free blocks. Reserved regions are not included.
-// CA-paging scans it to place a VMA's anchor; callers that only want
-// large runs use FreeRegionsAtLeast.
-//
-// The returned slice is a cache owned by the allocator, valid until
-// the next allocation or free; callers must not retain or mutate it.
-// Construction is a single O(TotalPages) sweep over the free-order
-// array, avoiding any sort even with hundreds of thousands of free
-// blocks (heavily fragmented memory).
-func (a *Allocator) FreeRegions() []mem.Region {
-	if a.regionsEpoch == a.epoch && a.regionsCache != nil {
-		return a.regionsCache
-	}
-	regions := a.regionsCache[:0]
-	var i uint64
-	for i < a.totalPages {
-		o := a.freeOrd[i]
-		if o < 0 {
-			i++
-			continue
-		}
-		size := uint64(1) << o
-		if n := len(regions); n > 0 && regions[n-1].End() == i {
-			regions[n-1].Pages += size
-		} else {
-			regions = append(regions, mem.Region{Start: i, Pages: size})
-		}
-		i += size
-	}
-	a.regionsCache = regions
-	a.regionsEpoch = a.epoch
-	if len(regions) == 0 {
-		return nil
-	}
-	return regions
-}
-
-// Every run FreeRegionsAtLeast reports holds a free block of order >=
-// sweepOrder, which starts on a sweepStride boundary.
-const (
-	sweepOrder  = 5
-	sweepStride = 1 << sweepOrder
-)
-
 // FreeRegionsAtLeast returns the maximal runs of at least minPages free
-// frames in address order (FreeRegions filtered by length), appended to
-// out[:0]. For minPages >= 64 every such run holds a free block of
-// order >= 5, because Free merges buddies eagerly (DESIGN.md §7.2), so
-// it visits only those blocks, in address order, merging the free
-// bitmaps of orders 5 through MaxOrder, and grows each into its run.
+// frames in address order, appended to out[:0]; reserved regions are
+// not free. A run of at least 2^(k+1) frames holds a naturally aligned
+// 2^k-frame block, and because Free merges buddies eagerly that block
+// lies inside one free block of order >= k (DESIGN.md §7.2). So with k
+// the largest order for which minPages >= 2^(k+1), it visits only the
+// free blocks of orders k through MaxOrder, in address order, by
+// merging their bitmaps, and grows each into its run.
 func (a *Allocator) FreeRegionsAtLeast(minPages uint64, out []mem.Region) []mem.Region {
-	if minPages < 2*sweepStride {
-		panic(fmt.Sprintf("buddy: FreeRegionsAtLeast(%d) below %d pages", minPages, 2*sweepStride))
-	}
+	k := min(max(bits.Len64(minPages)-2, 0), MaxOrder)
 	out = out[:0]
 	// next[o] is the first frame of the lowest free order-o block at or
 	// after the scan position, or totalPages when there is none.
 	var next [NumOrders]uint64
-	a.nextBlocks(&next, 0)
+	a.nextBlocks(&next, k, 0)
 	for {
 		i := a.totalPages
-		for o := sweepOrder; o <= MaxOrder; o++ {
+		for o := k; o <= MaxOrder; o++ {
 			i = min(i, next[o])
 		}
 		if i == a.totalPages {
@@ -835,16 +754,16 @@ func (a *Allocator) FreeRegionsAtLeast(minPages uint64, out []mem.Region) []mem.
 		if end-start >= minPages {
 			out = append(out, mem.Region{Start: start, Pages: end - start})
 		}
-		a.nextBlocks(&next, end)
+		a.nextBlocks(&next, k, end)
 	}
 }
 
-// nextBlocks moves every next[o] at or below pos, for orders
-// sweepOrder through MaxOrder, to the first free order-o block at or
-// after pos. pos is never itself the start of a free block, except on
-// the first call, where it is 0 and so is every next[o].
-func (a *Allocator) nextBlocks(next *[NumOrders]uint64, pos uint64) {
-	for o := sweepOrder; o <= MaxOrder; o++ {
+// nextBlocks moves every next[o] at or below pos, for orders k through
+// MaxOrder, to the first free order-o block at or after pos. pos is
+// never itself the start of a free block, except on the first call,
+// where it is 0 and so is every next[o].
+func (a *Allocator) nextBlocks(next *[NumOrders]uint64, k int, pos uint64) {
+	for o := k; o <= MaxOrder; o++ {
 		if next[o] <= pos {
 			next[o] = a.totalPages
 			if i, ok := a.free[o].next((pos + 1<<o - 1) >> o); ok {

@@ -104,7 +104,7 @@ func TestAllocAt(t *testing.T) {
 	if err := a.AllocAt(512, mem.HugeOrder); err != nil {
 		t.Fatal(err)
 	}
-	if a.IsFree(512, mem.HugeOrder) {
+	if a.FrameFree(512) {
 		t.Error("block still free after AllocAt")
 	}
 	// Same block again must fail.
@@ -114,6 +114,11 @@ func TestAllocAt(t *testing.T) {
 	// Single page inside an untouched area.
 	if err := a.AllocAt(12345, 0); err != nil {
 		t.Fatal(err)
+	}
+	// A block only partly free: its first frame, 12344, is a free
+	// order-0 block whose buddy was just taken.
+	if err := a.AllocAt(12344, 1); !errors.Is(err, ErrNotFree) {
+		t.Fatalf("AllocAt over a smaller free block: %v", err)
 	}
 	if vs := a.CheckInvariants(); len(vs) != 0 {
 		t.Fatal(audit.Report(vs))
@@ -211,11 +216,12 @@ func TestFreeInsideFreeBlockPanics(t *testing.T) {
 	}
 }
 
-// TestOverlapsFreeMatchesFindContaining checks Free's double-free test
-// against its definition on fragmented books: for every aligned block,
-// it says yes exactly when a free block starts at the block's first
-// frame or contains the block.
-func TestOverlapsFreeMatchesFindContaining(t *testing.T) {
+// TestContainingMatchesOrderProbe checks containing, behind Free's
+// double-free test, FreeBlockAt and AllocAt, against its definition on
+// fragmented books: for every frame, the free block that holds it is
+// the one found by rounding the frame down to each order in turn and
+// asking freeOrd whether a block of that order starts there.
+func TestContainingMatchesOrderProbe(t *testing.T) {
 	const pages = 4 * 1 << MaxOrder
 	a := New(pages)
 	for range pages {
@@ -229,12 +235,19 @@ func TestOverlapsFreeMatchesFindContaining(t *testing.T) {
 		}
 	}
 	a.Free(2*1<<MaxOrder, MaxOrder) // one whole free order-10 block
-	for order := 0; order <= MaxOrder; order++ {
-		for f := uint64(0); f < pages; f += 1 << order {
-			_, _, contained := a.findContaining(f, order)
-			if want := a.freeOrd[f] >= 0 || contained; a.overlapsFree(f) != want {
-				t.Fatalf("overlapsFree(%d) at order %d = %v, want %v", f, order, !want, want)
+	for f := uint64(0); f < pages; f++ {
+		var wantStart uint64
+		var wantOrder uint8
+		wantOK := false
+		for o := 0; o <= MaxOrder && !wantOK; o++ {
+			if s := f &^ (1<<o - 1); a.freeOrd[s] == int8(o) {
+				wantStart, wantOrder, wantOK = s, uint8(o), true
 			}
+		}
+		start, order, ok := a.containing(f)
+		if ok != wantOK || ok && (start != wantStart || order != wantOrder) {
+			t.Fatalf("containing(%d) = %d, %d, %v; order probe gives %d, %d, %v",
+				f, start, order, ok, wantStart, wantOrder, wantOK)
 		}
 	}
 }
@@ -255,7 +268,7 @@ func TestReservation(t *testing.T) {
 	if err := a.AllocAt(r.Start(), 0); !errors.Is(err, ErrReserved) {
 		t.Fatalf("AllocAt into reservation: %v", err)
 	}
-	if a.IsFree(r.Start(), 0) {
+	if a.FrameFree(r.Start()) {
 		t.Error("reserved page reported free")
 	}
 	// Claim a few pages then finish.
@@ -397,7 +410,7 @@ func TestFreeHugeCandidates(t *testing.T) {
 
 func TestFreeRegions(t *testing.T) {
 	a := New(4096)
-	regions := a.FreeRegions()
+	regions := a.FreeRegionsAtLeast(1, nil)
 	if len(regions) != 1 || regions[0].Start != 0 || regions[0].Pages != 4096 {
 		t.Fatalf("pristine FreeRegions = %v", regions)
 	}
@@ -405,7 +418,7 @@ func TestFreeRegions(t *testing.T) {
 	if err := a.AllocAt(1000, 0); err != nil {
 		t.Fatal(err)
 	}
-	regions = a.FreeRegions()
+	regions = a.FreeRegionsAtLeast(1, regions)
 	if len(regions) != 2 {
 		t.Fatalf("FreeRegions after hole = %v", regions)
 	}
@@ -421,21 +434,44 @@ func TestFreeRegionsEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := a.FreeRegions(); got != nil {
+	if got := a.FreeRegionsAtLeast(1, nil); got != nil {
 		t.Fatalf("FreeRegions when full = %v", got)
 	}
 }
 
-// runsAtLeast filters FreeRegions down to runs of at least min pages:
-// the oracle FreeRegionsAtLeast must match.
-func runsAtLeast(a *Allocator, min uint64) []mem.Region {
+// runMinimums are the run lengths FreeRegionsAtLeast is checked at:
+// every sweep order from 0 (minimum 1) to MaxOrder (4096 and up), and
+// both sides of 64.
+var runMinimums = []uint64{1, 2, 3, 5, 63, 64, 100, 512, 4096}
+
+// frameRuns is FreeRegionsAtLeast's reference: the maximal runs of
+// frames that FrameFree reports free, found frame by frame.
+func frameRuns(a *Allocator) []mem.Region {
 	var out []mem.Region
-	for _, r := range a.FreeRegions() {
-		if r.Pages >= min {
-			out = append(out, r)
+	for f := uint64(0); f < a.TotalPages(); f++ {
+		if !a.FrameFree(f) {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1].End() == f {
+			out[n-1].Pages++
+		} else {
+			out = append(out, mem.Region{Start: f, Pages: 1})
 		}
 	}
 	return out
+}
+
+// checkRuns fails the test unless FreeRegionsAtLeast returns the runs
+// of frameRuns that are long enough, at every minimum in runMinimums.
+func checkRuns(t *testing.T, what string, a *Allocator) {
+	t.Helper()
+	all := frameRuns(a)
+	for _, min := range runMinimums {
+		want := slices.DeleteFunc(slices.Clone(all), func(r mem.Region) bool { return r.Pages < min })
+		if got := a.FreeRegionsAtLeast(min, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: FreeRegionsAtLeast(%d) = %v, per-frame runs %v", what, min, got, want)
+		}
+	}
 }
 
 func TestFreeRegionsAtLeast(t *testing.T) {
@@ -472,6 +508,12 @@ func TestFreeRegionsAtLeast(t *testing.T) {
 		want []mem.Region
 	}{
 		{"pristine, frame 0 to arena end", New(4096), 64, []mem.Region{rg(0, 4096)}},
+		{"runs of one, two and three frames", withFree(1024, rg(100, 1), rg(200, 2), rg(301, 3)),
+			1, []mem.Region{rg(100, 1), rg(200, 2), rg(301, 3)}},
+		{"minimum 2", withFree(1024, rg(100, 1), rg(200, 2), rg(301, 3)),
+			2, []mem.Region{rg(200, 2), rg(301, 3)}},
+		{"minimum 3", withFree(1024, rg(100, 1), rg(200, 2), rg(301, 3)),
+			3, []mem.Region{rg(301, 3)}},
 		{"total not a multiple of 32", New(1000), 64, []mem.Region{rg(0, 1000)}},
 		{"full", withFree(1024), 64, nil},
 		{"63 vs 64 pages", withFree(1024, rg(100, 63), rg(200, 64), rg(333, 64), rg(500, 63)),
@@ -492,17 +534,8 @@ func TestFreeRegionsAtLeast(t *testing.T) {
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: FreeRegionsAtLeast(%d) = %v, want %v", c.name, c.min, got, c.want)
 		}
-		if oracle := runsAtLeast(c.a, c.min); !slices.Equal(got, oracle) {
-			t.Errorf("%s: FreeRegionsAtLeast(%d) = %v, filtered FreeRegions = %v",
-				c.name, c.min, got, oracle)
-		}
+		checkRuns(t, c.name, c.a)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("FreeRegionsAtLeast(63) did not panic")
-		}
-	}()
-	New(64).FreeRegionsAtLeast(63, nil)
 }
 
 // TestRandomOpsInvariant drives the allocator with a random mix of

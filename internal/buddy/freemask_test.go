@@ -30,8 +30,9 @@ func sameBooks(t *testing.T, what string, got, want *Allocator) {
 			t.Fatalf("%s: %s", what, audit.Report(vs))
 		}
 	}
-	if g, w := got.FreeRegions(), want.FreeRegions(); !slices.Equal(g, w) {
-		t.Fatalf("%s: FreeRegions %v, per-page Free gives %v", what, g, w)
+	checkRuns(t, what, got)
+	if g, w := got.FreeRegionsAtLeast(1, nil), want.FreeRegionsAtLeast(1, nil); !slices.Equal(g, w) {
+		t.Fatalf("%s: free runs %v, per-page Free gives %v", what, g, w)
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		if g, w := got.FreeBlockCount(o), want.FreeBlockCount(o); g != w {
@@ -180,8 +181,7 @@ func TestFreeMaskAllocatesNothing(t *testing.T) {
 // finishes) on two allocators. Its FreeMask steps free a random subset
 // of one region's held frames with FreeMask on the first allocator and
 // with Free(f, 0) per frame on its twin; every step must leave both
-// with the same books, and FreeRegionsAtLeast must agree with the
-// stride sweep it replaced (strideRunsAtLeast). The arena ends in a partial region, so the
+// with the same books. The arena ends in a partial region, so the
 // per-frame fallback is exercised too.
 func FuzzFreeMask(f *testing.F) {
 	f.Add([]byte{0, 9, 7, 0, 0, 3, 7, 3, 5, 1, 7, 1})
@@ -298,46 +298,12 @@ func FuzzFreeMask(f *testing.F) {
 				freeEach(want, hi, &mask)
 			}
 			sameBooks(t, fmt.Sprintf("step %d (op %d)", step, op), got, want)
-			for _, min := range []uint64{64, 100, 512} {
-				if runs, ref := got.FreeRegionsAtLeast(min, nil), strideRunsAtLeast(got, min); !slices.Equal(runs, ref) {
-					t.Fatalf("step %d (op %d): FreeRegionsAtLeast(%d) = %v, stride sweep %v", step, op, min, runs, ref)
-				}
-			}
 		}
 	})
 }
 
-// strideRunsAtLeast is the reference for FreeRegionsAtLeast: it probes
-// every 32nd frame's free order for a block of order >= 5, and grows
-// each block it finds into its maximal free run.
-func strideRunsAtLeast(a *Allocator, minPages uint64) []mem.Region {
-	var out []mem.Region
-	for i := uint64(0); i < a.totalPages; {
-		if a.freeOrd[i] < sweepOrder {
-			i += sweepStride
-			continue
-		}
-		start := i
-		for o := 0; o <= MaxOrder && start%(1<<o) == 0 && start >= 1<<o; o++ {
-			if a.freeOrd[start-1<<o] == int8(o) {
-				start -= 1 << o
-				o = -1
-			}
-		}
-		end := i
-		for end < a.totalPages && a.freeOrd[end] >= 0 {
-			end += uint64(1) << a.freeOrd[end]
-		}
-		if end-start >= minPages {
-			out = append(out, mem.Region{Start: start, Pages: end - start})
-		}
-		i = (end + sweepStride - 1) &^ (sweepStride - 1)
-	}
-	return out
-}
-
 // TestFreeRegionsAtLeastFarApart checks FreeRegionsAtLeast against the
-// stride sweep on an allocator large enough that the free runs sit
+// per-frame runs on an allocator large enough that the free runs sit
 // under different summary words of the order-5 bitmap, so the search
 // for the next block has to skip empty summary words.
 func TestFreeRegionsAtLeastFarApart(t *testing.T) {
@@ -354,11 +320,7 @@ func TestFreeRegionsAtLeastFarApart(t *testing.T) {
 		for f := r.Start; f < r.End(); f++ {
 			a.Free(f, 0)
 		}
-		for _, min := range []uint64{64, 97, 1024} {
-			if got, want := a.FreeRegionsAtLeast(min, nil), strideRunsAtLeast(a, min); !slices.Equal(got, want) {
-				t.Fatalf("after run %d: FreeRegionsAtLeast(%d) = %v, stride sweep %v", i, min, got, want)
-			}
-		}
+		checkRuns(t, fmt.Sprintf("after run %d", i), a)
 	}
 	if got := a.FreeRegionsAtLeast(64, nil); len(got) != 5 {
 		t.Fatalf("FreeRegionsAtLeast(64) = %v, want the 5 freed runs", got)

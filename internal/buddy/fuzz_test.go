@@ -1,7 +1,7 @@
 package buddy
 
 import (
-	"slices"
+	"fmt"
 	"testing"
 
 	"repro/internal/audit"
@@ -13,7 +13,7 @@ import (
 // allocator's own invariant audit, an external page-conservation model
 // kept by the fuzzer (total = free + tracked allocations + withdrawn
 // reservations), and FreeRegionsAtLeast's bitmap merge against the
-// full FreeRegions scan filtered to runs of at least 64 pages. Every
+// free runs found frame by frame (checkRuns). Every
 // untargeted Alloc is also checked against lowestFreeSweep, so the
 // bitmap books pick the same block the free map says they must.
 func FuzzBuddyAllocFree(f *testing.F) {
@@ -58,10 +58,7 @@ func FuzzBuddyAllocFree(f *testing.F) {
 			if vs := a.CheckInvariants(); len(vs) != 0 {
 				t.Fatalf("step %d (%s): %s", step, op, audit.Report(vs))
 			}
-			if got, want := a.FreeRegionsAtLeast(64, nil), runsAtLeast(a, 64); !slices.Equal(got, want) {
-				t.Fatalf("step %d (%s): FreeRegionsAtLeast(64) = %v, filtered FreeRegions = %v",
-					step, op, got, want)
-			}
+			checkRuns(t, fmt.Sprintf("step %d (%s)", step, op), a)
 			// External conservation model: claimed pages of finished
 			// reservations are ordinary allocated pages; active
 			// reservations withdraw their whole region.

@@ -45,7 +45,7 @@ func (l *List) Len() int { return l.count }
 
 // Rebuild replaces the list contents with the given regions, which must
 // be sorted by start address and non-overlapping (as produced by
-// buddy.(*Allocator).FreeRegions). The next-fit cursor resets to the
+// buddy.(*Allocator).FreeRegionsAtLeast). The next-fit cursor resets to the
 // head.
 func (l *List) Rebuild(regions []mem.Region) {
 	l.head, l.tail, l.cursor = nil, nil, nil

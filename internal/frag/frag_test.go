@@ -138,7 +138,7 @@ const lockPages = 2560 * 256
 // the whole fragmented state.
 func digest(a *buddy.Allocator, f *Fragmenter) uint64 {
 	var buf []byte
-	for _, r := range a.FreeRegions() {
+	for _, r := range a.FreeRegionsAtLeast(1, nil) {
 		buf = binary.LittleEndian.AppendUint64(buf, r.Start)
 		buf = binary.LittleEndian.AppendUint64(buf, r.Pages)
 	}

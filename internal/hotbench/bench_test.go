@@ -122,14 +122,15 @@ func TestCompareGates(t *testing.T) {
 		mk("A", 109, 0), // +9%: within 10% tolerance
 		mk("B", 90, 6),  // faster but one more alloc: fails
 		// C dropped: fails
+		mk("D", 100, 0), // not in the baseline: fails
 	}}
 	errs := Compare(base, cur, 0.10)
-	if len(errs) != 2 {
-		t.Fatalf("got %d violations, want 2: %v", len(errs), errs)
+	if len(errs) != 3 {
+		t.Fatalf("got %d violations, want 3: %v", len(errs), errs)
 	}
 	for _, err := range errs {
 		s := err.Error()
-		if !strings.Contains(s, "B:") && !strings.Contains(s, "C:") {
+		if !strings.Contains(s, "B:") && !strings.Contains(s, "C:") && !strings.Contains(s, "D:") {
 			t.Fatalf("unexpected violation: %v", err)
 		}
 	}

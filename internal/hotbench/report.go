@@ -141,6 +141,8 @@ func (r *Report) WriteGoBench(w io.Writer) error {
 //
 //   - a base case missing from cur (a silently dropped benchmark
 //     would otherwise hide a regression forever);
+//   - a cur case missing from base (a new benchmark would otherwise
+//     never be gated);
 //   - median ns/op regressed by more than tol (0.10 = +10%);
 //   - allocs/op increased at all — allocation counts are exact and
 //     machine-independent, so any increase is a real regression, and
@@ -156,6 +158,7 @@ func Compare(base, cur *Report, tol float64) []error {
 	}
 	for _, b := range base.Benchmarks {
 		c, ok := curBy[b.Name]
+		delete(curBy, b.Name)
 		if !ok {
 			errs = append(errs, fmt.Errorf("%s: in baseline but not in current run", b.Name))
 			continue
@@ -167,6 +170,11 @@ func Compare(base, cur *Report, tol float64) []error {
 		if ba, ca := maxAllocs(b), maxAllocs(c); ca > ba {
 			errs = append(errs, fmt.Errorf("%s: %d allocs/op vs baseline %d — allocation regression",
 				b.Name, ca, ba))
+		}
+	}
+	for _, c := range cur.Benchmarks {
+		if _, ok := curBy[c.Name]; ok {
+			errs = append(errs, fmt.Errorf("%s: in current run but not in baseline", c.Name))
 		}
 	}
 	return errs

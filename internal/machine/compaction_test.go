@@ -25,7 +25,7 @@ func TestCompactRegionMovesMappedPages(t *testing.T) {
 		t.Fatal("compaction failed on a fully movable region")
 	}
 	// The region is now one free order-9 block.
-	if !vm.Guest.Buddy.IsFree(0, mem.HugeOrder) {
+	if _, o, ok := vm.Guest.Buddy.FreeBlockAt(0); !ok || o < mem.HugeOrder {
 		t.Fatal("region not free after compaction")
 	}
 	// Free page count unchanged: every migrated page took one frame

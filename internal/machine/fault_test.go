@@ -87,7 +87,7 @@ func TestFaultRefRetakenAfterDirectReclaim(t *testing.T) {
 		}
 		if cached {
 			_, hKind, eRef, ok := vm.EPT.Table.LookupRef(gfn * mem.PageSize)
-			_, entGKind, entHKind := ent.kinds()
+			_, entGKind, entHKind := tlb.UnpackKinds(ent.meta)
 			if !ok || ent.gfn != gfn || entGKind != gKind || entHKind != hKind ||
 				ent.gRef != gRef || ent.eRef != eRef {
 				t.Fatalf("walk-cache entry %+v does not match fresh LookupRefs "+

@@ -271,17 +271,11 @@ func (L *Layer) compactionIdle(lowWatermark uint64) bool {
 		L.Buddy.FreePages() < 2*mem.PagesPerHuge
 }
 
-// regionInVMABounds reports whether the whole 2 MiB region starting at
-// hugeBase lies inside VMA v.
-func regionInVMABounds(hugeBase uint64, v *VMA) bool {
-	return hugeBase >= v.Start && hugeBase+mem.HugeSize <= v.End()
-}
-
 // RegionInVMA reports whether the whole 2 MiB region starting at
 // hugeBase lies inside VMA v. Policies use it to filter promotion and
 // huge-fault candidates.
 func RegionInVMA(hugeBase uint64, v *VMA) bool {
-	return regionInVMABounds(hugeBase, v)
+	return hugeBase >= v.Start && hugeBase+mem.HugeSize <= v.End()
 }
 
 // EnsureMapped installs a translation for the page containing va if
@@ -307,7 +301,7 @@ func (L *Layer) EnsureMapped(va uint64) (cycles, frame uint64, kind mem.PageSize
 		hugeBase := va &^ uint64(mem.HugeSize-1)
 		frame := d.Frame
 		have := d.Allocated
-		ok := regionInVMABounds(hugeBase, v)
+		ok := RegionInVMA(hugeBase, v)
 		if ok && !have {
 			if f, err := L.Buddy.Alloc(mem.HugeOrder); err == nil {
 				frame, have = f, true
@@ -412,7 +406,7 @@ func (L *Layer) PromoteInPlace(va uint64) error {
 // allocated.
 func (L *Layer) PromoteMigrate(va uint64, targetFrame *uint64) error {
 	hugeBase := va &^ uint64(mem.HugeSize-1)
-	if v := L.Space.Find(hugeBase); v == nil || !regionInVMABounds(hugeBase, v) {
+	if v := L.Space.Find(hugeBase); v == nil || !RegionInVMA(hugeBase, v) {
 		L.Stats.FailedPromotions++
 		if L.Trace != nil {
 			L.Trace.Event(trace.EvCollapseFail, hugeBase, 0, mem.HugeOrder, 0, "outside-vma")
@@ -481,7 +475,7 @@ func (L *Layer) PromoteMigrate(va uint64, targetFrame *uint64) error {
 func (L *Layer) MapHugeEager(va uint64) error {
 	hugeBase := va &^ uint64(mem.HugeSize-1)
 	v := L.Space.Find(hugeBase)
-	if v == nil || !regionInVMABounds(hugeBase, v) {
+	if v == nil || !RegionInVMA(hugeBase, v) {
 		return fmt.Errorf("machine: region %#x not inside a VMA", hugeBase)
 	}
 	if _, isHuge, present := L.Table.LookupHugeRegion(hugeBase); isHuge || present > 0 {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/pagetable"
 	"repro/internal/tlb"
 )
 
@@ -73,9 +72,6 @@ func TestForEachHugeRegion(t *testing.T) {
 	}
 	if bases[0] != mem.HugeSize {
 		t.Fatalf("first region = %#x", bases[0])
-	}
-	if s.HugeRegionCount() != 4 {
-		t.Errorf("HugeRegionCount = %d", s.HugeRegionCount())
 	}
 	// Early stop.
 	n := 0
@@ -474,5 +470,4 @@ func TestPolicyAllocatedHugeFrameFreedOnFallback(t *testing.T) {
 	if vm.Guest.Buddy.FreePages() != free-1 {
 		t.Fatalf("leak: free %d -> %d", free, vm.Guest.Buddy.FreePages())
 	}
-	_ = pagetable.WalkStepsBase // keep import for doc parity
 }

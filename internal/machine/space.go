@@ -108,10 +108,3 @@ func (s *AddressSpace) ForEachHugeRegion(fn func(vaBase uint64, v *VMA) bool) {
 		}
 	}
 }
-
-// HugeRegionCount returns the number of huge regions overlapping VMAs.
-func (s *AddressSpace) HugeRegionCount() int {
-	n := 0
-	s.ForEachHugeRegion(func(uint64, *VMA) bool { n++; return true })
-	return n
-}

@@ -218,7 +218,8 @@ const accessBatchChunk = 1024
 
 // accessBatch is the per-VM staging area for AccessN's two-pass loop:
 // pass one resolves each address through the walk cache into these
-// parallel slices, pass two feeds them to tlb.AccessNestedBatch.
+// parallel slices, pass two feeds them to tlb.AccessNestedBatch or,
+// on a VM with another translation mode, to its Access one by one.
 // Allocated once, on the first batched access.
 type accessBatch struct {
 	gpa  []uint64
@@ -238,12 +239,14 @@ type accessBatch struct {
 // two ways. First, the stamps are brought up to date at the start and
 // after any uncached access (the only point a table can be mutated;
 // wcFill does it), so a hit compares stamps that cannot have moved.
-// Second, on the radix path each run of walk-cache hits is split into
-// two passes: pass one does the per-address bookkeeping (heat, accessed
-// bits, stall draining) and stages the resolved translation, pass two
-// runs the TLB batch kernel over the staged run. Heat/PTE state and
-// TLB state are disjoint and nothing reads either until the batch
-// returns, so the split leaves every final state and cycle count
+// Second, each run of walk-cache hits is split into two passes: pass
+// one does the per-address bookkeeping (heat, accessed bits, stall
+// draining) and stages the resolved translation, pass two charges the
+// staged run to the TLB, through the batch kernel on a radix VM and
+// through the translation mode's Access per address otherwise.
+// Heat/PTE state and TLB state are disjoint (a mode's Access touches
+// only the TLB) and nothing reads either until pass two returns, so
+// the split leaves every final state and cycle count
 // identical to the interleaved order; a walk-cache miss flushes the
 // staged run to the TLB first, keeping the uncached access's TLB view
 // exactly sequential. Hit-vs-miss in the software walk cache never
@@ -255,30 +258,6 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 		for _, gva := range gvas {
 			c, _ := vm.accessUncached(gva)
 			total += c
-		}
-		return total
-	}
-	if !vm.radix {
-		// Translation-replacing modes route through mode.Access;
-		// keep the straightforward hoisted loop.
-		vm.wcRevalidate()
-		wc := &vm.wc
-		for _, gva := range gvas {
-			ent := &wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-			if wc.hit(ent, gva) {
-				vm.Guest.heatBump(gva >> mem.HugeShift)
-				vm.EPT.heatBump(ent.gfn >> (mem.HugeShift - mem.PageShift))
-				ent.gRef.Mark()
-				ent.eRef.Mark()
-				gpa := ent.gfn*mem.PageSize + (gva & (mem.PageSize - 1))
-				eff, gKind, hKind := ent.kinds()
-				res := vm.mode.Access(vm.TLB, gva, eff, gKind, hKind, gpa)
-				total += res.Cycles + vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
-				continue
-			}
-			c, tr := vm.accessUncached(gva)
-			total += c
-			vm.wcFill(gva, tr)
 		}
 		return total
 	}
@@ -312,8 +291,14 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 			n++
 			i++
 		}
-		// Pass two: the staged run through the TLB batch kernel.
-		if n > 0 {
+		// Pass two: the staged run through the TLB batch kernel, or
+		// through the translation mode one access at a time.
+		if !vm.radix {
+			for j, gva := range gvas[start : start+n] {
+				eff, gKind, hKind := tlb.UnpackKinds(vm.bat.meta[j])
+				total += vm.mode.Access(vm.TLB, gva, eff, gKind, hKind, vm.bat.gpa[j]).Cycles
+			}
+		} else if n > 0 {
 			total += vm.TLB.AccessNestedBatch(gvas[start:start+n],
 				vm.bat.gpa[:n], vm.bat.si[:n], vm.bat.meta[:n])
 		}

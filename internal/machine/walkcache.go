@@ -83,11 +83,6 @@ type wcEntry struct {
 	meta uint8
 }
 
-// kinds unpacks meta into the TLB entry kind and the two mapping kinds.
-func (e *wcEntry) kinds() (eff, gKind, hKind mem.PageSizeKind) {
-	return mem.PageSizeKind(e.meta & 3), mem.PageSizeKind(e.meta >> 2 & 3), mem.PageSizeKind(e.meta >> 4 & 3)
-}
-
 // walkCache is a per-VM direct-mapped cache of resolved translations.
 type walkCache struct {
 	entries []wcEntry

@@ -149,18 +149,19 @@ func sameTables(t *testing.T, op int, a, b *machine.Layer) {
 
 // TestWalkCacheObserverEffect runs a real (churning, gradually
 // allocated) workload to completion twice — walk cache on, walk cache
-// off — and requires identical per-request cycle totals and final
-// machine state. This is the observable-equivalence contract
+// off — in each translation mode, and requires identical per-request
+// cycle totals and final machine state. This is the observable-equivalence contract
 // SetWalkCacheEnabled's documentation promises, checked at workload
 // scale rather than per-op.
 func TestWalkCacheObserverEffect(t *testing.T) {
-	run := func(enable bool) (cycles []uint64, stats tlb.Stats, align machine.AlignStats) {
+	run := func(mode machine.TranslationMode, enable bool) (cycles []uint64, stats tlb.Stats, align machine.AlignStats) {
 		const guestPages = (256 << 20) >> mem.PageShift
 		m := machine.NewMachine(guestPages*2, machine.DefaultCosts())
 		vm := m.AddVM(guestPages,
 			policy.NewTHP(policy.DefaultTHPParams()),
 			policy.NewTHP(policy.DefaultTHPParams()),
 			tlb.DefaultConfig())
+		vm.SetTranslation(mode)
 		vm.SetWalkCacheEnabled(enable)
 		w := workload.New(workload.Redis(), vm, 7)
 		for i := 0; i < 3000; i++ {
@@ -171,17 +172,19 @@ func TestWalkCacheObserverEffect(t *testing.T) {
 		}
 		return cycles, vm.TLB.Stats(), vm.Alignment()
 	}
-	c1, s1, a1 := run(true)
-	c2, s2, a2 := run(false)
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Fatalf("request %d: %d cycles cached, %d uncached", i, c1[i], c2[i])
+	for _, mode := range []machine.TranslationMode{machine.RadixNested{}, machine.NewSegmentTranslation()} {
+		c1, s1, a1 := run(mode, true)
+		c2, s2, a2 := run(mode, false)
+		for i := range c1 {
+			if c1[i] != c2[i] {
+				t.Fatalf("%s: request %d: %d cycles cached, %d uncached", mode.Name(), i, c1[i], c2[i])
+			}
 		}
-	}
-	if s1 != s2 {
-		t.Fatalf("TLB stats diverged:\ncached %+v\nuncached %+v", s1, s2)
-	}
-	if a1 != a2 {
-		t.Fatalf("alignment diverged: %+v vs %+v", a1, a2)
+		if s1 != s2 {
+			t.Fatalf("%s: TLB stats diverged:\ncached %+v\nuncached %+v", mode.Name(), s1, s2)
+		}
+		if a1 != a2 {
+			t.Fatalf("%s: alignment diverged: %+v vs %+v", mode.Name(), a1, a2)
+		}
 	}
 }

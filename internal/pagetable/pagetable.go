@@ -39,11 +39,6 @@ const (
 	// holds 4 KiB PTEs. Level 1 (PMD) entries may be huge leaves.
 	numLevels = 4
 	hugeLevel = 1
-	// WalkStepsBase is the number of page-table reads to reach a 4 KiB
-	// PTE (PGD, PUD, PMD, PTE).
-	WalkStepsBase = 4
-	// WalkStepsHuge is the number of reads to reach a 2 MiB PMD leaf.
-	WalkStepsHuge = 3
 )
 
 // Errors returned by table operations.
@@ -658,18 +653,6 @@ func (t *Table) Split(va uint64) error {
 	t.mapped4K += mem.PagesPerHuge
 	t.mutated(hva)
 	return nil
-}
-
-// WalkSteps returns the number of page-table reads a hardware walker
-// performs to translate va with this table: fewer for huge mappings
-// (their PTE sits one level higher). Returns WalkStepsBase for
-// unmapped addresses (the walker discovers absence at the bottom).
-func (t *Table) WalkSteps(va uint64) int {
-	_, kind, ok := t.Lookup(va)
-	if ok && kind == mem.Huge {
-		return WalkStepsHuge
-	}
-	return WalkStepsBase
 }
 
 // ScanHuge calls fn for every huge mapping in ascending VA order.

@@ -300,25 +300,6 @@ func TestRemap4K(t *testing.T) {
 	}
 }
 
-func TestWalkSteps(t *testing.T) {
-	pt := New()
-	if _, err := pt.Map4K(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.Map2M(mem.HugeSize, 512); err != nil {
-		t.Fatal(err)
-	}
-	if got := pt.WalkSteps(0); got != WalkStepsBase {
-		t.Errorf("base WalkSteps = %d", got)
-	}
-	if got := pt.WalkSteps(mem.HugeSize); got != WalkStepsHuge {
-		t.Errorf("huge WalkSteps = %d", got)
-	}
-	if got := pt.WalkSteps(1 << 30); got != WalkStepsBase {
-		t.Errorf("unmapped WalkSteps = %d", got)
-	}
-}
-
 func TestLookupHugeRegion(t *testing.T) {
 	pt := New()
 	if err := pt.Map2M(0, 512); err != nil {

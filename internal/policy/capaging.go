@@ -41,6 +41,7 @@ type CAPaging struct {
 	anchors map[int]uint64 // VMA ID -> anchor frame
 	cursor  int
 	now     uint64
+	runs    []mem.Region // reused FreeRegionsAtLeast buffer
 }
 
 // NewCAPaging returns a CA-paging policy.
@@ -56,14 +57,11 @@ func (c *CAPaging) Name() string { return "ca-paging" }
 // the anchor advanced so that target frames for huge-aligned virtual
 // addresses are huge-aligned.
 func (c *CAPaging) chooseAnchor(L *machine.Layer, v *machine.VMA) (uint64, bool) {
-	regions := L.Buddy.FreeRegions()
-	if len(regions) == 0 {
-		return 0, false
-	}
+	c.runs = L.Buddy.FreeRegionsAtLeast(1, c.runs)
 	want := v.Pages()
 	var best mem.Region
 	found := false
-	for i, r := range regions {
+	for i, r := range c.runs {
 		if i >= c.P.MaxAnchorSearch && found {
 			break
 		}

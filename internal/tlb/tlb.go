@@ -402,6 +402,11 @@ func PackKinds(eff, gk, hk mem.PageSizeKind) uint8 {
 	return uint8(eff) | uint8(gk)<<2 | uint8(hk)<<4
 }
 
+// UnpackKinds returns the three mapping kinds PackKinds packed into meta.
+func UnpackKinds(meta uint8) (eff, gk, hk mem.PageSizeKind) {
+	return mem.PageSizeKind(meta & 3), mem.PageSizeKind(meta >> 2 & 3), mem.PageSizeKind(meta >> 4 & 3)
+}
+
 // AccessNestedBatch performs one nested-mode access per element of
 // the parallel slices (va, gpa, the SetIndexOf-precomputed set index,
 // and the PackKinds-packed mapping kinds, all pre-resolved by the
