@@ -23,13 +23,8 @@ func (p *GuestPolicy) khugepagedPass(L *machine.Layer) {
 	}
 	const utilThreshold = 448
 	budget := p.g.cfg.PromoteBudget
-	var regions []uint64
-	L.Space.ForEachHugeRegion(func(va uint64, v *machine.VMA) bool {
-		if machine.RegionInVMA(va, v) {
-			regions = append(regions, va)
-		}
-		return true
-	})
+	p.regions = L.Space.HugeRegions(p.regions)
+	regions := p.regions
 	if len(regions) == 0 {
 		return
 	}

@@ -52,6 +52,17 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDemoteCollapseCycleZeroAllocs pins the page table's leaf reuse
+// (DESIGN.md §7.6): once a region has been split and collapsed, every
+// later split takes the leaf the collapse let go of, so pressure's
+// demote and re-collapse churn allocates nothing.
+func TestDemoteCollapseCycleZeroAllocs(t *testing.T) {
+	vm, va := demoteCollapseVM()
+	if n := testing.AllocsPerRun(100, func() { demoteCollapse(vm, va) }); n != 0 {
+		t.Fatalf("demote and re-collapse allocated %v allocs/run, want 0", n)
+	}
+}
+
 // TestAccessSteadyStateZeroAllocsStreaming extends the zero-alloc pin
 // to a traced, streaming run: with the flight recorder attached and a
 // live streaming sink, steady-state accesses still allocate nothing.

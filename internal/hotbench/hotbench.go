@@ -5,15 +5,18 @@
 // plus the tick side's structural costs (a TLB region flush, buddy
 // allocation on fragmented memory, a region's fragment-and-recover
 // frees, the fragmenter's release of one region, a compaction that
-// aborts, a region's swap round trip), shared between `go test -bench`
-// and paperbench's -bench-export mode so both always measure the same
-// code with the same names. The suite pins the performance contract
+// aborts, a region's swap round trip, a demote and re-collapse of one
+// huge page), shared between `go test -bench` and paperbench's
+// -bench-export mode so both always measure the same code with the
+// same names. The suite pins the performance contract
 // of DESIGN.md §7: the steady-state access path allocates nothing
 // (TestAccessSteadyStateZeroAllocs) and regressions beyond tolerance
 // against the committed BENCH_hotpath.json baseline fail CI.
 package hotbench
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/buddy"
@@ -53,6 +56,7 @@ func Suite() []Case {
 		{"FragReleaseRegion", benchFragReleaseRegion},
 		{"CompactRegionAbort", benchCompactRegionAbort},
 		{"SwapRegionRoundTrip", benchSwapRegionRoundTrip},
+		{"DemoteCollapseCycle", benchDemoteCollapseCycle},
 	}
 }
 
@@ -241,11 +245,25 @@ func runMicroSweep() {
 // benchMicroSweep measures end-to-end Figure 2 sweeps per second:
 // page draws batched into precomputed address streams and fed to
 // AccessN, keeping the TLB probe and walk-cache loop in cache across a
-// whole request batch.
+// whole request batch. Its allocation count repeats exactly because
+// every sweep starts from the same walk-cache arena pool state. Each
+// cell takes the 4 MiB arena the previous cell put back into machine's
+// sync.Pool, but a pooled object put on one P's private slot is
+// invisible to a Get from another, two collections between a Put and
+// the next Get drop it, and the first Get after each collection
+// allocates the pool's per-P array. So the case runs on one P with
+// the pacer off, runs one untimed sweep first to fill the pool, and
+// starts every timed sweep with one full collection. ns/op includes
+// that collection (marking the live heap, sweeping the previous
+// sweep's garbage) but not the pacer's collections during a sweep.
 func benchMicroSweep(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runMicroSweep()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		runtime.GC()
 		runMicroSweep()
 	}
 }
@@ -470,5 +488,42 @@ func benchSwapRegionRoundTrip(b *testing.B) {
 		if err := L.MapHugeEager(v.Start); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// demoteCollapseVM returns a steady-state VM (warm TLB and walk cache)
+// and the base of its first huge-mapped guest region.
+func demoteCollapseVM() (*machine.VM, uint64) {
+	_, vm, _ := steadyVM(64)
+	var va uint64
+	vm.Guest.Table.ScanHuge(func(m pagetable.Mapping) bool {
+		va = m.VA
+		return false
+	})
+	return vm, va
+}
+
+// demoteCollapse splits the guest huge page at va and collapses it in
+// place again: the demote and re-collapse churn of reclaim under
+// pressure and khugepaged. After the first cycle the split takes the
+// leaf the collapse let go of, so a cycle allocates nothing
+// (TestDemoteCollapseCycleZeroAllocs).
+func demoteCollapse(vm *machine.VM, va uint64) {
+	if err := vm.Guest.Demote(va); err != nil {
+		panic(err)
+	}
+	if err := vm.Guest.PromoteInPlace(va); err != nil {
+		panic(err)
+	}
+}
+
+// benchDemoteCollapseCycle measures one demote and in-place re-collapse
+// of a guest huge page, with its two TLB region flushes.
+func benchDemoteCollapseCycle(b *testing.B) {
+	vm, va := demoteCollapseVM()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		demoteCollapse(vm, va)
 	}
 }

@@ -413,7 +413,7 @@ func (L *Layer) PromoteMigrate(va uint64, targetFrame *uint64) error {
 		}
 		return fmt.Errorf("machine: region %#x not fully inside a VMA", hugeBase)
 	}
-	_, isHuge, present := L.Table.LookupHugeRegion(hugeBase)
+	_, isHuge, _ := L.Table.LookupHugeRegion(hugeBase)
 	if isHuge {
 		return nil
 	}
@@ -431,16 +431,19 @@ func (L *Layer) PromoteMigrate(va uint64, targetFrame *uint64) error {
 		}
 		block = b
 	}
-	// Copy and unmap the present pages.
-	type old struct{ va, frame uint64 }
-	olds := make([]old, 0, present)
+	// Copy and unmap the present pages, scanned into a fixed array as
+	// UnmapVMA does, so the copy list allocates nothing.
+	var buf [mem.PagesPerHuge]pagetable.Mapping
+	n := 0
 	L.Table.ScanRange(hugeBase, hugeBase+mem.HugeSize, func(m pagetable.Mapping) bool {
-		olds = append(olds, old{m.VA, m.Frame})
+		buf[n] = m
+		n++
 		return true
 	})
+	olds := buf[:n]
 	for _, o := range olds {
-		if _, err := L.Table.Unmap4K(o.va); err != nil {
-			panic(fmt.Sprintf("machine: unmap %#x during promotion: %v", o.va, err))
+		if _, err := L.Table.Unmap4K(o.VA); err != nil {
+			panic(fmt.Sprintf("machine: unmap %#x during promotion: %v", o.VA, err))
 		}
 	}
 	if err := L.Table.Map2M(hugeBase, block); err != nil {
@@ -451,7 +454,7 @@ func (L *Layer) PromoteMigrate(va uint64, targetFrame *uint64) error {
 	// the same swap-in before collapsing).
 	L.Stats.BackgroundCycles += L.swapInRegion(hugeBase)
 	for _, o := range olds {
-		L.Buddy.Free(o.frame, 0)
+		L.Buddy.Free(o.Frame, 0)
 	}
 	if L.Trace != nil {
 		L.Trace.Event(trace.EvPromote, hugeBase, block, mem.HugeOrder, uint64(len(olds)), "migrate")
@@ -627,6 +630,7 @@ func (L *Layer) ReclaimUnderPressure(lowWatermarkPages uint64, budget int, keep 
 			continue
 		}
 		base := c.va &^ uint64(mem.HugeSize-1)
+		var n uint64
 		for p := uint64(0); p < mem.PagesPerHuge; p++ {
 			va := base + p*mem.PageSize
 			if L.Table.Accessed(va) {
@@ -637,9 +641,10 @@ func (L *Layer) ReclaimUnderPressure(lowWatermarkPages uint64, budget int, keep 
 				continue
 			}
 			L.Buddy.Free(frame, 0)
-			freed++
+			n++
 		}
-		L.Stats.ReclaimedPages += freed
+		freed += n
+		L.Stats.ReclaimedPages += n
 	}
 	return freed
 }

@@ -58,26 +58,21 @@ func TestVMASpace(t *testing.T) {
 	}
 }
 
-func TestForEachHugeRegion(t *testing.T) {
+func TestHugeRegions(t *testing.T) {
 	s := NewAddressSpace(mem.HugeSize + mem.PageSize) // unaligned start
 	s.MMap(3*mem.HugeSize, 0)
-	var bases []uint64
-	s.ForEachHugeRegion(func(va uint64, v *VMA) bool {
-		bases = append(bases, va)
-		return true
-	})
-	// VMA covers (1 MiB+4K .. +6 MiB): huge regions 1..4 overlap.
-	if len(bases) != 4 {
-		t.Fatalf("huge regions = %v", bases)
+	// The VMA covers [2 MiB+4K, 8 MiB+4K): huge regions 1..4 overlap
+	// it and regions 2 and 3 lie wholly inside it.
+	buf := []uint64{7, 7, 7, 7, 7, 7, 7, 7} // stale contents are dropped
+	bases := s.HugeRegions(buf)
+	if len(bases) != 2 || bases[0] != 2*mem.HugeSize || bases[1] != 3*mem.HugeSize {
+		t.Fatalf("huge regions = %#x", bases)
 	}
-	if bases[0] != mem.HugeSize {
-		t.Fatalf("first region = %#x", bases[0])
+	if &bases[0] != &buf[0] {
+		t.Fatal("listing did not reuse the buffer")
 	}
-	// Early stop.
-	n := 0
-	s.ForEachHugeRegion(func(uint64, *VMA) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early stop visited %d", n)
+	if n := testing.AllocsPerRun(100, func() { bases = s.HugeRegions(bases) }); n != 0 {
+		t.Fatalf("listing into a grown buffer allocated %v times", n)
 	}
 }
 

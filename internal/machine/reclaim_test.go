@@ -72,23 +72,28 @@ func TestReclaimNoopAboveWatermark(t *testing.T) {
 func TestEPTReclaimDropsBloat(t *testing.T) {
 	m := NewMachine(testHostPages, DefaultCosts())
 	vm := m.AddVM(testGuestPages, basePolicy{}, hugePolicy{}, tlb.DefaultConfig())
-	v := vm.Guest.Space.MMap(mem.HugeSize, 0)
-	// One access: the host backs the whole GPA region huge although
-	// only one page is live — 511 pages of bloat.
-	vm.Access(v.Start)
-	if vm.EPT.Table.Mapped2M() != 1 {
-		t.Fatal("setup: no huge EPT backing")
+	v := vm.Guest.Space.MMap(2*mem.HugeSize, 0)
+	// 513 accesses fill guest frames 0..512, so the host backs two GPA
+	// regions huge although only 513 pages are live: 511 pages of bloat.
+	for p := uint64(0); p <= mem.PagesPerHuge; p++ {
+		vm.Access(v.Start + p*mem.PageSize)
 	}
-	for vm.EPT.Heat(0) > 0 {
+	if vm.EPT.Table.Mapped2M() != 2 {
+		t.Fatalf("setup: %d huge EPT backings, want 2", vm.EPT.Table.Mapped2M())
+	}
+	for vm.EPT.Heat(0) > 0 || vm.EPT.Heat(mem.HugeSize) > 0 {
 		vm.EPT.DecayHeat()
 	}
 	hostFree := m.HostBuddy.FreePages()
 	freed := vm.EPT.ReclaimUnderPressure(m.HostBuddy.TotalPages(), 4, nil)
-	if freed == 0 {
-		t.Fatalf("no bloat reclaimed; EPT stats = %+v", vm.EPT.Stats)
+	// A fresh split leaves every page unaccessed, so both demoted
+	// regions are dropped whole, and the stat counts each page once.
+	if freed != 2*mem.PagesPerHuge || vm.EPT.Stats.ReclaimedPages != freed {
+		t.Fatalf("freed %d pages, ReclaimedPages %d, want %d each",
+			freed, vm.EPT.Stats.ReclaimedPages, 2*mem.PagesPerHuge)
 	}
-	if m.HostBuddy.FreePages() <= hostFree {
-		t.Fatal("host memory not recovered")
+	if m.HostBuddy.FreePages() != hostFree+freed {
+		t.Fatalf("host free pages %d, want %d", m.HostBuddy.FreePages(), hostFree+freed)
 	}
 	// The live page must survive: it was accessed before demotion...
 	// demotion resets accessed bits, so the conservative EPT reclaim

@@ -95,16 +95,18 @@ func (s *AddressSpace) Find(va uint64) *VMA {
 // VMAs returns the current areas in creation order.
 func (s *AddressSpace) VMAs() []*VMA { return s.vmas }
 
-// ForEachHugeRegion calls fn with the 2 MiB-aligned base address of
-// every huge region that overlaps any VMA, in ascending order within
-// each VMA. Returning false stops the iteration.
-func (s *AddressSpace) ForEachHugeRegion(fn func(vaBase uint64, v *VMA) bool) {
+// HugeRegions appends to out[:0] the 2 MiB-aligned base address of
+// every huge region that lies wholly inside one VMA, in ascending order
+// within each VMA, and returns it. The policies' daemons list their
+// scan candidates through it every tick into a buffer they keep, so
+// the listing allocates nothing once the buffer has grown.
+func (s *AddressSpace) HugeRegions(out []uint64) []uint64 {
+	out = out[:0]
 	for _, v := range s.vmas {
-		start := v.Start &^ uint64(mem.HugeSize-1)
-		for va := start; va < v.End(); va += mem.HugeSize {
-			if !fn(va, v) {
-				return
-			}
+		start := (v.Start + mem.HugeSize - 1) &^ uint64(mem.HugeSize-1)
+		for va := start; va+mem.HugeSize <= v.End(); va += mem.HugeSize {
+			out = append(out, va)
 		}
 	}
+	return out
 }

@@ -129,6 +129,54 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 	})
 }
 
+// TestWalkCacheSurvivesLeafReuse covers the walk cache against the
+// page table's spare leaves. Region A's translations are cached, A
+// collapses, and region B's split takes A's old leaf, so every cached
+// A entry now holds an accessed-bit ref into B's PTEs. Collapse logged
+// A, so those entries are dead: accessing A afterwards must mark
+// exactly what an uncached twin marks, in both layers, at the same
+// cost.
+func TestWalkCacheSurvivesLeafReuse(t *testing.T) {
+	build := func() *machine.VM {
+		const guestPages = (64 << 20) >> mem.PageShift
+		m := machine.NewMachine(guestPages*2, machine.DefaultCosts())
+		return m.AddVM(guestPages, policy.BaseOnly{}, policy.BaseOnly{}, tlb.DefaultConfig())
+	}
+	cached, ref := build(), build()
+	ref.SetWalkCacheEnabled(false)
+	twins := [2]*machine.VM{cached, ref}
+	var a, b uint64
+	for _, vm := range twins {
+		v := vm.Guest.Space.MMap(2*mem.HugeSize, 0)
+		b, a = v.Start, v.Start+mem.HugeSize
+	}
+	touch := func(hva uint64) {
+		t.Helper()
+		for i := uint64(0); i < mem.PagesPerHuge; i++ {
+			va := hva + i*mem.PageSize
+			if c1, c2 := cached.Access(va), ref.Access(va); c1 != c2 {
+				t.Fatalf("access %#x cost %d cycles cached, %d uncached", va, c1, c2)
+			}
+		}
+	}
+	step := func(what string, op func(vm *machine.VM) error) {
+		t.Helper()
+		for _, vm := range twins {
+			if err := op(vm); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+	}
+	touch(b)
+	step("collapse B", func(vm *machine.VM) error { return vm.Guest.PromoteInPlace(b) })
+	touch(a) // fills the walk cache with A's translations
+	step("collapse A", func(vm *machine.VM) error { return vm.Guest.PromoteInPlace(a) })
+	step("split B", func(vm *machine.VM) error { return vm.Guest.Demote(b) })
+	touch(a)
+	sameTables(t, 0, cached.Guest, ref.Guest)
+	sameTables(t, 0, cached.EPT, ref.EPT)
+}
+
 // sameTables fails the test unless two twin layers hold the same
 // mappings, in the same order, with the same accessed bits.
 func sameTables(t *testing.T, op int, a, b *machine.Layer) {

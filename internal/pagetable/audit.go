@@ -27,7 +27,10 @@ const auditLayer = "pagetable"
 //     of its entries (rmap-region-count);
 //   - the two memos are live: a fresh walk to the memoized leaf's
 //     region reaches that node (leaf-memo), and the memoized reverse
-//     chunk is the map's chunk for its key (rmap-memo).
+//     chunk is the map's chunk for its key (rmap-memo);
+//   - the spare leaves are detached: the stack stays within its
+//     capacity, and no spare is nil, repeated, the leaf memo or
+//     reachable from the root (spare-detached).
 //
 // The traversal reads the tree and the reverse map directly, never
 // through the memos, so a corrupt memo cannot hide itself.
@@ -97,6 +100,50 @@ func (t *Table) CheckInvariants() []audit.Violation {
 	if t.revKey != 0 && t.reverse[t.revKey-1] != t.revLast {
 		vs = append(vs, audit.Violationf(auditLayer, "rmap-memo", (t.revKey-1)<<revChunkBits,
 			"memoized reverse chunk is not the map's chunk %d", t.revKey-1))
+	}
+	return t.auditSpares(vs)
+}
+
+// auditSpares appends the spare-detached violations to vs: a spare
+// that is still in the tree, or is the leaf memo, would hand one node
+// to two regions once it is popped.
+func (t *Table) auditSpares(vs []audit.Violation) []audit.Violation {
+	if t.nSpare < 0 || t.nSpare > spareLeaves {
+		return append(vs, audit.Violationf(auditLayer, "spare-detached", 0,
+			"spare stack holds %d leaves, capacity %d", t.nSpare, spareLeaves))
+	}
+	spares := make(map[*node]bool, t.nSpare)
+	for i, n := range t.spare[:t.nSpare] {
+		switch {
+		case n == nil:
+			vs = append(vs, audit.Violationf(auditLayer, "spare-detached", 0, "spare %d is nil", i))
+		case spares[n]:
+			vs = append(vs, audit.Violationf(auditLayer, "spare-detached", 0, "spare %d is stacked twice", i))
+		case n == t.leaf:
+			vs = append(vs, audit.Violationf(auditLayer, "spare-detached", t.leafKey<<mem.HugeShift,
+				"spare %d is the memoized leaf", i))
+		}
+		spares[n] = true
+	}
+	var visit func(n *node, vaBase uint64, level int)
+	visit = func(n *node, vaBase uint64, level int) {
+		span := uint64(mem.PageSize) << (9 * uint(level))
+		for i, c := range n.children {
+			if c == nil {
+				continue
+			}
+			va := vaBase + uint64(i)*span
+			if spares[c] {
+				vs = append(vs, audit.Violationf(auditLayer, "spare-detached", va,
+					"a spare leaf is reachable from the root at level %d", level-1))
+			}
+			if level > 1 {
+				visit(c, va, level-1)
+			}
+		}
+	}
+	if len(spares) > 0 {
+		visit(t.root, 0, numLevels-1)
 	}
 	return vs
 }

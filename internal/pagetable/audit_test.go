@@ -111,6 +111,32 @@ func TestAuditCatchesWrongChunkMemo(t *testing.T) {
 	expectViolations(t, tb.CheckInvariants(), "rmap-memo")
 }
 
+func TestAuditCatchesAttachedSpare(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(tb *Table)
+	}{
+		// Region 0's live leaf, which is also the leaf memo, stacked as
+		// a spare: Split or the next leaf allocation would hand it to a
+		// second region.
+		{"live-leaf", func(tb *Table) {
+			tb.leaf = nil
+			tb.pushLeaf(tb.freshLeaf(0))
+		}},
+		{"memo", func(tb *Table) {
+			tb.leaf, tb.leafKey = tb.freshLeaf(0), 0
+			tb.pushLeaf(tb.leaf)
+		}},
+		{"over-capacity", func(tb *Table) { tb.nSpare = spareLeaves + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := populatedTable(t)
+			tc.plant(tb)
+			expectViolations(t, tb.CheckInvariants(), "spare-detached")
+		})
+	}
+}
+
 func TestAuditCatchesRegionCountDrift(t *testing.T) {
 	tb := populatedTable(t)
 	// Frames 100..109 sit in output region 0; its count now says one

@@ -17,7 +17,9 @@ import (
 // After every operation the ranged scans, and Lookup, LookupRef and
 // Accessed at the step's addresses, are also checked against ScanAll
 // (checkScans), so every Collapse, Split and Map2M sequence runs
-// through the leaf memo.
+// through the leaf memo. Collapse and Map2M stack the leaves they
+// detach and Split and Map4K reuse them, so right after a Split every
+// page of the region must read unaccessed, as on a new leaf.
 func FuzzPageTableMapUnmap(f *testing.F) {
 	// Seeds: scatter of base maps; full region + collapse + split;
 	// huge map + unmap; remap churn.
@@ -26,6 +28,12 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 	f.Add([]byte{2, 2, 0, 3, 2, 0, 2, 3, 0, 4, 3, 0})
 	f.Add([]byte{7, 4, 0, 6, 0, 8, 6, 1, 8, 1, 0, 8, 5, 4, 0})
 	f.Add([]byte{0, 1, 0, 2, 3, 0, 1, 1, 0, 0, 2, 4}) // Unmap4K empties a leaf
+	// Leaf reuse: a marked region collapses and another region's Split
+	// takes its leaf; a demote/re-collapse cycle of one region; an
+	// emptied leaf that Map2M drops and a later Map4K takes.
+	f.Add([]byte{7, 0, 0, 8, 0, 0, 5, 0, 0, 2, 1, 0, 4, 1, 0, 8, 1, 0})
+	f.Add([]byte{7, 2, 0, 8, 2, 0, 5, 2, 0, 4, 2, 0, 8, 2, 0, 5, 2, 0, 4, 2, 0})
+	f.Add([]byte{0, 0, 0, 8, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 6, 7, 5, 0, 5, 5, 0, 4, 0, 0})
 
 	const regions = 8
 	const pages = regions * mem.PagesPerHuge
@@ -61,7 +69,7 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 		}
 
 		for step := 0; step+2 < len(data); step += 3 {
-			op := data[step] % 8
+			op := data[step] % 9
 			arg := uint64(data[step+1]) | uint64(data[step+2])<<8
 			va := (arg % pages) * mem.PageSize
 			hva := (arg % regions) * mem.HugeSize
@@ -87,7 +95,13 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 				_, _ = tb.Unmap2M(hva)
 				check(step, "Unmap2M", va, hva)
 			case 4: // Split a huge mapping into 512 base PTEs
-				_ = tb.Split(hva)
+				if tb.Split(hva) == nil {
+					for i := uint64(0); i < mem.PagesPerHuge; i++ {
+						if tb.Accessed(hva + i*mem.PageSize) {
+							t.Fatalf("step %d: page %d of split region %#x reads accessed", step, i, hva)
+						}
+					}
+				}
 				check(step, "Split", va, hva)
 			case 5: // Collapse 512 contiguous base PTEs in place
 				_ = tb.Collapse(hva)
@@ -104,6 +118,12 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 					_, _ = tb.Map4K(hva+i*mem.PageSize, base+i)
 				}
 				check(step, "PopulateRegion", va, hva)
+			case 8: // Mark every base page of the region accessed
+				for i := uint64(0); i < mem.PagesPerHuge; i++ {
+					_, _, ref, _ := tb.LookupRef(hva + i*mem.PageSize)
+					ref.Mark()
+				}
+				check(step, "MarkRegion", va, hva)
 			}
 		}
 	})

@@ -121,7 +121,19 @@ type Table struct {
 	// reaches (audit rule "leaf-memo").
 	leaf    *node
 	leafKey uint64
+	// spare holds level-0 nodes that Collapse and Map2M detached, for
+	// Split and the next leaf allocation to reuse instead of allocating
+	// (DESIGN.md §7.6). No spare is reachable from the root or is the
+	// leaf memo (audit rule "spare-detached"); newChild resets the one
+	// it takes to what a new node holds.
+	spare  [spareLeaves]*node
+	nSpare int
 }
+
+// spareLeaves caps the detached leaves a table keeps for reuse. A
+// tick's demotions and re-collapses cycle through a handful of leaves;
+// a full stack lets further detached leaves go to the collector.
+const spareLeaves = 16
 
 // dirtyLogSize is how many distinct regions the destructive-mutation
 // log holds before it saturates. A tick's compaction and reclaim
@@ -151,6 +163,15 @@ type revChunk struct {
 // New returns an empty table.
 func New() *Table {
 	return &Table{root: &node{}, reverse: make(map[uint64]*revChunk)}
+}
+
+// pushLeaf keeps a detached level-0 node for reuse, or drops it when
+// the spare stack is full.
+func (t *Table) pushLeaf(n *node) {
+	if t.nSpare < spareLeaves {
+		t.spare[t.nSpare] = n
+		t.nSpare++
+	}
 }
 
 // Version returns the destructive-mutation counter. Any translation
@@ -331,7 +352,7 @@ func (t *Table) walk(va uint64, targetLevel int, alloc bool) (n *node, blocked b
 			if !alloc {
 				return nil, false
 			}
-			child = &node{}
+			child = t.newChild(level)
 			n.children[idx] = child
 			n.live++
 		}
@@ -341,6 +362,21 @@ func (t *Table) walk(va uint64, targetLevel int, alloc bool) (n *node, blocked b
 		t.leaf, t.leafKey = n, va>>mem.HugeShift
 	}
 	return n, false
+}
+
+// newChild returns an empty node to hang below a node of the given
+// level. Below the PMD level that is a spare leaf when one is kept,
+// reset to exactly what a new node holds: no present entry, frame 0
+// and no accessed bit everywhere, live 0.
+func (t *Table) newChild(level int) *node {
+	if level != hugeLevel || t.nSpare == 0 {
+		return &node{}
+	}
+	t.nSpare--
+	n := t.spare[t.nSpare]
+	t.spare[t.nSpare] = nil
+	*n = node{}
+	return n
 }
 
 // Map4K installs a base mapping from the page containing va to the
@@ -384,10 +420,11 @@ func (t *Table) Map2M(va uint64, frame uint64) error {
 	if pmd.children[idx] != nil && pmd.children[idx].live > 0 {
 		return fmt.Errorf("%w: base mappings exist under %#x", ErrMapped, va)
 	}
-	if pmd.children[idx] != nil {
+	if pt := pmd.children[idx]; pt != nil {
 		pmd.children[idx] = nil
 		pmd.live--
 		t.leaf = nil // the dropped child may be the memoized leaf
+		t.pushLeaf(pt)
 	}
 	pmd.present[idx] = true
 	pmd.huge[idx] = true
@@ -594,6 +631,7 @@ func (t *Table) Collapse(va uint64) error {
 	if pmd.present[idx] && pmd.huge[idx] {
 		return nil // already huge
 	}
+	t.pushLeaf(pmd.children[idx])
 	pmd.children[idx] = nil
 	t.leaf = nil
 	pmd.present[idx] = true
@@ -637,7 +675,7 @@ func (t *Table) Split(va uint64) error {
 		return fmt.Errorf("%w: %#x not huge-mapped", ErrNotMapped, va)
 	}
 	base := pmd.frame[idx]
-	pt := &node{}
+	pt := t.newChild(hugeLevel)
 	for i := 0; i < entriesPerNode; i++ {
 		pt.present[i] = true
 		pt.frame[i] = base + uint64(i)

@@ -474,6 +474,89 @@ func TestCollapseSplitRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpareLeavesComeBackNew checks the spare-leaf stack: Collapse and
+// Map2M stack the leaves they detach, Split and Map4K's walk take them
+// back, and a taken leaf holds exactly what a new node would. The
+// stack keeps at most spareLeaves leaves.
+func TestSpareLeavesComeBackNew(t *testing.T) {
+	pt := New()
+	populate := func(hva, frame uint64, mark bool) {
+		t.Helper()
+		for i := uint64(0); i < mem.PagesPerHuge; i++ {
+			ref, err := pt.Map4K(hva+i*mem.PageSize, frame+i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mark {
+				ref.Mark()
+			}
+		}
+	}
+	// Region 0, every page accessed, collapses; region 1's Split takes
+	// its leaf and must leave no accessed bit behind.
+	populate(0, mem.PagesPerHuge, true)
+	leaf := pt.freshLeaf(0)
+	if err := pt.Collapse(0); err != nil {
+		t.Fatal(err)
+	}
+	if pt.nSpare != 1 || pt.spare[0] != leaf {
+		t.Fatalf("Collapse stacked %d spares, want its leaf", pt.nSpare)
+	}
+	if err := pt.Map2M(mem.HugeSize, 4*mem.PagesPerHuge); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Split(mem.HugeSize); err != nil {
+		t.Fatal(err)
+	}
+	want := &node{live: entriesPerNode}
+	for i := range want.present {
+		want.present[i], want.frame[i] = true, 4*mem.PagesPerHuge+uint64(i)
+	}
+	if pt.nSpare != 0 || pt.freshLeaf(mem.HugeSize) != leaf || *leaf != *want {
+		t.Fatal("Split did not take the spare leaf back as a new one")
+	}
+	// Region 2's leaf, emptied after an access, is dropped by Map2M;
+	// region 3's first Map4K takes it back through the walk.
+	ref, err := pt.Map4K(2*mem.HugeSize+5*mem.PageSize, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Mark()
+	if _, err := pt.Unmap4K(2*mem.HugeSize + 5*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	empty := pt.freshLeaf(2 * mem.HugeSize)
+	if err := pt.Map2M(2*mem.HugeSize, 6*mem.PagesPerHuge); err != nil {
+		t.Fatal(err)
+	}
+	if pt.nSpare != 1 || pt.spare[0] != empty {
+		t.Fatalf("Map2M stacked %d spares, want the dropped leaf", pt.nSpare)
+	}
+	if _, err := pt.Map4K(3*mem.HugeSize+9*mem.PageSize, 8); err != nil {
+		t.Fatal(err)
+	}
+	want = &node{live: 1}
+	want.present[9], want.frame[9] = true, 8
+	if pt.nSpare != 0 || pt.freshLeaf(3*mem.HugeSize) != empty || *empty != *want {
+		t.Fatal("Map4K did not take the spare leaf back as a new one")
+	}
+	// More collapses than the stack holds: the excess leaves are let go.
+	for r := uint64(8); r < 8+spareLeaves+1; r++ {
+		populate(r*mem.HugeSize, 2*r*mem.PagesPerHuge, false)
+	}
+	for r := uint64(8); r < 8+spareLeaves+1; r++ {
+		if err := pt.Collapse(r * mem.HugeSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pt.nSpare != spareLeaves {
+		t.Fatalf("spare stack holds %d leaves, want %d", pt.nSpare, spareLeaves)
+	}
+	if vs := pt.CheckInvariants(); len(vs) != 0 {
+		t.Fatalf("audit: %v", vs)
+	}
+}
+
 func BenchmarkLookup(b *testing.B) {
 	pt := New()
 	for i := uint64(0); i < 1<<14; i++ {

@@ -42,6 +42,7 @@ type CAPaging struct {
 	cursor  int
 	now     uint64
 	runs    []mem.Region // reused FreeRegionsAtLeast buffer
+	regions []uint64     // reused HugeRegions buffer
 }
 
 // NewCAPaging returns a CA-paging policy.
@@ -134,7 +135,8 @@ func (c *CAPaging) Tick(L *machine.Layer) {
 	if c.P.PromotePeriod > 1 && c.now%uint64(c.P.PromotePeriod) != 0 {
 		return
 	}
-	regions := hugeRegions(L)
+	c.regions = L.Space.HugeRegions(c.regions)
+	regions := c.regions
 	if len(regions) == 0 {
 		return
 	}

@@ -87,8 +87,9 @@ func (f *FHPM) request(gvaBase uint64) {
 // background daemon that promotes densely populated regions and
 // reports each promotion to the coordinator.
 type fhpmGuest struct {
-	co     *FHPM
-	cursor int
+	co      *FHPM
+	cursor  int
+	regions []uint64 // reused HugeRegions buffer
 }
 
 // Name implements machine.Policy.
@@ -104,7 +105,8 @@ func (*fhpmGuest) OnFault(*machine.Layer, uint64, *machine.VMA) machine.Decision
 // promote the densely populated ones, and queue them for the host.
 func (g *fhpmGuest) Tick(L *machine.Layer) {
 	p := g.co.P
-	regions := hugeRegions(L)
+	g.regions = L.Space.HugeRegions(g.regions)
+	regions := g.regions
 	if len(regions) == 0 {
 		return
 	}

@@ -42,8 +42,9 @@ func DefaultHawkEyeParams() HawkEyeParams {
 // of copy-on-write refaults — the behaviour behind the Specjbb latency
 // anomaly in §6.2 of the paper.
 type HawkEye struct {
-	P   HawkEyeParams
-	now uint64
+	P       HawkEyeParams
+	now     uint64
+	regions []uint64 // reused HugeRegions buffer
 }
 
 // NewHawkEye returns a HawkEye policy with the given parameters.
@@ -69,7 +70,8 @@ func (h *HawkEye) Tick(L *machine.Layer) {
 	}
 	var cands []cand
 	scanned := 0
-	regions := hugeRegions(L)
+	h.regions = L.Space.HugeRegions(h.regions)
+	regions := h.regions
 	threshold := h.P.UtilThreshold
 	if L.Name == "ept" {
 		// Relative density at the host layer; see the Ingens note.

@@ -35,9 +35,10 @@ func DefaultIngensParams() IngensParams {
 // first-touch latency spikes), promotion only when a region is almost
 // fully utilized (so little memory bloat), performed asynchronously.
 type Ingens struct {
-	P      IngensParams
-	cursor int
-	now    uint64
+	P       IngensParams
+	cursor  int
+	now     uint64
+	regions []uint64 // reused HugeRegions buffer
 }
 
 // NewIngens returns an Ingens policy with the given parameters.
@@ -60,7 +61,8 @@ func (g *Ingens) Tick(L *machine.Layer) {
 	if g.P.PromotePeriod > 1 && g.now%uint64(g.P.PromotePeriod) != 0 {
 		return
 	}
-	regions := hugeRegions(L)
+	g.regions = L.Space.HugeRegions(g.regions)
+	regions := g.regions
 	if len(regions) == 0 {
 		return
 	}

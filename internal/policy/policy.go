@@ -25,19 +25,6 @@ import (
 	"repro/internal/mem"
 )
 
-// hugeRegions lists the base addresses of every 2 MiB region fully
-// contained in one of the layer's VMAs.
-func hugeRegions(L *machine.Layer) []uint64 {
-	var out []uint64
-	L.Space.ForEachHugeRegion(func(va uint64, v *machine.VMA) bool {
-		if machine.RegionInVMA(va, v) {
-			out = append(out, va)
-		}
-		return true
-	})
-	return out
-}
-
 // tryPromote promotes the region at va, preferring the free in-place
 // collapse over migration. Returns true when the region is huge
 // afterwards.

@@ -49,7 +49,8 @@ type THP struct {
 	P        THPParams
 	cursor   int
 	now      uint64
-	deferred int // remaining faults skipping sync allocation
+	deferred int      // remaining faults skipping sync allocation
+	regions  []uint64 // reused HugeRegions buffer
 }
 
 // NewTHP returns a THP policy with the given parameters.
@@ -92,7 +93,8 @@ func (t *THP) Tick(L *machine.Layer) {
 	if t.P.PromotePeriod > 1 && t.now%uint64(t.P.PromotePeriod) != 0 {
 		return
 	}
-	regions := hugeRegions(L)
+	t.regions = L.Space.HugeRegions(t.regions)
+	regions := t.regions
 	if len(regions) == 0 {
 		return
 	}
