@@ -37,7 +37,6 @@ type GuestPolicy struct {
 	bucket   *Bucket
 	contig   *contig.List
 	runs     []mem.Region // reused FreeRegionsAtLeast buffer
-	regions  []uint64     // reused HugeRegions buffer
 	ctl      *TimeoutCtl
 
 	now            uint64

@@ -23,8 +23,7 @@ func (p *GuestPolicy) khugepagedPass(L *machine.Layer) {
 	}
 	const utilThreshold = 448
 	budget := p.g.cfg.PromoteBudget
-	p.regions = L.Space.HugeRegions(p.regions)
-	regions := p.regions
+	regions := L.Space.HugeRegions()
 	if len(regions) == 0 {
 		return
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -60,19 +61,30 @@ func TestVMASpace(t *testing.T) {
 
 func TestHugeRegions(t *testing.T) {
 	s := NewAddressSpace(mem.HugeSize + mem.PageSize) // unaligned start
-	s.MMap(3*mem.HugeSize, 0)
+	a := s.MMap(3*mem.HugeSize, 0)
 	// The VMA covers [2 MiB+4K, 8 MiB+4K): huge regions 1..4 overlap
 	// it and regions 2 and 3 lie wholly inside it.
-	buf := []uint64{7, 7, 7, 7, 7, 7, 7, 7} // stale contents are dropped
-	bases := s.HugeRegions(buf)
-	if len(bases) != 2 || bases[0] != 2*mem.HugeSize || bases[1] != 3*mem.HugeSize {
-		t.Fatalf("huge regions = %#x", bases)
+	if got := s.HugeRegions(); !slices.Equal(got, []uint64{2 * mem.HugeSize, 3 * mem.HugeSize}) {
+		t.Fatalf("huge regions = %#x", got)
 	}
-	if &bases[0] != &buf[0] {
-		t.Fatal("listing did not reuse the buffer")
+	if n := testing.AllocsPerRun(100, func() { s.HugeRegions() }); n != 0 {
+		t.Fatalf("listing allocated %v times", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { bases = s.HugeRegions(bases) }); n != 0 {
-		t.Fatalf("listing into a grown buffer allocated %v times", n)
+	// MMap and Remove rebuild the listing. The second VMA lands after
+	// a 16-region guard gap, at [40 MiB+4K, 44 MiB+4K), which wholly
+	// holds region 21 only; its listing follows the first VMA's, and
+	// removing the first leaves it alone.
+	b := s.MMap(2*mem.HugeSize, 0)
+	if b.Start != 20*mem.HugeSize+mem.PageSize {
+		t.Fatalf("second VMA at %#x", b.Start)
+	}
+	bRegions := []uint64{21 * mem.HugeSize}
+	if got := s.HugeRegions(); !slices.Equal(got, append([]uint64{2 * mem.HugeSize, 3 * mem.HugeSize}, bRegions...)) {
+		t.Fatalf("after a second MMap: huge regions = %#x", got)
+	}
+	s.Remove(a)
+	if got := s.HugeRegions(); !slices.Equal(got, bRegions) {
+		t.Fatalf("after Remove: huge regions = %#x, want %#x", got, bRegions)
 	}
 }
 

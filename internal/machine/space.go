@@ -35,7 +35,11 @@ func (v *VMA) String() string {
 // placement policy. Guest processes get one; the EPT layer gets a
 // synthetic space with a single VMA spanning guest physical memory.
 type AddressSpace struct {
-	vmas   []*VMA
+	vmas []*VMA
+	// huge is the HugeRegions listing; stale marks it out of date
+	// after an MMap or Remove.
+	huge   []uint64
+	stale  bool
 	nextID int
 	// next is the bump pointer for MMap placement.
 	next uint64
@@ -65,6 +69,7 @@ func (s *AddressSpace) MMap(bytes uint64, offsetPages uint64) *VMA {
 	// Leave an unmapped guard gap so adjacent VMAs never share a huge
 	// region, as with real mmap randomization.
 	s.next = start + length + 16*mem.HugeSize
+	s.stale = true
 	if s.OnMMap != nil {
 		s.OnMMap(v)
 	}
@@ -77,6 +82,7 @@ func (s *AddressSpace) Remove(v *VMA) {
 	for i, x := range s.vmas {
 		if x == v {
 			s.vmas = append(s.vmas[:i], s.vmas[i+1:]...)
+			s.stale = true
 			return
 		}
 	}
@@ -95,18 +101,28 @@ func (s *AddressSpace) Find(va uint64) *VMA {
 // VMAs returns the current areas in creation order.
 func (s *AddressSpace) VMAs() []*VMA { return s.vmas }
 
-// HugeRegions appends to out[:0] the 2 MiB-aligned base address of
-// every huge region that lies wholly inside one VMA, in ascending order
-// within each VMA, and returns it. The policies' daemons list their
-// scan candidates through it every tick into a buffer they keep, so
-// the listing allocates nothing once the buffer has grown.
-func (s *AddressSpace) HugeRegions(out []uint64) []uint64 {
-	out = out[:0]
+// HugeRegions returns the 2 MiB-aligned base address of every huge
+// region that lies wholly inside one VMA, in ascending order within
+// each VMA. The policies' daemons list their scan candidates through
+// it every tick. The listing depends only on the VMAs, so the space
+// keeps it, and the first call after an MMap or Remove rebuilds it in
+// place (a space no daemon scans never builds it). The slice is
+// read-only, and valid until the next MMap or Remove.
+func (s *AddressSpace) HugeRegions() []uint64 {
+	if s.stale {
+		s.relist()
+	}
+	return s.huge
+}
+
+// relist rebuilds the HugeRegions listing from the VMAs.
+func (s *AddressSpace) relist() {
+	s.stale = false
+	s.huge = s.huge[:0]
 	for _, v := range s.vmas {
 		start := (v.Start + mem.HugeSize - 1) &^ uint64(mem.HugeSize-1)
 		for va := start; va+mem.HugeSize <= v.End(); va += mem.HugeSize {
-			out = append(out, va)
+			s.huge = append(s.huge, va)
 		}
 	}
-	return out
 }

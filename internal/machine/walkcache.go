@@ -81,6 +81,10 @@ type wcEntry struct {
 	// is the TLB entry kind under the §2.2 alignment rule, so AccessN
 	// stages one byte per access instead of three kind slices.
 	meta uint8
+	// The fields take 45 bytes. Padding to 64 keeps every entry of the
+	// array on one cache line; 48-byte entries would straddle two
+	// lines on every fourth probe.
+	_ [19]byte
 }
 
 // walkCache is a per-VM direct-mapped cache of resolved translations.

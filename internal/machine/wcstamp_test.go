@@ -13,8 +13,8 @@ import (
 // a probe into the randomly indexed entry array costs one memory access
 // per line it touches.
 func TestWalkCacheEntryIs64Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(wcEntry{}); n > 64 {
-		t.Fatalf("wcEntry is %d bytes, want at most 64", n)
+	if n := unsafe.Sizeof(wcEntry{}); n != 64 {
+		t.Fatalf("wcEntry is %d bytes, want 64", n)
 	}
 }
 

@@ -11,9 +11,12 @@ const auditLayer = "pagetable"
 // CheckInvariants recomputes the table's invariants from a full
 // traversal and reports every discrepancy:
 //
-//   - structural soundness: leaves only at the PTE and PMD levels,
-//     huge flags only on PMD leaves, per-node live counters matching
-//     the entries actually present;
+//   - PTE words hold only the bits the model uses (pte-flags): a word
+//     that is not present is 0, so A is never set without P; PS is set
+//     exactly on present PMD words and never in a leaf; no other flag
+//     bit is set;
+//   - per-node live counters match the entries actually present, and
+//     each PMD's per-leaf counts match their leaves (live-count);
 //   - partition: a huge leaf and base mappings never cover the same
 //     2 MiB input region, so every mapped address has exactly one
 //     translation;
@@ -26,8 +29,9 @@ const auditLayer = "pagetable"
 //   - each 2 MiB output region's reverse-entry count equals a recount
 //     of its entries (rmap-region-count);
 //   - the two memos are live: a fresh walk to the memoized leaf's
-//     region reaches that node (leaf-memo), and the memoized reverse
-//     chunk is the map's chunk for its key (rmap-memo);
+//     region reaches that leaf and its count (leaf-memo), and the
+//     memoized reverse chunk is the map's chunk for its key
+//     (rmap-memo);
 //   - the spare leaves are detached: the stack stays within its
 //     capacity, and no spare is nil, repeated, the leaf memo or
 //     reachable from the root (spare-detached).
@@ -35,30 +39,39 @@ const auditLayer = "pagetable"
 // The traversal reads the tree and the reverse map directly, never
 // through the memos, so a corrupt memo cannot hide itself.
 func (t *Table) CheckInvariants() []audit.Violation {
-	var vs []audit.Violation
-	var n4k, n2m uint64
-	baseFrames := make(map[uint64]uint64, t.mapped4K) // frame -> va
-	hugeBlocks := make(map[uint64]uint64)             // frame block -> va
-	t.auditNode(t.root, 0, numLevels-1, &vs, &n4k, &n2m, baseFrames, hugeBlocks)
-
-	if n4k != t.mapped4K {
-		vs = append(vs, audit.Violationf(auditLayer, "counter-recount", 0,
-			"table holds %d base mappings but mapped4K says %d", n4k, t.mapped4K))
+	a := tableAudit{
+		baseFrames: make(map[uint64]uint64, t.mapped4K),
+		hugeBlocks: make(map[uint64]uint64),
 	}
-	if n2m != t.mapped2M {
+	dirLive(&a, t.root, 0, 3)
+	eachDir(t.root, 0, pudSpan, 0, ^uint64(0), func(pud *dir[pmd], va uint64) bool {
+		dirLive(&a, pud, va, 2)
+		return true
+	})
+	t.eachPMD(0, ^uint64(0), func(p *pmd, va uint64) bool {
+		a.auditPMD(p, va)
+		return true
+	})
+	vs := a.vs
+
+	if a.n4k != t.mapped4K {
 		vs = append(vs, audit.Violationf(auditLayer, "counter-recount", 0,
-			"table holds %d huge mappings but mapped2M says %d", n2m, t.mapped2M))
+			"table holds %d base mappings but mapped4K says %d", a.n4k, t.mapped4K))
+	}
+	if a.n2m != t.mapped2M {
+		vs = append(vs, audit.Violationf(auditLayer, "counter-recount", 0,
+			"table holds %d huge mappings but mapped2M says %d", a.n2m, t.mapped2M))
 	}
 	// Base frames inside huge blocks: the same output frame would be
 	// reachable through two translations.
-	for f, va := range baseFrames {
-		if hva, ok := hugeBlocks[f&^uint64(mem.PagesPerHuge-1)]; ok {
+	for f, va := range a.baseFrames {
+		if hva, ok := a.hugeBlocks[f&^uint64(mem.PagesPerHuge-1)]; ok {
 			vs = append(vs, audit.Violationf(auditLayer, "frame-double-mapped", f,
 				"frame of base mapping %#x also covered by huge mapping %#x", va, hva))
 		}
 	}
 	// rmap exact inverse of the forward base mappings.
-	for f, va := range baseFrames {
+	for f, va := range a.baseFrames {
 		var rva uint64
 		ok := false
 		if c := t.reverse[f>>revChunkBits]; c != nil && c.va[f&(1<<revChunkBits-1)] != 0 {
@@ -80,7 +93,7 @@ func (t *Table) CheckInvariants() []audit.Violation {
 			}
 			n[i/mem.PagesPerHuge]++
 			f := hi<<revChunkBits | uint64(i)
-			if _, ok := baseFrames[f]; !ok {
+			if _, ok := a.baseFrames[f]; !ok {
 				vs = append(vs, audit.Violationf(auditLayer, "rmap-inverse", f,
 					"reverse entry -> %#x has no live base mapping", v-1))
 			}
@@ -93,149 +106,168 @@ func (t *Table) CheckInvariants() []audit.Violation {
 			}
 		}
 	}
-	if t.leaf != nil && t.freshLeaf(t.leafKey<<mem.HugeShift) != t.leaf {
-		vs = append(vs, audit.Violationf(auditLayer, "leaf-memo", t.leafKey<<mem.HugeShift,
-			"memoized leaf is not the node a fresh walk of its region reaches"))
+	if t.leaf != nil {
+		if l, live := t.freshLeaf(t.leafKey << mem.HugeShift); l != t.leaf || live != t.leafLive {
+			vs = append(vs, audit.Violationf(auditLayer, "leaf-memo", t.leafKey<<mem.HugeShift,
+				"memoized leaf or count is not what a fresh walk of its region reaches"))
+		}
 	}
-	if t.revKey != 0 && t.reverse[t.revKey-1] != t.revLast {
-		vs = append(vs, audit.Violationf(auditLayer, "rmap-memo", (t.revKey-1)<<revChunkBits,
-			"memoized reverse chunk is not the map's chunk %d", t.revKey-1))
+	if t.revKey != noChunk && t.reverse[t.revKey] != t.revLast {
+		vs = append(vs, audit.Violationf(auditLayer, "rmap-memo", t.revKey<<revChunkBits,
+			"memoized reverse chunk is not the map's chunk %d", t.revKey))
 	}
 	return t.auditSpares(vs)
 }
 
 // auditSpares appends the spare-detached violations to vs: a spare
-// that is still in the tree, or is the leaf memo, would hand one node
+// that is still in the tree, or is the leaf memo, would hand one leaf
 // to two regions once it is popped.
 func (t *Table) auditSpares(vs []audit.Violation) []audit.Violation {
 	if t.nSpare < 0 || t.nSpare > spareLeaves {
 		return append(vs, audit.Violationf(auditLayer, "spare-detached", 0,
 			"spare stack holds %d leaves, capacity %d", t.nSpare, spareLeaves))
 	}
-	spares := make(map[*node]bool, t.nSpare)
-	for i, n := range t.spare[:t.nSpare] {
+	spares := make(map[*leaf]bool, t.nSpare)
+	for i, l := range t.spare[:t.nSpare] {
 		switch {
-		case n == nil:
+		case l == nil:
 			vs = append(vs, audit.Violationf(auditLayer, "spare-detached", 0, "spare %d is nil", i))
-		case spares[n]:
+		case spares[l]:
 			vs = append(vs, audit.Violationf(auditLayer, "spare-detached", 0, "spare %d is stacked twice", i))
-		case n == t.leaf:
+		case l == t.leaf:
 			vs = append(vs, audit.Violationf(auditLayer, "spare-detached", t.leafKey<<mem.HugeShift,
 				"spare %d is the memoized leaf", i))
 		}
-		spares[n] = true
+		spares[l] = true
 	}
-	var visit func(n *node, vaBase uint64, level int)
-	visit = func(n *node, vaBase uint64, level int) {
-		span := uint64(mem.PageSize) << (9 * uint(level))
-		for i, c := range n.children {
-			if c == nil {
-				continue
-			}
-			va := vaBase + uint64(i)*span
-			if spares[c] {
-				vs = append(vs, audit.Violationf(auditLayer, "spare-detached", va,
-					"a spare leaf is reachable from the root at level %d", level-1))
-			}
-			if level > 1 {
-				visit(c, va, level-1)
+	if len(spares) == 0 {
+		return vs
+	}
+	t.eachPMD(0, ^uint64(0), func(p *pmd, pva uint64) bool {
+		for i, l := range p.leaves {
+			if spares[l] {
+				vs = append(vs, audit.Violationf(auditLayer, "spare-detached", pva+uint64(i)*mem.HugeSize,
+					"a spare leaf is reachable from the root"))
 			}
 		}
-	}
-	if len(spares) > 0 {
-		visit(t.root, 0, numLevels-1)
-	}
+		return true
+	})
 	return vs
 }
 
-// freshLeaf walks from the root, bypassing the leaf memo, to the
-// level-0 node of the region containing va. Nil when the region has
+// freshLeaf walks from the root, bypassing the leaf memo, to the leaf
+// of the region containing va and its count. Nil when the region has
 // none or is huge-mapped.
-func (t *Table) freshLeaf(va uint64) *node {
-	n := t.root
-	for level := numLevels - 1; level > 0 && n != nil; level-- {
-		idx := index(va, level)
-		if level == hugeLevel && n.present[idx] && n.huge[idx] {
-			return nil
-		}
-		n = n.children[idx]
+func (t *Table) freshLeaf(va uint64) (*leaf, *uint16) {
+	p := t.pmdAt(va)
+	if p == nil {
+		return nil, nil
 	}
-	return n
+	i := index(va, hugeLevel)
+	if hugeWord(p.words[i]) || p.leaves[i] == nil {
+		return nil, nil
+	}
+	return p.leaves[i], &p.leafLive[i]
 }
 
-// auditNode recursively validates one radix node and accumulates leaf
-// counts and output-frame usage.
-func (t *Table) auditNode(n *node, vaBase uint64, level int, vs *[]audit.Violation,
-	n4k, n2m *uint64, baseFrames, hugeBlocks map[uint64]uint64) {
-	span := uint64(mem.PageSize) << (9 * uint(level))
+// tableAudit accumulates one CheckInvariants traversal: violations,
+// mapping counts and output-frame usage.
+type tableAudit struct {
+	vs         []audit.Violation
+	n4k, n2m   uint64
+	baseFrames map[uint64]uint64 // frame -> va
+	hugeBlocks map[uint64]uint64 // frame block -> va
+}
+
+func (a *tableAudit) add(invariant string, key uint64, format string, args ...any) {
+	a.vs = append(a.vs, audit.Violationf(auditLayer, invariant, key, format, args...))
+}
+
+// dirLive checks a PGD or PUD node's live counter against its children.
+func dirLive[T any](a *tableAudit, d *dir[T], va uint64, level int) {
+	n := 0
+	for _, c := range d.children {
+		if c != nil {
+			n++
+		}
+	}
+	if n != d.live {
+		a.add("live-count", va, "level-%d node holds %d live entries but counter says %d", level, n, d.live)
+	}
+}
+
+// auditPMD validates one PMD node and the leaves below it.
+func (a *tableAudit) auditPMD(p *pmd, vaBase uint64) {
 	live := 0
-	for i := 0; i < entriesPerNode; i++ {
-		va := vaBase + uint64(i)*span
-		if n.children[i] != nil {
-			live++
-		}
-		if n.present[i] {
-			live++
-		}
+	for i, w := range p.words {
+		va := vaBase + uint64(i)*mem.HugeSize
 		switch {
-		case level == 0:
-			if n.children[i] != nil {
-				*vs = append(*vs, audit.Violationf(auditLayer, "leaf-structure", va,
-					"PTE-level node has a child pointer"))
-			}
-			if !n.present[i] {
-				continue
-			}
-			if n.huge[i] {
-				*vs = append(*vs, audit.Violationf(auditLayer, "leaf-structure", va,
-					"huge flag set on a PTE-level entry"))
-			}
-			*n4k++
-			f := n.frame[i]
-			if prev, dup := baseFrames[f]; dup {
-				*vs = append(*vs, audit.Violationf(auditLayer, "frame-double-mapped", f,
-					"frame mapped by both %#x and %#x", prev, va))
-			} else {
-				baseFrames[f] = va
-			}
-		case level == hugeLevel:
-			if n.present[i] {
-				if !n.huge[i] {
-					*vs = append(*vs, audit.Violationf(auditLayer, "leaf-structure", va,
-						"present PMD entry without huge flag"))
-				}
-				*n2m++
-				f := n.frame[i]
-				if f%mem.PagesPerHuge != 0 {
-					*vs = append(*vs, audit.Violationf(auditLayer, "huge-alignment", va,
-						"huge leaf frame %#x not 512-aligned", f))
-				}
-				if prev, dup := hugeBlocks[f]; dup {
-					*vs = append(*vs, audit.Violationf(auditLayer, "frame-double-mapped", f,
-						"huge block mapped by both %#x and %#x", prev, va))
-				} else {
-					hugeBlocks[f] = va
-				}
-				if c := n.children[i]; c != nil && c.live > 0 {
-					*vs = append(*vs, audit.Violationf(auditLayer, "partition", va,
-						"huge leaf coexists with %d base mappings under it", c.live))
-				}
-			}
-			if c := n.children[i]; c != nil {
-				t.auditNode(c, va, level-1, vs, n4k, n2m, baseFrames, hugeBlocks)
-			}
-		default:
-			if n.present[i] || n.huge[i] {
-				*vs = append(*vs, audit.Violationf(auditLayer, "leaf-structure", va,
-					"leaf flags set above the PMD level"))
-			}
-			if c := n.children[i]; c != nil {
-				t.auditNode(c, va, level-1, vs, n4k, n2m, baseFrames, hugeBlocks)
-			}
+		case w == 0:
+		case w&pteP == 0:
+			a.add("pte-flags", va, "PMD word %#x is not present but not 0", w)
+		case w&ptePS == 0:
+			a.add("pte-flags", va, "present PMD word %#x without PS: a PMD maps leaves by pointer", w)
+		case w&flagBits&^pteHuge != 0:
+			a.add("pte-flags", va, "PMD word %#x sets flag bits beyond P and PS", w)
+		}
+		n := 0
+		if l := p.leaves[i]; l != nil {
+			live++
+			n = a.auditLeaf(l, va)
+		}
+		if n != int(p.leafLive[i]) {
+			a.add("live-count", va, "leaf holds %d live entries but its PMD count says %d", n, p.leafLive[i])
+		}
+		if !hugeWord(w) {
+			continue
+		}
+		live++
+		a.n2m++
+		f := w >> frameShift
+		if f%mem.PagesPerHuge != 0 {
+			a.add("huge-alignment", va, "huge leaf frame %#x not 512-aligned", f)
+		}
+		if prev, dup := a.hugeBlocks[f]; dup {
+			a.add("frame-double-mapped", f, "huge block mapped by both %#x and %#x", prev, va)
+		} else {
+			a.hugeBlocks[f] = va
+		}
+		if n > 0 {
+			a.add("partition", va, "huge leaf coexists with %d base mappings under it", n)
 		}
 	}
-	if live != n.live {
-		*vs = append(*vs, audit.Violationf(auditLayer, "live-count", vaBase,
-			"level-%d node holds %d live entries but counter says %d", level, live, n.live))
+	if live != p.live {
+		a.add("live-count", vaBase, "level-1 node holds %d live entries but counter says %d", live, p.live)
 	}
+}
+
+// auditLeaf validates one leaf's words and returns how many are present.
+func (a *tableAudit) auditLeaf(l *leaf, vaBase uint64) int {
+	n := 0
+	for i, w := range l {
+		va := vaBase + uint64(i)*mem.PageSize
+		switch {
+		case w == 0:
+			continue
+		case w&pteP == 0 && w&pteA != 0:
+			a.add("pte-flags", va, "PTE word %#x has A set but is not present", w)
+			continue
+		case w&pteP == 0:
+			a.add("pte-flags", va, "PTE word %#x is not present but not 0", w)
+			continue
+		case w&ptePS != 0:
+			a.add("pte-flags", va, "PS set in PTE word %#x: only PMD words map 2 MiB", w)
+		case w&flagBits&^(pteP|pteA) != 0:
+			a.add("pte-flags", va, "PTE word %#x sets flag bits beyond P and A", w)
+		}
+		n++
+		a.n4k++
+		f := w >> frameShift
+		if prev, dup := a.baseFrames[f]; dup {
+			a.add("frame-double-mapped", f, "frame mapped by both %#x and %#x", prev, va)
+		} else {
+			a.baseFrames[f] = va
+		}
+	}
+	return n
 }

@@ -62,28 +62,27 @@ func TestAuditCatchesCounterDrift(t *testing.T) {
 
 func TestAuditCatchesMisalignedHugeLeaf(t *testing.T) {
 	tb := populatedTable(t)
-	pmd, _ := tb.walk(4*mem.HugeSize, hugeLevel, false)
+	pmd := tb.pmdAt(4 * mem.HugeSize)
 	if pmd == nil {
 		t.Fatal("PMD for the huge mapping not found")
 	}
-	pmd.frame[index(4*mem.HugeSize, hugeLevel)] = 2*mem.PagesPerHuge + 1
+	pmd.words[index(4*mem.HugeSize, hugeLevel)] = (2*mem.PagesPerHuge+1)<<frameShift | pteHuge
 	expectViolations(t, tb.CheckInvariants(), "huge-alignment")
 }
 
 func TestAuditCatchesPartitionViolation(t *testing.T) {
 	tb := populatedTable(t)
-	// Graft a live PTE node under the huge leaf: the region now has
-	// two translations for the same addresses.
-	pmd, _ := tb.walk(4*mem.HugeSize, hugeLevel, false)
+	// Graft a live leaf under the huge leaf: the region now has two
+	// translations for the same addresses.
+	pmd := tb.pmdAt(4 * mem.HugeSize)
 	if pmd == nil {
 		t.Fatal("PMD for the huge mapping not found")
 	}
-	pte := &node{}
-	pte.present[0] = true
-	pte.frame[0] = 500
-	pte.live = 1
+	pte := &leaf{}
+	pte[0] = 500<<frameShift | pteP
 	idx := index(4*mem.HugeSize, hugeLevel)
-	pmd.children[idx] = pte
+	pmd.leaves[idx] = pte
+	pmd.leafLive[idx] = 1
 	pmd.live++
 	expectViolations(t, tb.CheckInvariants(),
 		"partition", "counter-recount", "rmap-inverse")
@@ -95,11 +94,45 @@ func TestAuditCatchesLiveCountDrift(t *testing.T) {
 	expectViolations(t, tb.CheckInvariants(), "live-count")
 }
 
+func TestAuditCatchesLeafCountDrift(t *testing.T) {
+	tb := populatedTable(t)
+	// Region 0's leaf holds 10 base pages; its count in the PMD says 11,
+	// so Map2M would refuse the region and MHPS would misread it.
+	_, live := tb.freshLeaf(0)
+	*live++
+	expectViolations(t, tb.CheckInvariants(), "live-count")
+}
+
+// TestAuditCatchesBadPTEFlags plants each PTE word the model never
+// writes. A stray A bit on a word that is not present is what a mark
+// through a stale AccessRef leaves, and a reused leaf would carry it.
+func TestAuditCatchesBadPTEFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(l *leaf, pmd *pmd)
+	}{
+		{"accessed-not-present", func(l *leaf, _ *pmd) { l[20] = pteA }},
+		{"frame-not-present", func(l *leaf, _ *pmd) { l[20] = 77 << frameShift }},
+		{"ps-in-leaf", func(l *leaf, _ *pmd) { l[3] |= ptePS }},
+		{"reserved-in-leaf", func(l *leaf, _ *pmd) { l[3] |= 1 << 1 }},
+		{"pmd-without-ps", func(_ *leaf, pmd *pmd) { pmd.words[9] = 8*mem.PagesPerHuge<<frameShift | pteP }},
+		{"pmd-not-present", func(_ *leaf, pmd *pmd) { pmd.words[9] = ptePS }},
+		{"accessed-in-pmd", func(_ *leaf, pmd *pmd) { pmd.words[4] |= pteA }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := populatedTable(t)
+			l, _ := tb.freshLeaf(0)
+			tc.plant(l, tb.pmdAt(0))
+			expectViolations(t, tb.CheckInvariants(), "pte-flags")
+		})
+	}
+}
+
 func TestAuditCatchesDetachedLeafMemo(t *testing.T) {
 	tb := populatedTable(t)
 	// A leaf node no walk reaches, memoized for the mapped region 0:
 	// lookups there would read its empty entries.
-	tb.leaf, tb.leafKey = &node{}, 0
+	tb.leaf, tb.leafKey = &leaf{}, 0
 	expectViolations(t, tb.CheckInvariants(), "leaf-memo")
 }
 
@@ -107,7 +140,7 @@ func TestAuditCatchesWrongChunkMemo(t *testing.T) {
 	tb := populatedTable(t)
 	// A chunk the map does not hold, memoized for the chunk of frames
 	// 100..109: reverse lookups there would miss.
-	tb.revLast, tb.revKey = new(revChunk), 100>>revChunkBits+1
+	tb.revLast, tb.revKey = new(revChunk), 100>>revChunkBits
 	expectViolations(t, tb.CheckInvariants(), "rmap-memo")
 }
 
@@ -121,10 +154,12 @@ func TestAuditCatchesAttachedSpare(t *testing.T) {
 		// second region.
 		{"live-leaf", func(tb *Table) {
 			tb.leaf = nil
-			tb.pushLeaf(tb.freshLeaf(0))
+			l, _ := tb.freshLeaf(0)
+			tb.pushLeaf(l)
 		}},
 		{"memo", func(tb *Table) {
-			tb.leaf, tb.leafKey = tb.freshLeaf(0), 0
+			tb.leaf, tb.leafLive = tb.freshLeaf(0)
+			tb.leafKey = 0
 			tb.pushLeaf(tb.leaf)
 		}},
 		{"over-capacity", func(tb *Table) { tb.nSpare = spareLeaves + 1 }},

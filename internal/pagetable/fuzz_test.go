@@ -20,6 +20,14 @@ import (
 // through the leaf memo. Collapse and Map2M stack the leaves they
 // detach and Split and Map4K reuse them, so right after a Split every
 // page of the region must read unaccessed, as on a new leaf.
+//
+// The fuzzer also keeps its own model of every mapping (frame and
+// accessed bit of each base page, frame of each huge page), predicts
+// whether each operation succeeds, and after every operation reads the
+// raw PTE words of the step's addresses and of its whole 2 MiB region
+// straight from the tree (checkWords): each must equal the word the
+// model implies, bit for bit, so a lost frame bit or an accessed bit
+// left in a reused word fails at the step that made it.
 func FuzzPageTableMapUnmap(f *testing.F) {
 	// Seeds: scatter of base maps; full region + collapse + split;
 	// huge map + unmap; remap churn.
@@ -34,6 +42,9 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 8, 0, 0, 5, 0, 0, 2, 1, 0, 4, 1, 0, 8, 1, 0})
 	f.Add([]byte{7, 2, 0, 8, 2, 0, 5, 2, 0, 4, 2, 0, 8, 2, 0, 5, 2, 0, 4, 2, 0})
 	f.Add([]byte{0, 0, 0, 8, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 6, 7, 5, 0, 5, 5, 0, 4, 0, 0})
+	// A collapsed region's full, marked leaf taken by a Map4K in a
+	// fresh region: every other word of the reused leaf must read 0.
+	f.Add([]byte{7, 0, 0, 8, 0, 0, 5, 0, 0, 0, 3, 2})
 
 	const regions = 8
 	const pages = regions * mem.PagesPerHuge
@@ -43,6 +54,7 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 			data = data[:3*1024]
 		}
 		tb := New()
+		m := newModel()
 		nextFrame := uint64(1 << 30) // base frames: always fresh
 		nextHuge := uint64(1 << 40)  // huge-aligned frames: always fresh
 		takeHuge := func() uint64 {
@@ -65,7 +77,18 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 			if x%5 == 0 {
 				end = start + x%mem.PageSize
 			}
+			checkWords(t, tb, m, step, op, hva, va, start)
 			checkScans(t, tb, start, end, int(x%7), va, hva, start)
+			// checkScans marked each of those pages through its ref.
+			m.mark(va)
+			m.mark(hva)
+			m.mark(start)
+		}
+		expect := func(step int, op string, err error, want bool) {
+			t.Helper()
+			if (err == nil) != want {
+				t.Fatalf("step %d (%s): err %v, model predicted success %v", step, op, err, want)
+			}
 		}
 
 		for step := 0; step+2 < len(data); step += 3 {
@@ -75,7 +98,11 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 			hva := (arg % regions) * mem.HugeSize
 			switch op {
 			case 0: // Map4K with a fresh frame; its ref marks the new PTE
-				if ref, err := tb.Map4K(va, nextFrame); err == nil {
+				ok := m.canMap4K(va)
+				ref, err := tb.Map4K(va, nextFrame)
+				expect(step, "Map4K", err, ok)
+				if err == nil {
+					m.base[va] = modelPTE{frame: nextFrame, accessed: true}
 					nextFrame++
 					ref.Mark()
 					if !tb.Accessed(va) {
@@ -84,19 +111,34 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 				}
 				check(step, "Map4K", va, hva)
 			case 1: // Unmap4K
-				_, _ = tb.Unmap4K(va)
+				_, ok := m.base[va]
+				_, err := tb.Unmap4K(va)
+				expect(step, "Unmap4K", err, ok)
+				delete(m.base, va)
 				check(step, "Unmap4K", va, hva)
 			case 2: // Map2M with a fresh aligned frame
-				if err := tb.Map2M(hva, nextHuge); err == nil {
+				ok := m.canMap2M(hva)
+				err := tb.Map2M(hva, nextHuge)
+				expect(step, "Map2M", err, ok)
+				if err == nil {
+					m.huge[hva] = nextHuge
 					nextHuge += mem.PagesPerHuge
 				}
 				check(step, "Map2M", va, hva)
 			case 3: // Unmap2M
-				_, _ = tb.Unmap2M(hva)
+				_, ok := m.huge[hva]
+				_, err := tb.Unmap2M(hva)
+				expect(step, "Unmap2M", err, ok)
+				delete(m.huge, hva)
 				check(step, "Unmap2M", va, hva)
 			case 4: // Split a huge mapping into 512 base PTEs
-				if tb.Split(hva) == nil {
+				h, ok := m.huge[hva]
+				err := tb.Split(hva)
+				expect(step, "Split", err, ok)
+				if err == nil {
+					delete(m.huge, hva)
 					for i := uint64(0); i < mem.PagesPerHuge; i++ {
+						m.base[hva+i*mem.PageSize] = modelPTE{frame: h + i}
 						if tb.Accessed(hva + i*mem.PageSize) {
 							t.Fatalf("step %d: page %d of split region %#x reads accessed", step, i, hva)
 						}
@@ -104,10 +146,22 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 				}
 				check(step, "Split", va, hva)
 			case 5: // Collapse 512 contiguous base PTEs in place
-				_ = tb.Collapse(hva)
+				h, ok := m.collapsible(hva)
+				err := tb.Collapse(hva)
+				expect(step, "Collapse", err, ok)
+				if _, huge := m.huge[hva]; err == nil && !huge {
+					for i := uint64(0); i < mem.PagesPerHuge; i++ {
+						delete(m.base, hva+i*mem.PageSize)
+					}
+					m.huge[hva] = h
+				}
 				check(step, "Collapse", va, hva)
 			case 6: // Remap4K (migration) to a fresh frame
-				if _, err := tb.Remap4K(va, nextFrame); err == nil {
+				e, ok := m.base[va]
+				_, err := tb.Remap4K(va, nextFrame)
+				expect(step, "Remap4K", err, ok)
+				if err == nil {
+					m.base[va] = modelPTE{frame: nextFrame, accessed: e.accessed}
 					nextFrame++
 				}
 				check(step, "Remap4K", va, hva)
@@ -115,18 +169,151 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 				// a later Collapse can succeed.
 				base := takeHuge()
 				for i := uint64(0); i < mem.PagesPerHuge; i++ {
-					_, _ = tb.Map4K(hva+i*mem.PageSize, base+i)
+					pva := hva + i*mem.PageSize
+					ok := m.canMap4K(pva)
+					_, err := tb.Map4K(pva, base+i)
+					expect(step, "PopulateRegion", err, ok)
+					if err == nil {
+						m.base[pva] = modelPTE{frame: base + i}
+					}
 				}
 				check(step, "PopulateRegion", va, hva)
 			case 8: // Mark every base page of the region accessed
 				for i := uint64(0); i < mem.PagesPerHuge; i++ {
 					_, _, ref, _ := tb.LookupRef(hva + i*mem.PageSize)
 					ref.Mark()
+					m.mark(hva + i*mem.PageSize)
 				}
 				check(step, "MarkRegion", va, hva)
 			}
 		}
 	})
+}
+
+// modelPTE is the fuzzer's view of one base mapping.
+type modelPTE struct {
+	frame    uint64
+	accessed bool
+}
+
+// model is the fuzzer's reference page table: base mappings by page
+// address and huge mappings by region address.
+type model struct {
+	base map[uint64]modelPTE
+	huge map[uint64]uint64
+}
+
+func newModel() *model {
+	return &model{base: make(map[uint64]modelPTE), huge: make(map[uint64]uint64)}
+}
+
+func regionOf(va uint64) uint64 { return va &^ (mem.HugeSize - 1) }
+
+// canMap4K reports whether Map4K at the page va must succeed.
+func (m *model) canMap4K(va uint64) bool {
+	_, huge := m.huge[regionOf(va)]
+	_, base := m.base[va]
+	return !huge && !base
+}
+
+// canMap2M reports whether Map2M at the region hva must succeed: it is
+// neither huge-mapped nor holding a base page.
+func (m *model) canMap2M(hva uint64) bool {
+	if _, huge := m.huge[hva]; huge {
+		return false
+	}
+	for i := uint64(0); i < mem.PagesPerHuge; i++ {
+		if _, ok := m.base[hva+i*mem.PageSize]; ok {
+			return false
+		}
+	}
+	return true
+}
+
+// collapsible reports whether Collapse at hva must succeed, and the
+// huge frame the region then maps: it is already huge, or all 512
+// pages map frame h+i for a 512-aligned h.
+func (m *model) collapsible(hva uint64) (h uint64, ok bool) {
+	if h, huge := m.huge[hva]; huge {
+		return h, true
+	}
+	first, ok := m.base[hva]
+	if !ok || first.frame%mem.PagesPerHuge != 0 {
+		return 0, false
+	}
+	for i := uint64(1); i < mem.PagesPerHuge; i++ {
+		if e, ok := m.base[hva+i*mem.PageSize]; !ok || e.frame != first.frame+i {
+			return 0, false
+		}
+	}
+	return first.frame, true
+}
+
+// mark records an accessed-bit mark at va's page, a no-op unless it is
+// base-mapped.
+func (m *model) mark(va uint64) {
+	pva := va &^ (mem.PageSize - 1)
+	if e, ok := m.base[pva]; ok {
+		e.accessed = true
+		m.base[pva] = e
+	}
+}
+
+// word returns the PTE word the model implies for va's page and its
+// level: the PMD word for a huge mapping, else the leaf word (0 when
+// unmapped).
+func (m *model) word(va uint64) (w uint64, level int) {
+	if h, ok := m.huge[regionOf(va)]; ok {
+		return h<<frameShift | pteP | ptePS, hugeLevel
+	}
+	e, ok := m.base[va&^(mem.PageSize-1)]
+	if !ok {
+		return 0, 0
+	}
+	w = e.frame<<frameShift | pteP
+	if e.accessed {
+		w |= pteA
+	}
+	return w, 0
+}
+
+// treeWord reads the PTE word translating va's page straight from the
+// tree, bypassing the leaf memo: the PMD word when it is huge, else
+// the leaf word (0 when there is no leaf).
+func treeWord(tb *Table, va uint64) (w uint64, level int) {
+	p := tb.pmdAt(va)
+	if p == nil {
+		return 0, 0
+	}
+	i := index(va, hugeLevel)
+	if w := p.words[i]; w != 0 {
+		return w, hugeLevel
+	}
+	if l := p.leaves[i]; l != nil {
+		return l[index(va, 0)], 0
+	}
+	return 0, 0
+}
+
+// checkWords compares the raw PTE words of the given pages and of every
+// page of hva's region with the model, decoding both on a mismatch.
+func checkWords(t *testing.T, tb *Table, m *model, step int, op string, hva uint64, vas ...uint64) {
+	t.Helper()
+	one := func(va uint64) {
+		got, gl := treeWord(tb, va)
+		want, wl := m.word(va)
+		if got != want || gl != wl {
+			t.Fatalf("step %d (%s): word at %#x is %#x at level %d (frame %#x, P %v, A %v, PS %v), model says %#x at level %d (frame %#x, P %v, A %v, PS %v)",
+				step, op, va, got, gl, got>>frameShift, got&pteP != 0, got&pteA != 0, got&ptePS != 0,
+				want, wl, want>>frameShift, want&pteP != 0, want&pteA != 0, want&ptePS != 0)
+		}
+	}
+	for _, va := range vas {
+		one(va)
+	}
+	for i := uint64(0); i < mem.PagesPerHuge; i++ {
+		one(hva + i*mem.PageSize)
+	}
 }
 
 // collect gathers a scan's mappings, stopping it after limit mappings

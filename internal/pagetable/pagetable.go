@@ -16,13 +16,15 @@
 //     find huge pages at each layer (§4).
 //
 // Addresses are uint64 byte addresses within a 48-bit space, as on
-// x86-64 with four 9-bit index levels below the page offset.
+// x86-64 with four 9-bit index levels below the page offset. Leaf
+// entries are x86-64 PTE words: the output frame in bits 12-63 beside
+// the present, accessed and page-size bits.
 //
 // See DESIGN.md §7 (performance model) for the dirty-region log that
 // invalidates machine-level walk caches, the AccessRef fast path for
 // accessed-bit updates, and the chunked reverse map with its
-// per-region counts, and DESIGN.md §7.6 for the leaf and reverse-chunk
-// memos.
+// per-region counts, and DESIGN.md §7.6 for the PTE word layout and
+// the leaf and reverse-chunk memos.
 package pagetable
 
 import (
@@ -32,14 +34,33 @@ import (
 	"repro/internal/mem"
 )
 
-// Radix geometry: each level indexes 9 bits.
+// Radix geometry: each level indexes 9 bits. Level 3 is the root
+// (PGD) and level 2 the PUD; both hold child pointers only. Level 1
+// (PMD) entries are 2 MiB leaf words or pointers to level-0 leaves of
+// 4 KiB PTE words.
 const (
 	entriesPerNode = 512
-	// Levels of the radix tree. Level 3 is the root (PGD), level 0
-	// holds 4 KiB PTEs. Level 1 (PMD) entries may be huge leaves.
-	numLevels = 4
-	hugeLevel = 1
+	hugeLevel      = 1
 )
+
+// PTE word layout, at the x86-64 bit positions. A word that is not
+// present is 0, so a new leaf is all-zero. The model uses none of the
+// hardware's other flag, protection-key or NX bits, which leaves the
+// frame field bits 12-63.
+const (
+	pteP  = 1 << 0 // present
+	pteA  = 1 << 5 // accessed (set by AccessRef.Mark)
+	ptePS = 1 << 7 // page size: a 2 MiB leaf, only in PMD words
+
+	frameShift = mem.PageShift
+	flagBits   = 1<<frameShift - 1
+	pteHuge    = pteP | ptePS
+	// maxFrame is the largest output frame a PTE word holds.
+	maxFrame = 1<<(64-frameShift) - 1
+)
+
+// hugeWord reports whether a PMD word maps a 2 MiB page.
+func hugeWord(w uint64) bool { return w&pteHuge == pteHuge }
 
 // Errors returned by table operations.
 var (
@@ -48,6 +69,7 @@ var (
 	ErrMisaligned     = errors.New("pagetable: address not aligned for operation")
 	ErrNotCollapsible = errors.New("pagetable: region not contiguous/complete for in-place collapse")
 	ErrWrongSize      = errors.New("pagetable: mapping has different page size")
+	ErrFrameRange     = errors.New("pagetable: frame beyond the PTE frame field")
 )
 
 // Mapping describes one translation discovered by a scan or lookup.
@@ -60,22 +82,32 @@ type Mapping struct {
 	Kind mem.PageSizeKind
 }
 
-// node is one radix level: 512 entries that are either child pointers
-// (interior) or leaves.
-type node struct {
-	children [entriesPerNode]*node
-	// leaf entries; meaningful only at levels 0 (base) and 1 (huge).
-	present  [entriesPerNode]bool
-	huge     [entriesPerNode]bool
-	accessed [entriesPerNode]bool
-	frame    [entriesPerNode]uint64
-	// live counts present leaves or non-nil children for fast pruning.
-	live int
+// leaf is a level-0 page-table page: 512 PTE words and no pointers, so
+// the collector allocates it in a noscan size class and never scans
+// it. Its live count lives in the parent PMD.
+type leaf [entriesPerNode]uint64
+
+// pmd is a level-1 node. Entry i is either a huge PTE word or a leaf,
+// never both with a live entry (audit rule "partition"). leafLive[i]
+// counts the present words of leaves[i], 0 when there is none; live
+// counts huge words plus non-nil leaves.
+type pmd struct {
+	leaves   [entriesPerNode]*leaf
+	words    [entriesPerNode]uint64
+	leafLive [entriesPerNode]uint16
+	live     int
+}
+
+// dir is a PGD or PUD node: child pointers and a count of the non-nil
+// ones.
+type dir[T any] struct {
+	children [entriesPerNode]*T
+	live     int
 }
 
 // Table is a 4-level page table. The zero value is not usable; call New.
 type Table struct {
-	root     *node
+	root     *dir[dir[pmd]]
 	mapped4K uint64
 	mapped2M uint64
 	// version counts destructive mutations: operations that remove or
@@ -105,28 +137,30 @@ type Table struct {
 	// an impossible frame-indexed flat array.
 	reverse map[uint64]*revChunk
 	// revLast memoizes the chunk the last reverse-map operation used,
-	// keyed by revKey (chunk index + 1; 0 means none). Fault paths and
+	// keyed by revKey (its chunk index; noChunk means none). Fault paths and
 	// compaction touch runs of neighbouring frames, so most updates
 	// skip the map probe. Chunks are never removed, so the memo cannot
 	// go stale.
 	revLast *revChunk
 	revKey  uint64
-	// leaf memoizes the level-0 node of the 2 MiB input region leafKey
-	// (va >> HugeShift) that the last base-page walk reached; nil means
-	// none. Consecutive walks inside one region (ascending first-touch
-	// runs, a region's swap-out, compaction loops) then skip the top
-	// three levels. Every operation that changes a PMD child pointer
-	// under an existing entry (Map2M dropping an empty child, Collapse,
-	// Split) clears it, so the memo is always the node a fresh walk
-	// reaches (audit rule "leaf-memo").
-	leaf    *node
-	leafKey uint64
-	// spare holds level-0 nodes that Collapse and Map2M detached, for
-	// Split and the next leaf allocation to reuse instead of allocating
+	// leaf memoizes the leaf of the 2 MiB input region leafKey
+	// (va >> HugeShift) that the last base-page walk reached, and
+	// leafLive its count in the parent PMD; leaf nil means none.
+	// Consecutive walks inside one region (ascending first-touch runs,
+	// a region's swap-out, compaction loops) then skip the top three
+	// levels. Every operation that changes a PMD leaf pointer under an
+	// existing entry (Map2M dropping an empty leaf, Collapse, Split)
+	// clears it, so the memo is always the leaf a fresh walk reaches
+	// (audit rule "leaf-memo").
+	leaf     *leaf
+	leafLive *uint16
+	leafKey  uint64
+	// spare holds leaves that Collapse and Map2M detached, for Split
+	// and the next leaf allocation to reuse instead of allocating
 	// (DESIGN.md §7.6). No spare is reachable from the root or is the
-	// leaf memo (audit rule "spare-detached"); newChild resets the one
-	// it takes to what a new node holds.
-	spare  [spareLeaves]*node
+	// leaf memo (audit rule "spare-detached"); newLeaf zeroes the one
+	// it takes, which makes it exactly a new leaf.
+	spare  [spareLeaves]*leaf
 	nSpare int
 }
 
@@ -140,6 +174,10 @@ const spareLeaves = 16
 // touch a few dozen regions; a workload restart or a large unmap
 // saturates it, which costs one whole-cache flush.
 const dirtyLogSize = 128
+
+// noChunk is the revKey of an empty chunk memo. Frames stay below
+// 2^52, so no chunk index reaches it.
+const noChunk = ^uint64(0)
 
 // revChunkBits sizes reverse-map chunks: 2^12 frames (16 MiB of
 // mapped memory) per chunk.
@@ -162,16 +200,29 @@ type revChunk struct {
 
 // New returns an empty table.
 func New() *Table {
-	return &Table{root: &node{}, reverse: make(map[uint64]*revChunk)}
+	return &Table{root: new(dir[dir[pmd]]), reverse: make(map[uint64]*revChunk), revKey: noChunk}
 }
 
-// pushLeaf keeps a detached level-0 node for reuse, or drops it when
-// the spare stack is full.
-func (t *Table) pushLeaf(n *node) {
+// pushLeaf keeps a detached leaf for reuse, or drops it when the spare
+// stack is full.
+func (t *Table) pushLeaf(l *leaf) {
 	if t.nSpare < spareLeaves {
-		t.spare[t.nSpare] = n
+		t.spare[t.nSpare] = l
 		t.nSpare++
 	}
+}
+
+// newLeaf returns an all-zero leaf: a spare when one is kept, cleared,
+// or a new one.
+func (t *Table) newLeaf() *leaf {
+	if t.nSpare == 0 {
+		return new(leaf)
+	}
+	t.nSpare--
+	l := t.spare[t.nSpare]
+	t.spare[t.nSpare] = nil
+	*l = leaf{}
+	return l
 }
 
 // Version returns the destructive-mutation counter. Any translation
@@ -262,25 +313,36 @@ func (t *Table) ReverseLookup(frame uint64) (uint64, bool) {
 // through the revLast memo, creating the chunk when create is set (nil
 // when it is absent and create is not).
 func (t *Table) revChunkOf(frame uint64, create bool) *revChunk {
-	key := frame>>revChunkBits + 1
+	key := frame >> revChunkBits
 	if key == t.revKey {
 		return t.revLast
 	}
-	c := t.reverse[key-1]
+	c := t.reverse[key]
 	if c == nil {
 		if !create {
 			return nil
 		}
 		c = &revChunk{va: new([1 << revChunkBits]uint64)}
-		t.reverse[key-1] = c
+		t.reverse[key] = c
 	}
 	t.revLast, t.revKey = c, key
 	return c
 }
 
-// reverseSet records frame -> va.
+// reverseSet records frame -> va. It and reverseClear run on every
+// Map4K, Unmap4K and Remap4K, and spell out revChunkOf's memo probe
+// instead of calling it: that keeps each within the compiler's inlining
+// budget (go build -gcflags=-m=2), so the fault path pays no call.
 func (t *Table) reverseSet(frame, va uint64) {
-	c, i := t.revChunkOf(frame, true), frame&(1<<revChunkBits-1)
+	c := t.revLast
+	if k := frame >> revChunkBits; k != t.revKey {
+		if c = t.reverse[k]; c == nil {
+			c = &revChunk{va: new([1 << revChunkBits]uint64)}
+			t.reverse[k] = c
+		}
+		t.revLast, t.revKey = c, k
+	}
+	i := frame & (1<<revChunkBits - 1)
 	if c.va[i] == 0 {
 		c.n[i/mem.PagesPerHuge]++
 	}
@@ -311,7 +373,14 @@ func (t *Table) reverseRegion(base, hva uint64, set bool) {
 
 // reverseClear removes the frame's reverse entry if present.
 func (t *Table) reverseClear(frame uint64) {
-	if c, i := t.revChunkOf(frame, false), frame&(1<<revChunkBits-1); c != nil && c.va[i] != 0 {
+	c := t.revLast
+	if k := frame >> revChunkBits; k != t.revKey {
+		if c = t.reverse[k]; c == nil {
+			return
+		}
+		t.revLast, t.revKey = c, k
+	}
+	if i := frame & (1<<revChunkBits - 1); c.va[i] != 0 {
 		c.va[i] = 0
 		c.n[i/mem.PagesPerHuge]--
 	}
@@ -333,70 +402,59 @@ func index(va uint64, level int) int {
 	return int(va >> (mem.PageShift + 9*uint(level)) & (entriesPerNode - 1))
 }
 
-// walk descends to the node at the target level, optionally allocating
-// missing interior nodes. Returns nil if absent and alloc is false, or
-// if a huge leaf blocks the descent (blocked is then true). Base-page
-// walks go through the leaf memo.
-func (t *Table) walk(va uint64, targetLevel int, alloc bool) (n *node, blocked bool) {
-	if targetLevel == 0 && t.leaf != nil && va>>mem.HugeShift == t.leafKey {
-		return t.leaf, false
+// child returns d's child i, first hanging a new one there when it is
+// absent.
+func child[T any](d *dir[T], i int) *T {
+	if d.children[i] == nil {
+		d.children[i] = new(T)
+		d.live++
 	}
-	n = t.root
-	for level := numLevels - 1; level > targetLevel; level-- {
-		idx := index(va, level)
-		if level == hugeLevel && n.present[idx] && n.huge[idx] {
-			return nil, true
-		}
-		child := n.children[idx]
-		if child == nil {
-			if !alloc {
-				return nil, false
-			}
-			child = t.newChild(level)
-			n.children[idx] = child
-			n.live++
-		}
-		n = child
-	}
-	if targetLevel == 0 {
-		t.leaf, t.leafKey = n, va>>mem.HugeShift
-	}
-	return n, false
+	return d.children[i]
 }
 
-// newChild returns an empty node to hang below a node of the given
-// level. Below the PMD level that is a spare leaf when one is kept,
-// reset to exactly what a new node holds: no present entry, frame 0
-// and no accessed bit everywhere, live 0.
-func (t *Table) newChild(level int) *node {
-	if level != hugeLevel || t.nSpare == 0 {
-		return &node{}
+// pmdFor returns the PMD node covering va, allocating missing PUD and
+// PMD nodes.
+func (t *Table) pmdFor(va uint64) *pmd {
+	return child(child(t.root, index(va, 3)), index(va, 2))
+}
+
+// pmdAt returns the PMD node covering va, or nil when there is none.
+func (t *Table) pmdAt(va uint64) *pmd {
+	if pud := t.root.children[index(va, 3)]; pud != nil {
+		return pud.children[index(va, 2)]
 	}
-	t.nSpare--
-	n := t.spare[t.nSpare]
-	t.spare[t.nSpare] = nil
-	*n = node{}
-	return n
+	return nil
 }
 
 // Map4K installs a base mapping from the page containing va to the
 // given output frame and returns the AccessRef of the entry it wrote.
+// Base-page walks go through the leaf memo.
 func (t *Table) Map4K(va uint64, frame uint64) (AccessRef, error) {
-	pte, blocked := t.walk(va, 0, true)
-	if blocked {
-		return AccessRef{}, fmt.Errorf("%w: huge mapping covers %#x", ErrMapped, va)
+	if frame > maxFrame {
+		return AccessRef{}, fmt.Errorf("%w: %#x", ErrFrameRange, frame)
 	}
-	idx := index(va, 0)
-	if pte.present[idx] {
+	l, live := t.leaf, t.leafLive
+	if key := va >> mem.HugeShift; l == nil || key != t.leafKey {
+		p, i := t.pmdFor(va), index(va, hugeLevel)
+		if hugeWord(p.words[i]) {
+			return AccessRef{}, fmt.Errorf("%w: huge mapping covers %#x", ErrMapped, va)
+		}
+		if p.leaves[i] == nil {
+			p.leaves[i] = t.newLeaf()
+			p.live++
+		}
+		l, live = p.leaves[i], &p.leafLive[i]
+		t.leaf, t.leafLive, t.leafKey = l, live, key
+	}
+	w := &l[index(va, 0)]
+	if *w&pteP != 0 {
 		return AccessRef{}, fmt.Errorf("%w: %#x", ErrMapped, va)
 	}
-	pte.present[idx] = true
-	pte.accessed[idx] = false
-	pte.frame[idx] = frame
-	pte.live++
+	*w = frame<<frameShift | pteP
+	*live++
 	t.mapped4K++
 	t.reverseSet(frame, va&^(mem.PageSize-1))
-	return AccessRef{bits: &pte.accessed, idx: int32(idx)}, nil
+	return AccessRef{w}, nil
 }
 
 // Map2M installs a huge mapping. va must be 2 MiB aligned and frame
@@ -409,27 +467,24 @@ func (t *Table) Map2M(va uint64, frame uint64) error {
 	if frame%mem.PagesPerHuge != 0 {
 		return fmt.Errorf("%w: frame %#x", ErrMisaligned, frame)
 	}
-	pmd, blocked := t.walk(va, hugeLevel, true)
-	if blocked {
-		return fmt.Errorf("%w: huge mapping covers %#x", ErrMapped, va)
+	if frame > maxFrame {
+		return fmt.Errorf("%w: %#x", ErrFrameRange, frame)
 	}
-	idx := index(va, hugeLevel)
-	if pmd.present[idx] {
+	p, i := t.pmdFor(va), index(va, hugeLevel)
+	if hugeWord(p.words[i]) {
 		return fmt.Errorf("%w: %#x already huge-mapped", ErrMapped, va)
 	}
-	if pmd.children[idx] != nil && pmd.children[idx].live > 0 {
+	if p.leafLive[i] > 0 {
 		return fmt.Errorf("%w: base mappings exist under %#x", ErrMapped, va)
 	}
-	if pt := pmd.children[idx]; pt != nil {
-		pmd.children[idx] = nil
-		pmd.live--
-		t.leaf = nil // the dropped child may be the memoized leaf
-		t.pushLeaf(pt)
+	if l := p.leaves[i]; l != nil {
+		p.leaves[i] = nil
+		p.live--
+		t.leaf = nil // the dropped leaf may be the memoized one
+		t.pushLeaf(l)
 	}
-	pmd.present[idx] = true
-	pmd.huge[idx] = true
-	pmd.frame[idx] = frame
-	pmd.live++
+	p.words[i] = frame<<frameShift | pteHuge
+	p.live++
 	t.mapped2M++
 	return nil
 }
@@ -437,57 +492,56 @@ func (t *Table) Map2M(va uint64, frame uint64) error {
 // Lookup translates va. It returns the output 4 KiB frame for the page
 // containing va, the mapping kind, and whether a mapping exists.
 func (t *Table) Lookup(va uint64) (frame uint64, kind mem.PageSizeKind, ok bool) {
-	n, _, frame, kind := t.entry(va)
-	return frame, kind, n != nil
+	w, _, frame, kind := t.entry(va)
+	return frame, kind, w != nil
 }
 
-// entry finds the leaf entry translating va: the node holding it, its
-// index there, the output frame of va's page, and the mapping kind (a
-// PMD entry for huge mappings, a PTE otherwise). n is nil, and frame
-// 0, when va is unmapped. Base-page lookups go through the leaf memo
-// and refresh it. Every translation path shares this one descent, and
-// its callers are small enough to inline, so a lookup costs one call.
-func (t *Table) entry(va uint64) (n *node, idx int, frame uint64, kind mem.PageSizeKind) {
-	key := va >> mem.HugeShift
-	if n = t.leaf; n == nil || key != t.leafKey {
-		n = t.root
-		for level := numLevels - 1; level > hugeLevel; level-- {
-			if n = n.children[index(va, level)]; n == nil {
-				return nil, 0, 0, mem.Base
-			}
+// entry finds the PTE word translating va: the word (a PMD word for
+// huge mappings, a leaf word otherwise), the live count of a base
+// word's leaf (nil for huge), the output frame of va's page, and the
+// mapping kind. w is nil, and frame 0, when va is unmapped. Base-page
+// lookups go through the leaf memo and refresh it. Every translation
+// path shares this one descent, and its callers are small enough to
+// inline, so a lookup costs one call.
+func (t *Table) entry(va uint64) (w *uint64, live *uint16, frame uint64, kind mem.PageSizeKind) {
+	l, live := t.leaf, t.leafLive
+	if key := va >> mem.HugeShift; l == nil || key != t.leafKey {
+		p := t.pmdAt(va)
+		if p == nil {
+			return nil, nil, 0, mem.Base
 		}
-		idx = index(va, hugeLevel)
-		if n.present[idx] && n.huge[idx] {
-			return n, idx, n.frame[idx] + va>>mem.PageShift&(mem.PagesPerHuge-1), mem.Huge
+		i := index(va, hugeLevel)
+		if w = &p.words[i]; hugeWord(*w) {
+			return w, nil, *w>>frameShift + va>>mem.PageShift&(mem.PagesPerHuge-1), mem.Huge
 		}
-		if n = n.children[idx]; n == nil {
-			return nil, 0, 0, mem.Base
+		if l = p.leaves[i]; l == nil {
+			return nil, nil, 0, mem.Base
 		}
-		t.leaf, t.leafKey = n, key
+		live = &p.leafLive[i]
+		t.leaf, t.leafLive, t.leafKey = l, live, key
 	}
-	if idx = index(va, 0); !n.present[idx] {
-		return nil, 0, 0, mem.Base
+	if w = &l[index(va, 0)]; *w&pteP == 0 {
+		return nil, nil, 0, mem.Base
 	}
-	return n, idx, n.frame[idx], mem.Base
+	return w, live, *w >> frameShift, mem.Base
 }
 
-// AccessRef is a stable reference to one base PTE's accessed bit,
-// letting a caller that already walked to the leaf set the bit again
+// AccessRef is a stable reference to one base PTE word, letting a
+// caller that already walked to the leaf set its accessed bit again
 // without re-walking the radix tree. LookupRef and Map4K hand them
 // out. A reference is only meaningful while Version() is unchanged
 // from the call that produced it: any destructive mutation may have
-// detached the node it points into. The zero AccessRef (returned for
+// detached the leaf it points into. The zero AccessRef (returned for
 // huge mappings, whose translated accesses set no base-PTE bit) is a
 // valid no-op.
 type AccessRef struct {
-	bits *[entriesPerNode]bool
-	idx  int32
+	w *uint64
 }
 
-// Mark sets the referenced accessed bit; no-op for the zero ref.
+// Mark sets the referenced word's accessed bit; no-op for the zero ref.
 func (r AccessRef) Mark() {
-	if r.bits != nil {
-		r.bits[r.idx] = true
+	if r.w != nil {
+		*r.w |= pteA
 	}
 }
 
@@ -495,30 +549,26 @@ func (r AccessRef) Mark() {
 // AccessRef for the mapping's accessed bit (the zero ref for huge
 // mappings). The ref is valid until the table's Version changes.
 func (t *Table) LookupRef(va uint64) (frame uint64, kind mem.PageSizeKind, ref AccessRef, ok bool) {
-	n, idx, frame, kind := t.entry(va)
-	if n != nil && kind == mem.Base {
-		ref = AccessRef{bits: &n.accessed, idx: int32(idx)}
+	w, _, frame, kind := t.entry(va)
+	if kind == mem.Base {
+		ref.w = w
 	}
-	return frame, kind, ref, n != nil
+	return frame, kind, ref, w != nil
 }
 
 // LookupHugeRegion reports on the 2 MiB region containing va: whether
 // it is mapped huge (and its huge frame base), or how many base pages
 // are mapped within it.
 func (t *Table) LookupHugeRegion(va uint64) (hugeFrame uint64, isHuge bool, basePages int) {
-	pmd, _ := t.walk(va, hugeLevel, false)
-	if pmd == nil {
+	p := t.pmdAt(va)
+	if p == nil {
 		return 0, false, 0
 	}
-	idx := index(va, hugeLevel)
-	if pmd.present[idx] && pmd.huge[idx] {
-		return pmd.frame[idx], true, 0
+	i := index(va, hugeLevel)
+	if w := p.words[i]; hugeWord(w) {
+		return w >> frameShift, true, 0
 	}
-	pt := pmd.children[idx]
-	if pt == nil {
-		return 0, false, 0
-	}
-	return 0, false, pt.live
+	return 0, false, int(p.leafLive[i])
 }
 
 // Unmap4K removes the base mapping for the page containing va and
@@ -527,16 +577,15 @@ func (t *Table) LookupHugeRegion(va uint64) (hugeFrame uint64, isHuge bool, base
 // reclaim probes unmapped pages routinely and discards the error, so
 // the miss must not allocate. Callers that report one add va.
 func (t *Table) Unmap4K(va uint64) (uint64, error) {
-	pte, idx, frame, kind := t.entry(va)
+	w, live, frame, kind := t.entry(va)
 	if kind == mem.Huge {
 		return 0, ErrWrongSize
 	}
-	if pte == nil {
+	if w == nil {
 		return 0, ErrNotMapped
 	}
-	pte.present[idx] = false
-	pte.frame[idx] = 0
-	pte.live--
+	*w = 0
+	*live--
 	t.mapped4K--
 	t.mutated(va)
 	t.reverseClear(frame)
@@ -547,22 +596,20 @@ func (t *Table) Unmap4K(va uint64) (uint64, error) {
 // and returns its huge frame base.
 func (t *Table) Unmap2M(va uint64) (uint64, error) {
 	hva := va &^ uint64(mem.HugeSize-1)
-	pmd, _ := t.walk(hva, hugeLevel, false)
-	if pmd == nil {
+	p := t.pmdAt(hva)
+	if p == nil {
 		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
 	}
-	idx := index(hva, hugeLevel)
-	if !pmd.present[idx] || !pmd.huge[idx] {
+	i := index(hva, hugeLevel)
+	w := p.words[i]
+	if !hugeWord(w) {
 		return 0, fmt.Errorf("%w: %#x not huge-mapped", ErrNotMapped, va)
 	}
-	frame := pmd.frame[idx]
-	pmd.present[idx] = false
-	pmd.huge[idx] = false
-	pmd.frame[idx] = 0
-	pmd.live--
+	p.words[i] = 0
+	p.live--
 	t.mapped2M--
 	t.mutated(hva)
-	return frame, nil
+	return w >> frameShift, nil
 }
 
 // CollapseInfo describes the promotability of one 2 MiB region.
@@ -582,33 +629,33 @@ type CollapseInfo struct {
 // promotability.
 func (t *Table) InspectCollapse(va uint64) CollapseInfo {
 	hva := va &^ uint64(mem.HugeSize-1)
-	pmd, _ := t.walk(hva, hugeLevel, false)
-	if pmd == nil {
+	p := t.pmdAt(hva)
+	if p == nil {
 		return CollapseInfo{Contiguous: true}
 	}
-	idx := index(hva, hugeLevel)
-	if pmd.present[idx] && pmd.huge[idx] {
-		return CollapseInfo{Present: mem.PagesPerHuge, Contiguous: true, Frame: pmd.frame[idx]}
+	i := index(hva, hugeLevel)
+	if w := p.words[i]; hugeWord(w) {
+		return CollapseInfo{Present: mem.PagesPerHuge, Contiguous: true, Frame: w >> frameShift}
 	}
-	pt := pmd.children[idx]
-	if pt == nil || pt.live == 0 {
+	if p.leafLive[i] == 0 {
 		return CollapseInfo{Contiguous: true}
 	}
-	info := CollapseInfo{Present: pt.live, Contiguous: true}
+	info := CollapseInfo{Present: int(p.leafLive[i]), Contiguous: true}
 	var base uint64
 	haveBase := false
-	for i := 0; i < entriesPerNode; i++ {
-		if !pt.present[i] {
+	for j, w := range p.leaves[i] {
+		if w&pteP == 0 {
 			continue
 		}
-		want := pt.frame[i] - uint64(i)
+		f := w >> frameShift
+		want := f - uint64(j)
 		if !haveBase {
 			base = want
 			haveBase = true
-			if base%mem.PagesPerHuge != 0 || pt.frame[i] < uint64(i) {
+			if base%mem.PagesPerHuge != 0 || f < uint64(j) {
 				info.Contiguous = false
 			}
-		} else if want != base || pt.frame[i] < uint64(i) {
+		} else if want != base || f < uint64(j) {
 			info.Contiguous = false
 		}
 	}
@@ -626,18 +673,16 @@ func (t *Table) Collapse(va uint64) error {
 			ErrNotCollapsible, info.Present, info.Contiguous)
 	}
 	hva := va &^ uint64(mem.HugeSize-1)
-	pmd, _ := t.walk(hva, hugeLevel, false)
-	idx := index(hva, hugeLevel)
-	if pmd.present[idx] && pmd.huge[idx] {
+	p, i := t.pmdAt(hva), index(hva, hugeLevel)
+	if hugeWord(p.words[i]) {
 		return nil // already huge
 	}
-	t.pushLeaf(pmd.children[idx])
-	pmd.children[idx] = nil
+	t.pushLeaf(p.leaves[i])
+	p.leaves[i] = nil
+	p.leafLive[i] = 0
 	t.leaf = nil
-	pmd.present[idx] = true
-	pmd.huge[idx] = true
-	pmd.frame[idx] = info.Frame
-	// live: child pointer replaced by leaf -> net 0 change for pmd.
+	// live: leaf pointer replaced by a huge word -> net 0 change.
+	p.words[i] = info.Frame<<frameShift | pteHuge
 	t.mapped4K -= mem.PagesPerHuge
 	t.mapped2M++
 	t.mutated(hva)
@@ -646,16 +691,19 @@ func (t *Table) Collapse(va uint64) error {
 }
 
 // Remap4K changes the output frame of an existing base mapping (page
-// migration). Returns the old frame.
+// migration), keeping its accessed bit. Returns the old frame.
 func (t *Table) Remap4K(va uint64, newFrame uint64) (uint64, error) {
-	pte, idx, old, kind := t.entry(va)
+	if newFrame > maxFrame {
+		return 0, fmt.Errorf("%w: %#x", ErrFrameRange, newFrame)
+	}
+	w, _, old, kind := t.entry(va)
 	if kind == mem.Huge {
 		return 0, fmt.Errorf("%w: %#x is huge-mapped", ErrWrongSize, va)
 	}
-	if pte == nil {
+	if w == nil {
 		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
 	}
-	pte.frame[idx] = newFrame
+	*w = newFrame<<frameShift | *w&flagBits
 	t.mutated(va)
 	t.reverseClear(old)
 	t.reverseSet(newFrame, va&^(mem.PageSize-1))
@@ -663,29 +711,28 @@ func (t *Table) Remap4K(va uint64, newFrame uint64) (uint64, error) {
 }
 
 // Split demotes the huge mapping at the region containing va into 512
-// base mappings to the same frames.
+// base mappings to the same frames, none of them accessed.
 func (t *Table) Split(va uint64) error {
 	hva := va &^ uint64(mem.HugeSize-1)
-	pmd, _ := t.walk(hva, hugeLevel, false)
-	if pmd == nil {
+	p := t.pmdAt(hva)
+	if p == nil {
 		return fmt.Errorf("%w: %#x", ErrNotMapped, va)
 	}
-	idx := index(hva, hugeLevel)
-	if !pmd.present[idx] || !pmd.huge[idx] {
+	i := index(hva, hugeLevel)
+	w := p.words[i]
+	if !hugeWord(w) {
 		return fmt.Errorf("%w: %#x not huge-mapped", ErrNotMapped, va)
 	}
-	base := pmd.frame[idx]
-	pt := t.newChild(hugeLevel)
-	for i := 0; i < entriesPerNode; i++ {
-		pt.present[i] = true
-		pt.frame[i] = base + uint64(i)
+	base := w >> frameShift
+	l := t.newLeaf()
+	for j := range l {
+		l[j] = (base+uint64(j))<<frameShift | pteP
 	}
 	t.reverseRegion(base, hva, true)
-	pt.live = entriesPerNode
-	pmd.present[idx] = false
-	pmd.huge[idx] = false
-	pmd.frame[idx] = 0
-	pmd.children[idx] = pt
+	// live: huge word replaced by a leaf pointer -> net 0 change.
+	p.words[i] = 0
+	p.leaves[i] = l
+	p.leafLive[i] = entriesPerNode
 	t.leaf = nil
 	t.mapped2M--
 	t.mapped4K += mem.PagesPerHuge
@@ -693,78 +740,112 @@ func (t *Table) Split(va uint64) error {
 	return nil
 }
 
-// ScanHuge calls fn for every huge mapping in ascending VA order.
-// Returning false from fn stops the scan.
-func (t *Table) ScanHuge(fn func(m Mapping) bool) {
-	t.scan(t.root, 0, numLevels-1, 0, ^uint64(0), hugeLevel, fn)
+// Spans of one entry at each level, in bytes.
+const (
+	pudSpan = uint64(mem.PageSize) << 27 // a PGD entry: 512 GiB
+	pmdSpan = uint64(mem.PageSize) << 18 // a PUD entry: 1 GiB
+)
+
+// firstIndex returns the index of the first entry, each span bytes wide
+// from base, that ends after start.
+func firstIndex(base, span, start uint64) int {
+	if start <= base {
+		return 0
+	}
+	return int(min((start-base)/span, entriesPerNode))
 }
 
-// ScanAll calls fn for every mapping (base and huge) in ascending VA
-// order. Returning false stops the scan.
-func (t *Table) ScanAll(fn func(m Mapping) bool) {
-	t.scan(t.root, 0, numLevels-1, 0, ^uint64(0), 0, fn)
-}
-
-// ScanRegions calls fn, in ascending order, with the base VA of every
-// 2 MiB region that holds a mapping: a huge entry, or a leaf node with
-// a live entry (Unmap4K leaves emptied leaf nodes in place, and those
-// do not count). It stops at the PMD level and never visits leaf
-// entries. Returning false stops the scan.
-func (t *Table) ScanRegions(fn func(va uint64) bool) {
-	t.scanRegions(t.root, 0, numLevels-1, fn)
-}
-
-func (t *Table) scanRegions(n *node, vaBase uint64, level int, fn func(va uint64) bool) bool {
-	span := uint64(mem.PageSize) << (9 * uint(level))
-	for i := 0; i < entriesPerNode; i++ {
-		child := n.children[i]
-		if level == hugeLevel {
-			if (n.present[i] && n.huge[i] || child != nil && child.live > 0) && !fn(vaBase+uint64(i)*span) {
-				return false
-			}
-			continue
+// eachDir calls visit, in ascending order, for every child of d (whose
+// entries are span bytes wide from base) that starts below end and
+// ends after start. Returns false when visit did.
+func eachDir[T any](d *dir[T], base, span, start, end uint64, visit func(c *T, va uint64) bool) bool {
+	for i := firstIndex(base, span, start); i < entriesPerNode; i++ {
+		va := base + uint64(i)*span
+		if va >= end {
+			return true
 		}
-		if child != nil && child.live > 0 && !t.scanRegions(child, vaBase+uint64(i)*span, level-1, fn) {
+		if c := d.children[i]; c != nil && !visit(c, va) {
 			return false
 		}
 	}
 	return true
 }
 
-// scan recursively visits, in ascending VA order, the mappings under n
-// that overlap [start, end): VA < end and VA+size > start. Subtrees
-// that cannot hold such a mapping are skipped without being entered,
-// and the scan descends no lower than minLevel (hugeLevel yields huge
+// eachPMD calls visit, in ascending order, for every PMD node whose
+// 1 GiB span overlaps [start, end). Returns false when visit did.
+func (t *Table) eachPMD(start, end uint64, visit func(p *pmd, va uint64) bool) bool {
+	return eachDir(t.root, 0, pudSpan, start, end, func(pud *dir[pmd], va uint64) bool {
+		return eachDir(pud, va, pmdSpan, start, end, visit)
+	})
+}
+
+// ScanHuge calls fn for every huge mapping in ascending VA order.
+// Returning false from fn stops the scan.
+func (t *Table) ScanHuge(fn func(m Mapping) bool) {
+	t.scan(0, ^uint64(0), false, fn)
+}
+
+// ScanAll calls fn for every mapping (base and huge) in ascending VA
+// order. Returning false stops the scan.
+func (t *Table) ScanAll(fn func(m Mapping) bool) {
+	t.scan(0, ^uint64(0), true, fn)
+}
+
+// ScanRegions calls fn, in ascending order, with the base VA of every
+// 2 MiB region that holds a mapping: a huge entry, or a leaf with a
+// live entry (Unmap4K leaves emptied leaves in place, and those do not
+// count). It stops at the PMD level and never visits leaf entries.
+// Returning false stops the scan.
+func (t *Table) ScanRegions(fn func(va uint64) bool) {
+	t.eachPMD(0, ^uint64(0), func(p *pmd, va uint64) bool {
+		if p.live == 0 {
+			return true
+		}
+		for i, w := range p.words {
+			if (hugeWord(w) || p.leafLive[i] > 0) && !fn(va+uint64(i)*mem.HugeSize) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// scan visits, in ascending VA order, the mappings that overlap
+// [start, end): VA < end and VA+size > start. Subtrees that cannot
+// hold such a mapping are skipped without being entered, and leaves
+// are entered only when base is set (otherwise the scan yields huge
 // mappings only). Returns false when the visitor aborted.
-func (t *Table) scan(n *node, vaBase uint64, level int, start, end uint64, minLevel int, fn func(m Mapping) bool) bool {
-	span := uint64(mem.PageSize) << (9 * uint(level))
-	first := 0
-	if start > vaBase {
-		first = int(min((start-vaBase)/span, entriesPerNode))
-	}
-	for i := first; i < entriesPerNode; i++ {
-		va := vaBase + uint64(i)*span
+func (t *Table) scan(start, end uint64, base bool, fn func(m Mapping) bool) bool {
+	return t.eachPMD(start, end, func(p *pmd, pva uint64) bool {
+		for i := firstIndex(pva, mem.HugeSize, start); i < entriesPerNode; i++ {
+			va := pva + uint64(i)*mem.HugeSize
+			if va >= end {
+				return true
+			}
+			if w := p.words[i]; hugeWord(w) {
+				if !fn(Mapping{VA: va, Frame: w >> frameShift, Kind: mem.Huge}) {
+					return false
+				}
+				continue
+			}
+			if l := p.leaves[i]; l != nil && base && !scanLeaf(l, va, start, end, fn) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// scanLeaf visits the base mappings of the leaf at va that lie in
+// [start, end), in ascending order. Returns false when fn did.
+func scanLeaf(l *leaf, lva, start, end uint64, fn func(m Mapping) bool) bool {
+	for i := firstIndex(lva, mem.PageSize, start); i < entriesPerNode; i++ {
+		va := lva + uint64(i)*mem.PageSize
 		if va >= end {
 			return true
 		}
-		if level == hugeLevel && n.present[i] && n.huge[i] {
-			if !fn(Mapping{VA: va, Frame: n.frame[i], Kind: mem.Huge}) {
-				return false
-			}
-			continue
-		}
-		if level == 0 {
-			if n.present[i] {
-				if !fn(Mapping{VA: va, Frame: n.frame[i], Kind: mem.Base}) {
-					return false
-				}
-			}
-			continue
-		}
-		if child := n.children[i]; child != nil && level > minLevel {
-			if !t.scan(child, va, level-1, start, end, minLevel, fn) {
-				return false
-			}
+		if w := l[i]; w&pteP != 0 && !fn(Mapping{VA: va, Frame: w >> frameShift, Kind: mem.Base}) {
+			return false
 		}
 	}
 	return true
@@ -773,15 +854,15 @@ func (t *Table) scan(n *node, vaBase uint64, level int, start, end uint64, minLe
 // Accessed reports whether the base mapping for the page containing va
 // has been accessed since mapping or the last ClearAccessed.
 func (t *Table) Accessed(va uint64) bool {
-	pte, idx, _, kind := t.entry(va)
-	return pte != nil && kind == mem.Base && pte.accessed[idx]
+	w, _, _, kind := t.entry(va)
+	return w != nil && kind == mem.Base && *w&pteA != 0
 }
 
 // ClearAccessed resets the accessed bit of the base mapping for the
 // page containing va (the periodic A-bit harvesting OSes do).
 func (t *Table) ClearAccessed(va uint64) {
-	if pte, idx, _, kind := t.entry(va); pte != nil && kind == mem.Base {
-		pte.accessed[idx] = false
+	if w, _, _, kind := t.entry(va); w != nil && kind == mem.Base {
+		*w &^= pteA
 	}
 }
 
@@ -790,5 +871,5 @@ func (t *Table) ClearAccessed(va uint64) {
 // start. It descends straight to the range. Returning false stops the
 // scan.
 func (t *Table) ScanRange(start, end uint64, fn func(m Mapping) bool) {
-	t.scan(t.root, 0, numLevels-1, start, end, 0, fn)
+	t.scan(start, end, true, fn)
 }

@@ -3,9 +3,11 @@ package pagetable
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -37,6 +39,67 @@ func TestMap4KDouble(t *testing.T) {
 	}
 	if _, err := pt.Map4K(0x1000, 2); !errors.Is(err, ErrMapped) {
 		t.Fatalf("double map: %v", err)
+	}
+}
+
+// TestLeafHoldsNoPointers pins the leaf to 512 x86-64 PTE words: no
+// pointer for the collector to scan, and exactly one 4 KiB page.
+func TestLeafHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(leaf{})
+	if typ.Kind() != reflect.Array || typ.Len() != entriesPerNode || typ.Elem().Kind() != reflect.Uint64 {
+		t.Fatalf("leaf is %v, want [512]uint64", typ)
+	}
+	if n := unsafe.Sizeof(leaf{}); n != mem.PageSize {
+		t.Fatalf("leaf is %d bytes, want %d", n, mem.PageSize)
+	}
+}
+
+// TestAccessRefIs8Bytes pins AccessRef to one pointer to a PTE word.
+func TestAccessRefIs8Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(AccessRef{}); n != 8 {
+		t.Fatalf("AccessRef is %d bytes, want 8", n)
+	}
+}
+
+// TestFrameFieldTop maps frames at the top of the 52-bit PTE frame
+// field and reads them back; one frame past it is rejected by every
+// operation that writes a frame, and nothing is mapped.
+func TestFrameFieldTop(t *testing.T) {
+	pt := New()
+	if _, err := pt.Map4K(0x1000, maxFrame); err != nil {
+		t.Fatal(err)
+	}
+	if f, kind, ok := pt.Lookup(0x1000); !ok || f != maxFrame || kind != mem.Base {
+		t.Fatalf("Lookup = %#x, %v, %v, want %#x", f, kind, ok, uint64(maxFrame))
+	}
+	if va, ok := pt.ReverseLookup(maxFrame); !ok || va != 0x1000 {
+		t.Fatalf("ReverseLookup = %#x, %v", va, ok)
+	}
+	// The huge block below the top one: the top block holds maxFrame.
+	const hugeBlock = maxFrame&^(mem.PagesPerHuge-1) - mem.PagesPerHuge
+	if err := pt.Map2M(mem.HugeSize, hugeBlock); err != nil {
+		t.Fatal(err)
+	}
+	if f, kind, ok := pt.Lookup(2*mem.HugeSize - mem.PageSize); !ok || f != hugeBlock+mem.PagesPerHuge-1 || kind != mem.Huge {
+		t.Fatalf("Lookup in the top huge page = %#x, %v, %v", f, kind, ok)
+	}
+	if _, err := pt.Map4K(0x2000, maxFrame+1); !errors.Is(err, ErrFrameRange) {
+		t.Fatalf("Map4K past the frame field: %v", err)
+	}
+	if err := pt.Map2M(4*mem.HugeSize, maxFrame+1); !errors.Is(err, ErrFrameRange) {
+		t.Fatalf("Map2M past the frame field: %v", err)
+	}
+	if _, err := pt.Remap4K(0x1000, maxFrame+1); !errors.Is(err, ErrFrameRange) {
+		t.Fatalf("Remap4K past the frame field: %v", err)
+	}
+	if f, _, _ := pt.Lookup(0x1000); f != maxFrame {
+		t.Fatalf("rejected Remap4K changed the frame to %#x", f)
+	}
+	if pt.Mapped4K() != 1 || pt.Mapped2M() != 1 {
+		t.Fatalf("counts = %d/%d after rejected maps", pt.Mapped4K(), pt.Mapped2M())
+	}
+	if vs := pt.CheckInvariants(); len(vs) != 0 {
+		t.Fatalf("audit: %v", vs)
 	}
 }
 
@@ -476,7 +539,7 @@ func TestCollapseSplitRoundTrip(t *testing.T) {
 
 // TestSpareLeavesComeBackNew checks the spare-leaf stack: Collapse and
 // Map2M stack the leaves they detach, Split and Map4K's walk take them
-// back, and a taken leaf holds exactly what a new node would. The
+// back, and a taken leaf holds exactly what a new leaf would. The
 // stack keeps at most spareLeaves leaves.
 func TestSpareLeavesComeBackNew(t *testing.T) {
 	pt := New()
@@ -495,11 +558,11 @@ func TestSpareLeavesComeBackNew(t *testing.T) {
 	// Region 0, every page accessed, collapses; region 1's Split takes
 	// its leaf and must leave no accessed bit behind.
 	populate(0, mem.PagesPerHuge, true)
-	leaf := pt.freshLeaf(0)
+	reused, _ := pt.freshLeaf(0)
 	if err := pt.Collapse(0); err != nil {
 		t.Fatal(err)
 	}
-	if pt.nSpare != 1 || pt.spare[0] != leaf {
+	if pt.nSpare != 1 || pt.spare[0] != reused {
 		t.Fatalf("Collapse stacked %d spares, want its leaf", pt.nSpare)
 	}
 	if err := pt.Map2M(mem.HugeSize, 4*mem.PagesPerHuge); err != nil {
@@ -508,11 +571,11 @@ func TestSpareLeavesComeBackNew(t *testing.T) {
 	if err := pt.Split(mem.HugeSize); err != nil {
 		t.Fatal(err)
 	}
-	want := &node{live: entriesPerNode}
-	for i := range want.present {
-		want.present[i], want.frame[i] = true, 4*mem.PagesPerHuge+uint64(i)
+	var want leaf
+	for i := range want {
+		want[i] = (4*mem.PagesPerHuge+uint64(i))<<frameShift | pteP
 	}
-	if pt.nSpare != 0 || pt.freshLeaf(mem.HugeSize) != leaf || *leaf != *want {
+	if l, live := pt.freshLeaf(mem.HugeSize); pt.nSpare != 0 || l != reused || *l != want || *live != entriesPerNode {
 		t.Fatal("Split did not take the spare leaf back as a new one")
 	}
 	// Region 2's leaf, emptied after an access, is dropped by Map2M;
@@ -525,7 +588,7 @@ func TestSpareLeavesComeBackNew(t *testing.T) {
 	if _, err := pt.Unmap4K(2*mem.HugeSize + 5*mem.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	empty := pt.freshLeaf(2 * mem.HugeSize)
+	empty, _ := pt.freshLeaf(2 * mem.HugeSize)
 	if err := pt.Map2M(2*mem.HugeSize, 6*mem.PagesPerHuge); err != nil {
 		t.Fatal(err)
 	}
@@ -535,9 +598,8 @@ func TestSpareLeavesComeBackNew(t *testing.T) {
 	if _, err := pt.Map4K(3*mem.HugeSize+9*mem.PageSize, 8); err != nil {
 		t.Fatal(err)
 	}
-	want = &node{live: 1}
-	want.present[9], want.frame[9] = true, 8
-	if pt.nSpare != 0 || pt.freshLeaf(3*mem.HugeSize) != empty || *empty != *want {
+	want = leaf{9: 8<<frameShift | pteP}
+	if l, live := pt.freshLeaf(3 * mem.HugeSize); pt.nSpare != 0 || l != empty || *l != want || *live != 1 {
 		t.Fatal("Map4K did not take the spare leaf back as a new one")
 	}
 	// More collapses than the stack holds: the excess leaves are let go.
@@ -551,6 +613,15 @@ func TestSpareLeavesComeBackNew(t *testing.T) {
 	}
 	if pt.nSpare != spareLeaves {
 		t.Fatalf("spare stack holds %d leaves, want %d", pt.nSpare, spareLeaves)
+	}
+	// The top spare is region 23's full leaf; a Map4K in a fresh region
+	// takes it and must find it holding none of region 23's words.
+	full := pt.spare[spareLeaves-1]
+	if _, err := pt.Map4K(30*mem.HugeSize+mem.PageSize, 9); err != nil {
+		t.Fatal(err)
+	}
+	if l, live := pt.freshLeaf(30 * mem.HugeSize); l != full || *l != (leaf{1: 9<<frameShift | pteP}) || *live != 1 {
+		t.Fatal("Map4K did not take a collapsed region's leaf back as a new one")
 	}
 	if vs := pt.CheckInvariants(); len(vs) != 0 {
 		t.Fatalf("audit: %v", vs)

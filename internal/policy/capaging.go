@@ -42,7 +42,6 @@ type CAPaging struct {
 	cursor  int
 	now     uint64
 	runs    []mem.Region // reused FreeRegionsAtLeast buffer
-	regions []uint64     // reused HugeRegions buffer
 }
 
 // NewCAPaging returns a CA-paging policy.
@@ -135,8 +134,7 @@ func (c *CAPaging) Tick(L *machine.Layer) {
 	if c.P.PromotePeriod > 1 && c.now%uint64(c.P.PromotePeriod) != 0 {
 		return
 	}
-	c.regions = L.Space.HugeRegions(c.regions)
-	regions := c.regions
+	regions := L.Space.HugeRegions()
 	if len(regions) == 0 {
 		return
 	}

@@ -87,9 +87,8 @@ func (f *FHPM) request(gvaBase uint64) {
 // background daemon that promotes densely populated regions and
 // reports each promotion to the coordinator.
 type fhpmGuest struct {
-	co      *FHPM
-	cursor  int
-	regions []uint64 // reused HugeRegions buffer
+	co     *FHPM
+	cursor int
 }
 
 // Name implements machine.Policy.
@@ -105,8 +104,7 @@ func (*fhpmGuest) OnFault(*machine.Layer, uint64, *machine.VMA) machine.Decision
 // promote the densely populated ones, and queue them for the host.
 func (g *fhpmGuest) Tick(L *machine.Layer) {
 	p := g.co.P
-	g.regions = L.Space.HugeRegions(g.regions)
-	regions := g.regions
+	regions := L.Space.HugeRegions()
 	if len(regions) == 0 {
 		return
 	}

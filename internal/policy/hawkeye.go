@@ -42,9 +42,8 @@ func DefaultHawkEyeParams() HawkEyeParams {
 // of copy-on-write refaults — the behaviour behind the Specjbb latency
 // anomaly in §6.2 of the paper.
 type HawkEye struct {
-	P       HawkEyeParams
-	now     uint64
-	regions []uint64 // reused HugeRegions buffer
+	P   HawkEyeParams
+	now uint64
 }
 
 // NewHawkEye returns a HawkEye policy with the given parameters.
@@ -70,8 +69,7 @@ func (h *HawkEye) Tick(L *machine.Layer) {
 	}
 	var cands []cand
 	scanned := 0
-	h.regions = L.Space.HugeRegions(h.regions)
-	regions := h.regions
+	regions := L.Space.HugeRegions()
 	threshold := h.P.UtilThreshold
 	if L.Name == "ept" {
 		// Relative density at the host layer; see the Ingens note.

@@ -35,10 +35,9 @@ func DefaultIngensParams() IngensParams {
 // first-touch latency spikes), promotion only when a region is almost
 // fully utilized (so little memory bloat), performed asynchronously.
 type Ingens struct {
-	P       IngensParams
-	cursor  int
-	now     uint64
-	regions []uint64 // reused HugeRegions buffer
+	P      IngensParams
+	cursor int
+	now    uint64
 }
 
 // NewIngens returns an Ingens policy with the given parameters.
@@ -61,8 +60,7 @@ func (g *Ingens) Tick(L *machine.Layer) {
 	if g.P.PromotePeriod > 1 && g.now%uint64(g.P.PromotePeriod) != 0 {
 		return
 	}
-	g.regions = L.Space.HugeRegions(g.regions)
-	regions := g.regions
+	regions := L.Space.HugeRegions()
 	if len(regions) == 0 {
 		return
 	}

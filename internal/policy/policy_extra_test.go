@@ -123,13 +123,13 @@ func TestTryPromotePrefersInPlace(t *testing.T) {
 func TestHugeRegionsFiltersPartialRegions(t *testing.T) {
 	_, vm := newVM(BaseOnly{}, BaseOnly{})
 	vm.Guest.Space.MMap(mem.HugeSize/2, 1) // VMA smaller than a region
-	if got := vm.Guest.Space.HugeRegions(nil); len(got) != 0 {
+	if got := vm.Guest.Space.HugeRegions(); len(got) != 0 {
 		t.Fatalf("partial region listed: %v", got)
 	}
 	// A 3-region VMA whose start is not huge-aligned (it follows the
 	// half-region VMA above) fully contains exactly 2 huge regions.
 	v := vm.Guest.Space.MMap(3*mem.HugeSize, 0)
-	got := vm.Guest.Space.HugeRegions(nil)
+	got := vm.Guest.Space.HugeRegions()
 	if len(got) != 2 {
 		t.Fatalf("regions = %v (vma %v)", got, v)
 	}

@@ -48,7 +48,6 @@ type Ranger struct {
 	regionN int // counts compacted regions for AlignEvery
 	now     uint64
 	done    map[uint64]uint64 // region -> tick of last compaction
-	regions []uint64          // reused HugeRegions buffer
 }
 
 // NewRanger returns a Ranger policy.
@@ -69,8 +68,7 @@ func (r *Ranger) OnFault(*machine.Layer, uint64, *machine.VMA) machine.Decision 
 // (every AlignEvery-th region) become huge pages in place.
 func (r *Ranger) Tick(L *machine.Layer) {
 	r.now++
-	r.regions = L.Space.HugeRegions(r.regions)
-	regions := r.regions
+	regions := L.Space.HugeRegions()
 	if len(regions) == 0 {
 		return
 	}

@@ -49,8 +49,7 @@ type THP struct {
 	P        THPParams
 	cursor   int
 	now      uint64
-	deferred int      // remaining faults skipping sync allocation
-	regions  []uint64 // reused HugeRegions buffer
+	deferred int // remaining faults skipping sync allocation
 }
 
 // NewTHP returns a THP policy with the given parameters.
@@ -93,8 +92,7 @@ func (t *THP) Tick(L *machine.Layer) {
 	if t.P.PromotePeriod > 1 && t.now%uint64(t.P.PromotePeriod) != 0 {
 		return
 	}
-	t.regions = L.Space.HugeRegions(t.regions)
-	regions := t.regions
+	regions := L.Space.HugeRegions()
 	if len(regions) == 0 {
 		return
 	}
