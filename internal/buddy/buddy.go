@@ -370,6 +370,133 @@ func (a *Allocator) AllocAt(frame uint64, order int) error {
 	return nil
 }
 
+// AllocRun allocates up to n base frames into out[:n] and returns how
+// many it got: exactly the frames, and exactly the books, that n calls
+// of Alloc(0) leave, stopping where one would fail. Alloc(0) takes the
+// lowest order-0 block while there is one; after that it splits the
+// lowest block of the smallest free order and hands out that block's
+// frames in ascending order before it touches another, because each
+// split leaves one block at every order below and none of them existed
+// before. So the run drains the order-0 blocks and then carves whole
+// blocks from the front.
+func (a *Allocator) AllocRun(n int, out []uint64) int {
+	got := 0
+	for got < n && a.counts[0] > 0 {
+		f, _ := a.lowestFree(0)
+		a.removeFree(f, 0)
+		a.freePages--
+		out[got] = f
+		got++
+	}
+	for got < n {
+		o := 1
+		for o <= MaxOrder && a.counts[o] == 0 {
+			o++
+		}
+		if o > MaxOrder {
+			break
+		}
+		s, _ := a.lowestFree(o)
+		m := min(uint64(n-got), 1<<o)
+		a.carve(s, uint8(o), s, s+m)
+		for f := s; f < s+m; f++ {
+			out[got] = f
+			got++
+		}
+	}
+	return got
+}
+
+// RunSpan returns how many of the frames that AllocRun(n) would hand
+// out, from the first, lie in the first one's 2 MiB region. It reads
+// the books only. AllocRun takes the free blocks in order of size and
+// then address, each one whole until the last, so it counts blocks in
+// that order up to the first one in another region.
+func (a *Allocator) RunSpan(n int) int {
+	got, region := 0, uint64(0)
+	for o := 0; o <= MaxOrder; o++ {
+		if a.counts[o] == 0 {
+			continue
+		}
+		for i, ok := a.free[o].next(0); ok; i, ok = a.free[o].next(i + 1) {
+			s := i << o
+			if got == 0 {
+				region = s / mem.PagesPerHuge
+			} else if s/mem.PagesPerHuge != region {
+				return got
+			}
+			got += min(1<<o, mem.PagesPerHuge)
+			if got >= n || o > mem.HugeOrder {
+				return min(got, n)
+			}
+		}
+	}
+	return got
+}
+
+// AllocRunAt allocates the base frames frame, frame+1, ... up to
+// frame+n-1 and returns how many it got: exactly what AllocAt(frame+i,
+// 0) for ascending i leaves, stopping at the first call that would
+// fail. A reserved frame is never on the free books, so the first
+// frame that no free block holds ends the run either way.
+func (a *Allocator) AllocRunAt(frame uint64, n int) int {
+	end := min(frame+uint64(n), a.totalPages)
+	f := frame
+	for f < end {
+		s, o, ok := a.containing(f)
+		if !ok {
+			break
+		}
+		hi := min(s+1<<o, end)
+		a.carve(s, o, f, hi)
+		f = hi
+	}
+	return int(f - frame)
+}
+
+// carve allocates the frames [lo, hi) of the free block of the given
+// order at start, which holds them, and files the block's other frames
+// as the largest aligned blocks that fit. The books are canonical, so
+// this is the state that allocating the frames one by one leaves: no
+// leftover block's parent is wholly free.
+func (a *Allocator) carve(start uint64, order uint8, lo, hi uint64) {
+	a.removeFree(start, order)
+	a.fileFree(start, lo)
+	a.fileFree(hi, start+1<<order)
+	a.freePages -= hi - lo
+}
+
+// fileFree puts the free frames [lo, hi), which lie inside one former
+// free block, on the books as the largest naturally aligned blocks.
+func (a *Allocator) fileFree(lo, hi uint64) {
+	for lo < hi {
+		o := min(bits.TrailingZeros64(lo|1<<MaxOrder), bits.Len64(hi-lo)-1)
+		a.insertFree(lo, uint8(o))
+		lo += 1 << o
+	}
+}
+
+// AllocReservedRun claims the pages frame, frame+1, ... up to
+// frame+n-1 of the reservation with the given huge index and returns
+// how many it claimed: exactly what AllocReservedPage does page by
+// page, stopping at the first page it would refuse.
+func (a *Allocator) AllocReservedRun(hugeIndex, frame uint64, n int) int {
+	r, ok := a.reservations[hugeIndex]
+	if !ok || frame < r.Start() {
+		return 0
+	}
+	got := 0
+	for i := frame - r.Start(); got < n && i < mem.PagesPerHuge; i++ {
+		if r.claimed[i/64]&(1<<(i%64)) != 0 {
+			break
+		}
+		r.claimed[i/64] |= 1 << (i % 64)
+		r.nAllocated++
+		got++
+	}
+	return got
+}
+
 // FreeBlockAt returns the free block that contains the frame: its
 // first frame and order. ok is false when the frame is allocated,
 // reserved or out of range. It reads the books and changes nothing, so

@@ -88,6 +88,48 @@ func (p *GuestPolicy) claim(L *machine.Layer, d *offsetDesc, va uint64) (uint64,
 	return 0, false
 }
 
+// claimRun claims the descriptor's target frames for the n ascending
+// pages from va, exactly as claim does page by page, and returns how
+// many it claimed before the first claim that would fail, and the first
+// target frame. The targets are consecutive, and the run stops at the
+// descriptor's end and at the end of the first target's 2 MiB region,
+// so one booking lookup serves it.
+func (p *GuestPolicy) claimRun(L *machine.Layer, d *offsetDesc, va uint64, n int) (int, uint64) {
+	vaPage := va &^ uint64(mem.PageSize-1)
+	gpa := int64(vaPage) - d.offset
+	if gpa < 0 || uint64(gpa)>>mem.PageShift >= L.Buddy.TotalPages() {
+		return 0, 0
+	}
+	frame := uint64(gpa) >> mem.PageShift
+	n = min(n, int((d.end-vaPage+mem.PageSize-1)/mem.PageSize),
+		int(mem.PagesPerHuge-frame%mem.PagesPerHuge), int(L.Buddy.TotalPages()-frame))
+	hi := frame / mem.PagesPerHuge
+	bk, ok := p.bookings[hi]
+	if !ok {
+		return L.Buddy.AllocRunAt(frame, n), frame
+	}
+	idx := int(frame % mem.PagesPerHuge)
+	k := 0
+	if bk.owned {
+		for k < n && !bk.claimed[idx+k] {
+			k++
+		}
+	} else {
+		k = L.Buddy.AllocReservedRun(hi, frame, n)
+	}
+	for i := idx; i < idx+k; i++ {
+		if !bk.claimed[i] {
+			bk.claimed[i] = true
+			bk.nClaimed++
+		}
+	}
+	if k > 0 && !bk.anchored && d.aligned {
+		bk.anchored = true
+		bk.vaBase = va &^ uint64(mem.HugeSize-1)
+	}
+	return k, frame
+}
+
 // anchor creates an offset descriptor for the untouched remainder of
 // the VMA starting at va, choosing guest physical space in the
 // paper's preference order: the huge bucket, booked mis-aligned host

@@ -125,6 +125,23 @@ func (p *GuestPolicy) OnFault(L *machine.Layer, va uint64, v *machine.VMA) machi
 	return machine.Decision{Kind: mem.Base}
 }
 
+// OnFaultRun implements machine.RunPolicy: EMA placement through the
+// descriptor covering va, claimed for the run at once (claimRun). Where
+// OnFault would anchor — no descriptor covers va, or its first claim
+// fails and the remainder re-anchors — it declines, and so it does
+// without EMA, where each fault counts a plain fault.
+func (p *GuestPolicy) OnFaultRun(L *machine.Layer, va uint64, n int, v *machine.VMA) (int, uint64, bool) {
+	if p.g.cfg.DisableEMA {
+		return 0, 0, false
+	}
+	d := p.findDesc(v, va)
+	if d == nil {
+		return 0, 0, false
+	}
+	k, frame := p.claimRun(L, d, va, n)
+	return k, frame, true
+}
+
 // stillHostHuge approves bucket blocks that are still backed by a host
 // huge page.
 func (p *GuestPolicy) stillHostHuge(hi uint64) bool {

@@ -84,28 +84,56 @@ func (p *HostPolicy) OnFault(L *machine.Layer, gpa uint64, v *machine.VMA) machi
 	}
 	// HostOffset placement: first fault in the region picks an
 	// aligned anchor; later faults land at anchor + page offset.
-	anchor, ok := p.anchors[hi]
-	if !ok {
-		if p.contig.Len() == 0 && (!p.contigBuiltSet || p.contigBuiltAt != p.now) {
-			p.runs = L.Buddy.FreeRegionsAtLeast(minAnchorRegion, p.runs)
-			p.contig.Rebuild(p.runs)
-			p.contigBuiltAt, p.contigBuiltSet = p.now, true
-		}
-		if f, found := p.contig.FindNextFitAligned(mem.PagesPerHuge, mem.PagesPerHuge); found {
-			anchor = f
-			p.Stats.Anchors++
-		} else {
-			anchor = noAnchor
-		}
-		p.anchors[hi] = anchor
-	}
-	if anchor != noAnchor {
+	if anchor := p.anchorFor(L, hi); anchor != noAnchor {
 		target := anchor + (gpa>>mem.PageShift)%mem.PagesPerHuge
 		if L.Buddy.AllocAt(target, 0) == nil {
 			return machine.Decision{Kind: mem.Base, Frame: target, Allocated: true}
 		}
 	}
 	return machine.Decision{Kind: mem.Base}
+}
+
+// OnFaultRun implements machine.RunPolicy: HostOffset placement for the
+// run, with one anchor lookup for its region. The pages land at anchor
+// + page offset up to the first target that is not free; without an
+// anchor they are all left to the allocator. A region the guest maps
+// huge and the EPT leaves empty is left to OnFault, which tries a huge
+// backing first.
+func (p *HostPolicy) OnFaultRun(L *machine.Layer, gpa uint64, n int, v *machine.VMA) (int, uint64, bool) {
+	hi := gpa >> mem.HugeShift
+	if p.g.GuestHugeAt(hi) && machine.RegionInVMA(gpa&^uint64(mem.HugeSize-1), v) {
+		if _, isHuge, present := L.Table.LookupHugeRegion(gpa); !isHuge && present == 0 {
+			return 0, 0, false
+		}
+	}
+	anchor := p.anchorFor(L, hi)
+	if anchor == noAnchor {
+		return n, 0, false
+	}
+	target := anchor + (gpa>>mem.PageShift)%mem.PagesPerHuge
+	return L.Buddy.AllocRunAt(target, n), target, true
+}
+
+// anchorFor returns the HostOffset anchor of the GPA region hi, picking
+// an aligned one on the region's first fault, or noAnchor when the
+// search failed.
+func (p *HostPolicy) anchorFor(L *machine.Layer, hi uint64) uint64 {
+	anchor, ok := p.anchors[hi]
+	if ok {
+		return anchor
+	}
+	if p.contig.Len() == 0 && (!p.contigBuiltSet || p.contigBuiltAt != p.now) {
+		p.runs = L.Buddy.FreeRegionsAtLeast(minAnchorRegion, p.runs)
+		p.contig.Rebuild(p.runs)
+		p.contigBuiltAt, p.contigBuiltSet = p.now, true
+	}
+	anchor = noAnchor
+	if f, found := p.contig.FindNextFitAligned(mem.PagesPerHuge, mem.PagesPerHuge); found {
+		anchor = f
+		p.Stats.Anchors++
+	}
+	p.anchors[hi] = anchor
+	return anchor
 }
 
 // TickIdleHorizon implements machine.TickDeadliner: the host daemon

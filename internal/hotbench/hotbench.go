@@ -1,7 +1,8 @@
 // Package hotbench defines the hot-path microbenchmark suite: one
 // case per layer of the access pipeline (TLB lookup, native and
 // nested walk costing, page-table walk, the cached and uncached
-// access paths, and demand faulting one page and an ascending run)
+// access paths, and demand faulting one page and an ascending run,
+// the run with base pages and with GEMINI's placement)
 // plus the tick side's structural costs (a TLB region flush, buddy
 // allocation on fragmented memory, a region's fragment-and-recover
 // frees, the fragmenter's release of one region, a compaction that
@@ -20,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/buddy"
+	"repro/internal/core"
 	"repro/internal/frag"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -49,6 +51,7 @@ func Suite() []Case {
 		{"AccessAcrossMutation", benchAccessAcrossMutation},
 		{"FullFault", benchFullFault},
 		{"PopulateRun", benchPopulateRun},
+		{"PopulateRunGemini", benchPopulateRunGemini},
 		{"MicroSweep", benchMicroSweep},
 		{"TLBFlushHugeRegion", benchTLBFlushHugeRegion},
 		{"BuddyAllocFragmented", benchBuddyAllocFragmented},
@@ -276,8 +279,21 @@ const faultPages = 1 << 15
 // and one fresh faultPages VMA, returning the VM and the VMA's page
 // addresses in ascending order.
 func faultVM() (*machine.VM, []uint64) {
+	return faultVMWith(policy.BaseOnly{}, policy.BaseOnly{})
+}
+
+// geminiFaultVM is faultVM with GEMINI's policies at both layers.
+func geminiFaultVM() (*machine.VM, []uint64) {
+	g, gp, hp := core.New(core.Config{})
+	vm, addrs := faultVMWith(gp, hp)
+	g.Attach(vm)
+	return vm, addrs
+}
+
+// faultVMWith is faultVM with the given guest and host policies.
+func faultVMWith(guest, host machine.Policy) (*machine.VM, []uint64) {
 	m := machine.NewMachine(faultPages*4, machine.DefaultCosts())
-	vm := m.AddVM(faultPages*2, policy.BaseOnly{}, policy.BaseOnly{}, tlb.DefaultConfig())
+	vm := m.AddVM(faultPages*2, guest, host, tlb.DefaultConfig())
 	v := vm.Guest.Space.MMap(faultPages*mem.PageSize, 0)
 	addrs := make([]uint64, faultPages)
 	for i := range addrs {
@@ -308,18 +324,27 @@ func benchFullFault(b *testing.B) {
 
 // benchPopulateRun measures first-touch population in the shape the
 // workload's growth issues it: one AccessN over an ascending run of
-// fresh pages (populateRun of them), where consecutive faults share a
-// page-table leaf. One op is one page.
-func benchPopulateRun(b *testing.B) {
+// fresh pages (populateRun of them), which the VM faults in as
+// first-touch runs. One op is one page.
+func benchPopulateRun(b *testing.B) { populateRuns(b, faultVM) }
+
+// benchPopulateRunGemini is PopulateRun under GEMINI at both layers:
+// the guest places the pages through EMA descriptors and huge
+// bookings, the host through HostOffset anchors.
+func benchPopulateRunGemini(b *testing.B) { populateRuns(b, geminiFaultVM) }
+
+// populateRuns times ascending AccessN runs of fresh pages on the VMs
+// that fixture builds, one op per page.
+func populateRuns(b *testing.B, fixture func() (*machine.VM, []uint64)) {
 	const populateRun = 512
-	vm, addrs := faultVM()
+	vm, addrs := fixture()
 	next := 0
 	b.ResetTimer()
 	b.ReportAllocs()
 	for done := 0; done < b.N; {
 		if next == faultPages {
 			b.StopTimer()
-			vm, addrs = faultVM()
+			vm, addrs = fixture()
 			next = 0
 			b.StartTimer()
 		}

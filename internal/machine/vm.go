@@ -42,6 +42,8 @@ type VM struct {
 	bat accessBatch
 	// wcArena is the pooled backing store of wc.entries.
 	wcArena *wcArena
+	// pace paces the first-touch runs (run.go).
+	pace runPace
 }
 
 // GuestPages returns the VM's guest physical memory size in frames.
@@ -220,6 +222,7 @@ const accessBatchChunk = 1024
 // pass one resolves each address through the walk cache into these
 // parallel slices, pass two feeds them to tlb.AccessNestedBatch or,
 // on a VM with another translation mode, to its Access one by one.
+// A first-touch run (run.go) stages its frames and accesses here too.
 // Allocated once, on the first batched access.
 type accessBatch struct {
 	gpa  []uint64
@@ -306,7 +309,16 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 			continue
 		}
 		// Walk-cache miss: the staged run is flushed, so the uncached
-		// access sees the TLB exactly as the sequential order would.
+		// access sees the TLB exactly as the sequential order would. A
+		// miss followed by the next page may start a first-touch run
+		// (run.go).
+		if vm.radix && i+1 < len(gvas) && gvas[i+1]>>mem.PageShift == gvas[i]>>mem.PageShift+1 {
+			if c, k := vm.accessRun(gvas[i:]); k != 0 {
+				total += c
+				i += k
+				continue
+			}
+		}
 		c, tr := vm.accessUncached(gvas[i])
 		total += c
 		vm.wcFill(gvas[i], tr)

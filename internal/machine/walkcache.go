@@ -249,10 +249,8 @@ func (vm *VM) wcRevalidate() {
 // during the EPT fault (tr.moved) is not cached.
 func (vm *VM) wcFill(gva uint64, tr resolved) {
 	vm.wcRevalidate()
-	wc := &vm.wc
-	ent := &wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
 	if tr.moved {
-		ent.gStamp = 0
+		vm.wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)].gStamp = 0
 		return
 	}
 	gKind, hKind := tr.gKind, tr.hKind
@@ -267,14 +265,22 @@ func (vm *VM) wcFill(gva uint64, tr resolved) {
 		// replayed into mode.Access on every hit.
 		eff = vm.mode.EffectiveKind(gKind, hKind)
 	}
-	*ent = wcEntry{
+	vm.wcStore(gva, tr.gfn, tr.gRef, tr.eRef, vm.TLB.SetIndexOf(gva, eff), tlb.PackKinds(eff, gKind, hKind))
+}
+
+// wcStore installs a resolved translation for gva in its slot, with the
+// TLB set index and packed kinds (tlb.PackKinds) it replays. The stamps
+// must be up to date with both tables.
+func (vm *VM) wcStore(gva, gfn uint64, gRef, eRef pagetable.AccessRef, tlbSet uint32, meta uint8) {
+	wc := &vm.wc
+	wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)] = wcEntry{
 		tag:    gva >> mem.PageShift,
-		gfn:    tr.gfn,
-		gRef:   tr.gRef,
-		eRef:   tr.eRef,
-		tlbSet: vm.TLB.SetIndexOf(gva, eff),
+		gfn:    gfn,
+		gRef:   gRef,
+		eRef:   eRef,
+		tlbSet: tlbSet,
 		gStamp: wc.gStamp[gva>>mem.HugeShift%wcGroups],
-		eStamp: wc.eStamp[tr.gfn/mem.PagesPerHuge],
-		meta:   tlb.PackKinds(eff, gKind, hKind),
+		eStamp: wc.eStamp[gfn/mem.PagesPerHuge],
+		meta:   meta,
 	}
 }

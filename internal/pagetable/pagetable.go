@@ -457,6 +457,83 @@ func (t *Table) Map4K(va uint64, frame uint64) (AccessRef, error) {
 	return AccessRef{w}, nil
 }
 
+// MapRun installs base mappings for the len(frames) ascending pages
+// from va, which must lie in va's 2 MiB region and all be unmapped,
+// page i to frames[i], and returns the pages' AccessRefs. It leaves
+// exactly the state that Map4K page by page leaves, with one walk to
+// the leaf, and changes nothing when it fails.
+func (t *Table) MapRun(va uint64, frames []uint64) (RunRefs, error) {
+	j := index(va, 0)
+	if j+len(frames) > entriesPerNode {
+		return RunRefs{}, fmt.Errorf("%w: run of %d pages at %#x leaves its region", ErrMisaligned, len(frames), va)
+	}
+	for _, f := range frames {
+		if f > maxFrame {
+			return RunRefs{}, fmt.Errorf("%w: %#x", ErrFrameRange, f)
+		}
+	}
+	if len(frames) == 0 {
+		return RunRefs{}, nil
+	}
+	p, i := t.pmdFor(va), index(va, hugeLevel)
+	if hugeWord(p.words[i]) {
+		return RunRefs{}, fmt.Errorf("%w: huge mapping covers %#x", ErrMapped, va)
+	}
+	if t.UnmappedRun(va, len(frames)) < len(frames) {
+		return RunRefs{}, fmt.Errorf("%w: inside the run at %#x", ErrMapped, va)
+	}
+	l := p.leaves[i]
+	if l == nil {
+		l = t.newLeaf()
+		p.leaves[i] = l
+		p.live++
+	}
+	t.leaf, t.leafLive, t.leafKey = l, &p.leafLive[i], va>>mem.HugeShift
+	page := va &^ (mem.PageSize - 1)
+	for k, f := range frames {
+		l[j+k] = f<<frameShift | pteP
+		t.reverseSet(f, page+uint64(k)*mem.PageSize)
+	}
+	p.leafLive[i] += uint16(len(frames))
+	t.mapped4K += uint64(len(frames))
+	return RunRefs{l, j}, nil
+}
+
+// RunRefs addresses the PTE words of a run of base pages that MapRun
+// installed, all in one leaf, so a run needs no AccessRef per page
+// until one is asked for. Like an AccessRef it is meaningful only
+// while the table's Version is unchanged.
+type RunRefs struct {
+	l     *leaf
+	first int
+}
+
+// At returns the AccessRef of the run's page i.
+func (r RunRefs) At(i int) AccessRef { return AccessRef{&r.l[r.first+i]} }
+
+// UnmappedRun returns how many of the n ascending pages from va, which
+// must lie in va's 2 MiB region, come before the first mapped one.
+func (t *Table) UnmappedRun(va uint64, n int) int {
+	p := t.pmdAt(va)
+	if p == nil {
+		return n
+	}
+	i := index(va, hugeLevel)
+	if hugeWord(p.words[i]) {
+		return 0
+	}
+	if p.leafLive[i] == 0 {
+		return n // the common first touch: an empty or absent leaf
+	}
+	j := index(va, 0)
+	for k, w := range p.leaves[i][j : j+n] {
+		if w&pteP != 0 {
+			return k
+		}
+	}
+	return n
+}
+
 // Map2M installs a huge mapping. va must be 2 MiB aligned and frame
 // must be huge-aligned (multiple of 512). Fails if any base mapping
 // already exists under the region.
@@ -492,38 +569,37 @@ func (t *Table) Map2M(va uint64, frame uint64) error {
 // Lookup translates va. It returns the output 4 KiB frame for the page
 // containing va, the mapping kind, and whether a mapping exists.
 func (t *Table) Lookup(va uint64) (frame uint64, kind mem.PageSizeKind, ok bool) {
-	w, _, frame, kind := t.entry(va)
+	w, frame, kind := t.entry(va)
 	return frame, kind, w != nil
 }
 
 // entry finds the PTE word translating va: the word (a PMD word for
-// huge mappings, a leaf word otherwise), the live count of a base
-// word's leaf (nil for huge), the output frame of va's page, and the
-// mapping kind. w is nil, and frame 0, when va is unmapped. Base-page
-// lookups go through the leaf memo and refresh it. Every translation
-// path shares this one descent, and its callers are small enough to
-// inline, so a lookup costs one call.
-func (t *Table) entry(va uint64) (w *uint64, live *uint16, frame uint64, kind mem.PageSizeKind) {
-	l, live := t.leaf, t.leafLive
+// huge mappings, a leaf word otherwise), the output frame of va's
+// page, and the mapping kind. w is nil, and frame 0, when va is
+// unmapped. Base-page lookups go through the leaf memo and refresh it,
+// so after a base hit the memo is va's leaf and leafLive its count.
+// Every translation path shares this one descent, and its callers are
+// small enough to inline, so a lookup costs one call.
+func (t *Table) entry(va uint64) (w *uint64, frame uint64, kind mem.PageSizeKind) {
+	l := t.leaf
 	if key := va >> mem.HugeShift; l == nil || key != t.leafKey {
 		p := t.pmdAt(va)
 		if p == nil {
-			return nil, nil, 0, mem.Base
+			return nil, 0, mem.Base
 		}
 		i := index(va, hugeLevel)
 		if w = &p.words[i]; hugeWord(*w) {
-			return w, nil, *w>>frameShift + va>>mem.PageShift&(mem.PagesPerHuge-1), mem.Huge
+			return w, *w>>frameShift + va>>mem.PageShift&(mem.PagesPerHuge-1), mem.Huge
 		}
 		if l = p.leaves[i]; l == nil {
-			return nil, nil, 0, mem.Base
+			return nil, 0, mem.Base
 		}
-		live = &p.leafLive[i]
-		t.leaf, t.leafLive, t.leafKey = l, live, key
+		t.leaf, t.leafLive, t.leafKey = l, &p.leafLive[i], key
 	}
 	if w = &l[index(va, 0)]; *w&pteP == 0 {
-		return nil, nil, 0, mem.Base
+		return nil, 0, mem.Base
 	}
-	return w, live, *w >> frameShift, mem.Base
+	return w, *w >> frameShift, mem.Base
 }
 
 // AccessRef is a stable reference to one base PTE word, letting a
@@ -549,11 +625,11 @@ func (r AccessRef) Mark() {
 // AccessRef for the mapping's accessed bit (the zero ref for huge
 // mappings). The ref is valid until the table's Version changes.
 func (t *Table) LookupRef(va uint64) (frame uint64, kind mem.PageSizeKind, ref AccessRef, ok bool) {
-	w, _, frame, kind := t.entry(va)
-	if kind == mem.Base {
-		ref.w = w
+	ref.w, frame, kind = t.entry(va)
+	if ok = ref.w != nil; kind == mem.Huge {
+		ref.w = nil
 	}
-	return frame, kind, ref, w != nil
+	return
 }
 
 // LookupHugeRegion reports on the 2 MiB region containing va: whether
@@ -577,7 +653,7 @@ func (t *Table) LookupHugeRegion(va uint64) (hugeFrame uint64, isHuge bool, base
 // reclaim probes unmapped pages routinely and discards the error, so
 // the miss must not allocate. Callers that report one add va.
 func (t *Table) Unmap4K(va uint64) (uint64, error) {
-	w, live, frame, kind := t.entry(va)
+	w, frame, kind := t.entry(va)
 	if kind == mem.Huge {
 		return 0, ErrWrongSize
 	}
@@ -585,7 +661,7 @@ func (t *Table) Unmap4K(va uint64) (uint64, error) {
 		return 0, ErrNotMapped
 	}
 	*w = 0
-	*live--
+	*t.leafLive-- // the base hit left va's leaf in the memo
 	t.mapped4K--
 	t.mutated(va)
 	t.reverseClear(frame)
@@ -696,7 +772,7 @@ func (t *Table) Remap4K(va uint64, newFrame uint64) (uint64, error) {
 	if newFrame > maxFrame {
 		return 0, fmt.Errorf("%w: %#x", ErrFrameRange, newFrame)
 	}
-	w, _, old, kind := t.entry(va)
+	w, old, kind := t.entry(va)
 	if kind == mem.Huge {
 		return 0, fmt.Errorf("%w: %#x is huge-mapped", ErrWrongSize, va)
 	}
@@ -854,14 +930,14 @@ func scanLeaf(l *leaf, lva, start, end uint64, fn func(m Mapping) bool) bool {
 // Accessed reports whether the base mapping for the page containing va
 // has been accessed since mapping or the last ClearAccessed.
 func (t *Table) Accessed(va uint64) bool {
-	w, _, _, kind := t.entry(va)
+	w, _, kind := t.entry(va)
 	return w != nil && kind == mem.Base && *w&pteA != 0
 }
 
 // ClearAccessed resets the accessed bit of the base mapping for the
 // page containing va (the periodic A-bit harvesting OSes do).
 func (t *Table) ClearAccessed(va uint64) {
-	if w, _, _, kind := t.entry(va); w != nil && kind == mem.Base {
+	if w, _, kind := t.entry(va); w != nil && kind == mem.Base {
 		*w &^= pteA
 	}
 }

@@ -758,3 +758,81 @@ func TestRegionReverse(t *testing.T) {
 		t.Fatalf("a region with no reverse chunk holds %d pages", n)
 	}
 }
+
+// TestMapRunMatchesMap4K checks MapRun against Map4K page by page on a
+// twin: the same words, reverse entries, counts and memo, a clean
+// audit, refs that mark the pages' own words, and refusals that change
+// nothing.
+func TestMapRunMatchesMap4K(t *testing.T) {
+	run, each := New(), New()
+	const base = uint64(3 * mem.HugeSize)
+	for _, tb := range []*Table{run, each} {
+		// A partly filled leaf, and a huge region next door.
+		if _, err := tb.Map4K(base+2*mem.PageSize, 900); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Map2M(base+mem.HugeSize, 4*mem.PagesPerHuge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := run.UnmappedRun(base+3*mem.PageSize, 10); got != 10 {
+		t.Fatalf("UnmappedRun past the mapped page = %d, want 10", got)
+	}
+	if got := run.UnmappedRun(base, 10); got != 2 {
+		t.Fatalf("UnmappedRun up to the mapped page = %d, want 2", got)
+	}
+	if got := run.UnmappedRun(base+mem.HugeSize, 10); got != 0 {
+		t.Fatalf("UnmappedRun in a huge region = %d, want 0", got)
+	}
+	frames := []uint64{77, 78, 79, 5000, 12}
+	va := base + 3*mem.PageSize
+	refs, err := run.MapRun(va, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		if _, err := each.Map4K(va+uint64(i)*mem.PageSize, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refs.At(1).Mark()
+	_, _, ref, _ := each.LookupRef(va + mem.PageSize)
+	ref.Mark()
+	for _, tb := range []*Table{run, each} {
+		if vs := tb.CheckInvariants(); len(vs) != 0 {
+			t.Fatal(vs)
+		}
+	}
+	var ms [2][]Mapping
+	for i, tb := range []*Table{run, each} {
+		tb.ScanAll(func(m Mapping) bool { ms[i] = append(ms[i], m); return true })
+	}
+	if !slices.Equal(ms[0], ms[1]) || run.Mapped4K() != each.Mapped4K() {
+		t.Fatalf("MapRun mapped %v, Map4K %v", ms[0], ms[1])
+	}
+	for i, f := range frames {
+		p := va + uint64(i)*mem.PageSize
+		if got, ok := run.ReverseLookup(f); !ok || got != p {
+			t.Fatalf("reverse entry of frame %d = %#x, %v; want %#x", f, got, ok, p)
+		}
+		if run.Accessed(p) != (i == 1) {
+			t.Fatalf("page %d accessed = %v", i, run.Accessed(p))
+		}
+	}
+	for _, c := range []struct {
+		va     uint64
+		frames []uint64
+	}{
+		{base, []uint64{1, 2, 3}},                    // runs into a mapped page
+		{base + mem.HugeSize, []uint64{1}},           // inside a huge mapping
+		{base + 510*mem.PageSize, []uint64{1, 2, 3}}, // leaves its region
+		{base + 20*mem.PageSize, []uint64{maxFrame + 1}},
+	} {
+		if _, err := run.MapRun(c.va, c.frames); err == nil {
+			t.Fatalf("MapRun(%#x, %v) succeeded", c.va, c.frames)
+		}
+	}
+	if run.Mapped4K() != each.Mapped4K() {
+		t.Fatal("a refused MapRun mapped pages")
+	}
+}

@@ -100,6 +100,12 @@ func (*fhpmGuest) OnFault(*machine.Layer, uint64, *machine.VMA) machine.Decision
 	return machine.Decision{Kind: mem.Base}
 }
 
+// OnFaultRun implements machine.RunPolicy: every page of the run is a
+// base page.
+func (*fhpmGuest) OnFaultRun(_ *machine.Layer, _ uint64, n int, _ *machine.VMA) (int, uint64, bool) {
+	return n, 0, false
+}
+
 // Tick implements machine.Policy: scan a bounded window of regions,
 // promote the densely populated ones, and queue them for the host.
 func (g *fhpmGuest) Tick(L *machine.Layer) {
@@ -172,6 +178,12 @@ func (*fhpmHost) Name() string { return "fhpm-host" }
 // OnFault implements machine.Policy.
 func (*fhpmHost) OnFault(*machine.Layer, uint64, *machine.VMA) machine.Decision {
 	return machine.Decision{Kind: mem.Base}
+}
+
+// OnFaultRun implements machine.RunPolicy: every page of the run is a
+// base page.
+func (*fhpmHost) OnFaultRun(_ *machine.Layer, _ uint64, n int, _ *machine.VMA) (int, uint64, bool) {
+	return n, 0, false
 }
 
 // Tick implements machine.Policy: acknowledge queued guest promotions.

@@ -47,6 +47,12 @@ func (BaseOnly) OnFault(*machine.Layer, uint64, *machine.VMA) machine.Decision {
 	return machine.Decision{Kind: mem.Base}
 }
 
+// OnFaultRun implements machine.RunPolicy: every page of the run is a
+// base page.
+func (BaseOnly) OnFaultRun(_ *machine.Layer, _ uint64, n int, _ *machine.VMA) (int, uint64, bool) {
+	return n, 0, false
+}
+
 // Tick implements Policy.
 func (BaseOnly) Tick(*machine.Layer) {}
 

@@ -85,6 +85,19 @@ func (t *THP) OnFault(L *machine.Layer, va uint64, v *machine.VMA) machine.Decis
 	return machine.Decision{Kind: mem.Base, ExtraCycles: t.P.CompactCycles}
 }
 
+// OnFaultRun implements machine.RunPolicy. Once the run's region holds
+// a page, or when OnFault never tries a huge page there, every page of
+// the run is a base page. The first fault in an empty region is left to
+// OnFault: it tries a huge allocation or spends a deferral.
+func (t *THP) OnFaultRun(L *machine.Layer, va uint64, n int, v *machine.VMA) (int, uint64, bool) {
+	if t.P.SyncHugeFault && machine.RegionInVMA(va&^uint64(mem.HugeSize-1), v) {
+		if _, _, present := L.Table.LookupHugeRegion(va); present == 0 {
+			return 0, 0, false
+		}
+	}
+	return n, 0, false
+}
+
 // Tick implements Policy: khugepaged scans regions round-robin and
 // collapses those with at least MinPresent mapped pages.
 func (t *THP) Tick(L *machine.Layer) {
