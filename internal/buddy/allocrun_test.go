@@ -10,8 +10,9 @@ import (
 
 // FuzzAllocRun checks the run carves against their per-frame twins.
 // One allocator takes AllocRun(n) and AllocRunAt(frame, n); its twin
-// makes n Alloc(0) calls, and AllocAt(frame+i, 0) calls up to the
-// first failure. Random Frees, reservations and claims mix the books
+// makes Alloc(0) calls up to n, the first failure or the first frame
+// outside the run's 2 MiB region (which it frees again), and
+// AllocAt(frame+i, 0) calls up to the first failure. Random Frees, reservations and claims mix the books
 // up between runs. After every step both must have handed out the same
 // frames and hold the same books: freeOrd, the per-order counts,
 // FreePages, the free runs and a clean audit. The arena ends in a
@@ -58,9 +59,13 @@ func FuzzAllocRun(f *testing.F) {
 				k := got.AllocRun(n, out[:])
 				for i := 0; i < n; i++ {
 					f, err := want.Alloc(0)
+					if err == nil && i > 0 && f/mem.PagesPerHuge != out[0]/mem.PagesPerHuge {
+						want.Free(f, 0) // the run stops at its region's end
+						err = fmt.Errorf("frame %#x leaves the region", f)
+					}
 					if err != nil {
 						if i != k {
-							t.Fatalf("step %d: AllocRun(%d) got %d frames, Alloc(0) failed after %d", step, n, k, i)
+							t.Fatalf("step %d: AllocRun(%d) got %d frames, Alloc(0) stops after %d: %v", step, n, k, i, err)
 						}
 						break
 					}
@@ -150,23 +155,35 @@ func FuzzAllocRun(f *testing.F) {
 	})
 }
 
-// TestAllocRunCarvesWholeBlocks pins the carve on a fresh allocator:
-// a run of 700 frames takes 0-699 and leaves 700-1023 as blocks of
-// orders 2, 6 and 8, beside the untouched order-10 block at 1024.
+// TestAllocRunCarvesWholeBlocks pins the carve on a fresh allocator: a
+// run of 300 frames takes 0-299 and leaves 300-511 as blocks of orders
+// 2, 4, 6 and 7, beside the order-9 block at 512 and the order-10 block
+// at 1024. A second run of 700 then takes those four blocks, 300-511,
+// and stops at the first region's end.
 func TestAllocRunCarvesWholeBlocks(t *testing.T) {
 	a := New(2048)
 	var out [700]uint64
-	if k := a.AllocRun(700, out[:]); k != 700 {
-		t.Fatalf("AllocRun(700) = %d", k)
-	}
-	for i, f := range out {
-		if f != uint64(i) {
-			t.Fatalf("frame %d is %#x", i, f)
+	for _, c := range []struct {
+		n, want int
+		from    uint64
+		blocks  []uint64 // free blocks per order afterwards
+	}{
+		{300, 300, 0, []uint64{0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1}},
+		{700, 212, 300, []uint64{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1}},
+	} {
+		k := a.AllocRun(c.n, out[:])
+		if k != c.want {
+			t.Fatalf("AllocRun(%d) = %d, want %d", c.n, k, c.want)
 		}
-	}
-	for o, want := range []uint64{0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1} {
-		if g := a.FreeBlockCount(o); g != want {
-			t.Errorf("order %d holds %d free blocks, want %d", o, g, want)
+		for i, f := range out[:k] {
+			if f != c.from+uint64(i) {
+				t.Fatalf("AllocRun(%d): frame %d is %#x", c.n, i, f)
+			}
+		}
+		for o, want := range c.blocks {
+			if g := a.FreeBlockCount(o); g != want {
+				t.Errorf("after AllocRun(%d): order %d holds %d free blocks, want %d", c.n, o, g, want)
+			}
 		}
 	}
 }

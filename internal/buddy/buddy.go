@@ -370,26 +370,19 @@ func (a *Allocator) AllocAt(frame uint64, order int) error {
 	return nil
 }
 
-// AllocRun allocates up to n base frames into out[:n] and returns how
-// many it got: exactly the frames, and exactly the books, that n calls
-// of Alloc(0) leave, stopping where one would fail. Alloc(0) takes the
-// lowest order-0 block while there is one; after that it splits the
-// lowest block of the smallest free order and hands out that block's
-// frames in ascending order before it touches another, because each
-// split leaves one block at every order below and none of them existed
-// before. So the run drains the order-0 blocks and then carves whole
-// blocks from the front.
+// AllocRun allocates up to n base frames into out[:n], all in the first
+// frame's 2 MiB region, and returns how many it got: exactly the frames,
+// and exactly the books, that Alloc(0) calls leave, stopping before the
+// first one that would fail or leave the region. Alloc(0) takes the
+// lowest block of the smallest free order and, once it splits a block,
+// hands out that block's frames in ascending order before it touches
+// another, because each split leaves one block at every order below and
+// none of them existed before. So the run carves whole blocks from the
+// front, smallest order first.
 func (a *Allocator) AllocRun(n int, out []uint64) int {
-	got := 0
-	for got < n && a.counts[0] > 0 {
-		f, _ := a.lowestFree(0)
-		a.removeFree(f, 0)
-		a.freePages--
-		out[got] = f
-		got++
-	}
+	got, region := 0, uint64(0)
 	for got < n {
-		o := 1
+		o := 0
 		for o <= MaxOrder && a.counts[o] == 0 {
 			o++
 		}
@@ -397,38 +390,16 @@ func (a *Allocator) AllocRun(n int, out []uint64) int {
 			break
 		}
 		s, _ := a.lowestFree(o)
-		m := min(uint64(n-got), 1<<o)
+		if got == 0 {
+			region = s / mem.PagesPerHuge
+		} else if s/mem.PagesPerHuge != region {
+			break
+		}
+		m := min(uint64(n-got), 1<<o, (region+1)*mem.PagesPerHuge-s)
 		a.carve(s, uint8(o), s, s+m)
 		for f := s; f < s+m; f++ {
 			out[got] = f
 			got++
-		}
-	}
-	return got
-}
-
-// RunSpan returns how many of the frames that AllocRun(n) would hand
-// out, from the first, lie in the first one's 2 MiB region. It reads
-// the books only. AllocRun takes the free blocks in order of size and
-// then address, each one whole until the last, so it counts blocks in
-// that order up to the first one in another region.
-func (a *Allocator) RunSpan(n int) int {
-	got, region := 0, uint64(0)
-	for o := 0; o <= MaxOrder; o++ {
-		if a.counts[o] == 0 {
-			continue
-		}
-		for i, ok := a.free[o].next(0); ok; i, ok = a.free[o].next(i + 1) {
-			s := i << o
-			if got == 0 {
-				region = s / mem.PagesPerHuge
-			} else if s/mem.PagesPerHuge != region {
-				return got
-			}
-			got += min(1<<o, mem.PagesPerHuge)
-			if got >= n || o > mem.HugeOrder {
-				return min(got, n)
-			}
 		}
 	}
 	return got

@@ -128,9 +128,9 @@ func TestReclaimOfReturnedPageCountsOnce(t *testing.T) {
 	va := uint64(1<<30) + 3*mem.PageSize
 	d := &offsetDesc{offset: int64(va) - int64(frame*mem.PageSize)}
 	for round := 1; round <= 2; round++ {
-		got, ok := gp.claim(L, d, va)
-		if !ok || got != frame {
-			t.Fatalf("round %d: claim = %#x, %v; want %#x", round, got, ok, frame)
+		k, got := gp.claimRun(L, d, va, 1)
+		if k != 1 || got != frame {
+			t.Fatalf("round %d: claimRun = %d, %#x; want 1, %#x", round, k, got, frame)
 		}
 		if bk.nClaimed != 1 {
 			t.Fatalf("round %d: nClaimed = %d, want 1", round, bk.nClaimed)

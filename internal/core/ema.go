@@ -48,52 +48,14 @@ func (p *GuestPolicy) findDesc(v *machine.VMA, va uint64) *offsetDesc {
 	return nil
 }
 
-// claim tries to allocate the descriptor's target frame for va,
-// through the booking machinery when the target lies in a booked
-// region.
-func (p *GuestPolicy) claim(L *machine.Layer, d *offsetDesc, va uint64) (uint64, bool) {
-	gpa := int64(va&^uint64(mem.PageSize-1)) - d.offset
-	if gpa < 0 {
-		return 0, false
-	}
-	frame := uint64(gpa) >> mem.PageShift
-	if frame >= L.Buddy.TotalPages() {
-		return 0, false
-	}
-	hi := frame / mem.PagesPerHuge
-	if bk, ok := p.bookings[hi]; ok {
-		idx := frame % mem.PagesPerHuge
-		if bk.owned {
-			if bk.claimed[idx] {
-				return 0, false
-			}
-		} else if L.Buddy.AllocReservedPage(hi, frame) != nil {
-			return 0, false
-		}
-		// A page the allocator returned to the reservation keeps its
-		// claimed bit, so a re-claim of it is already counted.
-		if !bk.claimed[idx] {
-			bk.claimed[idx] = true
-			bk.nClaimed++
-		}
-		if !bk.anchored && d.aligned {
-			bk.anchored = true
-			bk.vaBase = va &^ uint64(mem.HugeSize-1)
-		}
-		return frame, true
-	}
-	if L.Buddy.AllocAt(frame, 0) == nil {
-		return frame, true
-	}
-	return 0, false
-}
-
 // claimRun claims the descriptor's target frames for the n ascending
-// pages from va, exactly as claim does page by page, and returns how
-// many it claimed before the first claim that would fail, and the first
-// target frame. The targets are consecutive, and the run stops at the
-// descriptor's end and at the end of the first target's 2 MiB region,
-// so one booking lookup serves it.
+// pages from va, through the booking machinery when the targets lie in
+// a booked region, and returns how many it claimed before the first
+// claim that fails, and the first target frame. The targets are
+// consecutive, and the run stops at the descriptor's end and at the end
+// of the first target's 2 MiB region, so one booking lookup serves it.
+// A fault claims its one page with n = 1, so a run claims exactly what
+// its faults would, page by page.
 func (p *GuestPolicy) claimRun(L *machine.Layer, d *offsetDesc, va uint64, n int) (int, uint64) {
 	vaPage := va &^ uint64(mem.PageSize-1)
 	gpa := int64(vaPage) - d.offset
@@ -101,8 +63,12 @@ func (p *GuestPolicy) claimRun(L *machine.Layer, d *offsetDesc, va uint64, n int
 		return 0, 0
 	}
 	frame := uint64(gpa) >> mem.PageShift
-	n = min(n, int((d.end-vaPage+mem.PageSize-1)/mem.PageSize),
-		int(mem.PagesPerHuge-frame%mem.PagesPerHuge), int(L.Buddy.TotalPages()-frame))
+	n = min(n, int(mem.PagesPerHuge-frame%mem.PagesPerHuge), int(L.Buddy.TotalPages()-frame))
+	// A descriptor re-anchored by the sub-VMA fallback may end before
+	// va; the fault still claims its one target.
+	if vaPage < d.end {
+		n = min(n, int((d.end-vaPage+mem.PageSize-1)/mem.PageSize))
+	}
 	hi := frame / mem.PagesPerHuge
 	bk, ok := p.bookings[hi]
 	if !ok {
@@ -117,6 +83,8 @@ func (p *GuestPolicy) claimRun(L *machine.Layer, d *offsetDesc, va uint64, n int
 	} else {
 		k = L.Buddy.AllocReservedRun(hi, frame, n)
 	}
+	// A page the allocator returned to the reservation keeps its
+	// claimed bit, so a re-claim of it is already counted.
 	for i := idx; i < idx+k; i++ {
 		if !bk.claimed[i] {
 			bk.claimed[i] = true

@@ -110,14 +110,14 @@ func (p *GuestPolicy) OnFault(L *machine.Layer, va uint64, v *machine.VMA) machi
 			return machine.Decision{Kind: mem.Base}
 		}
 	}
-	if frame, ok := p.claim(L, d, va); ok {
+	if k, frame := p.claimRun(L, d, va, 1); k == 1 {
 		return machine.Decision{Kind: mem.Base, Frame: frame, Allocated: true}
 	}
 	// Target unavailable: sub-VMA re-anchor for the remainder.
 	d.end = va &^ uint64(mem.PageSize-1)
 	p.Stats.SubVMAs++
 	if d2 := p.anchor(L, v, va); d2 != nil {
-		if frame, ok := p.claim(L, d2, va); ok {
+		if k, frame := p.claimRun(L, d2, va, 1); k == 1 {
 			return machine.Decision{Kind: mem.Base, Frame: frame, Allocated: true}
 		}
 	}

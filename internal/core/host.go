@@ -73,13 +73,10 @@ func (p *HostPolicy) KeepHuge(L *machine.Layer, vaBase uint64) bool {
 // "does not create huge pages excessively" (§3).
 func (p *HostPolicy) OnFault(L *machine.Layer, gpa uint64, v *machine.VMA) machine.Decision {
 	hi := gpa >> mem.HugeShift
-	hugeBase := gpa &^ uint64(mem.HugeSize-1)
-	if p.g.GuestHugeAt(hi) && machine.RegionInVMA(hugeBase, v) {
-		if _, isHuge, present := L.Table.LookupHugeRegion(gpa); !isHuge && present == 0 {
-			if f, err := L.Buddy.Alloc(mem.HugeOrder); err == nil {
-				p.Stats.FaultBackings++
-				return machine.Decision{Kind: mem.Huge, Frame: f, Allocated: true}
-			}
+	if p.triesHuge(L, gpa, v) {
+		if f, err := L.Buddy.Alloc(mem.HugeOrder); err == nil {
+			p.Stats.FaultBackings++
+			return machine.Decision{Kind: mem.Huge, Frame: f, Allocated: true}
 		}
 	}
 	// HostOffset placement: first fault in the region picks an
@@ -100,18 +97,27 @@ func (p *HostPolicy) OnFault(L *machine.Layer, gpa uint64, v *machine.VMA) machi
 // huge and the EPT leaves empty is left to OnFault, which tries a huge
 // backing first.
 func (p *HostPolicy) OnFaultRun(L *machine.Layer, gpa uint64, n int, v *machine.VMA) (int, uint64, bool) {
-	hi := gpa >> mem.HugeShift
-	if p.g.GuestHugeAt(hi) && machine.RegionInVMA(gpa&^uint64(mem.HugeSize-1), v) {
-		if _, isHuge, present := L.Table.LookupHugeRegion(gpa); !isHuge && present == 0 {
-			return 0, 0, false
-		}
+	if p.triesHuge(L, gpa, v) {
+		return 0, 0, false
 	}
+	hi := gpa >> mem.HugeShift
 	anchor := p.anchorFor(L, hi)
 	if anchor == noAnchor {
 		return n, 0, false
 	}
 	target := anchor + (gpa>>mem.PageShift)%mem.PagesPerHuge
 	return L.Buddy.AllocRunAt(target, n), target, true
+}
+
+// triesHuge reports whether a fault at gpa tries a host huge backing
+// first: the guest maps the region huge, the region lies inside the VMA
+// and the EPT maps nothing in it yet.
+func (p *HostPolicy) triesHuge(L *machine.Layer, gpa uint64, v *machine.VMA) bool {
+	if !p.g.GuestHugeAt(gpa>>mem.HugeShift) || !machine.RegionInVMA(gpa&^uint64(mem.HugeSize-1), v) {
+		return false
+	}
+	_, isHuge, present := L.Table.LookupHugeRegion(gpa)
+	return !isHuge && present == 0
 }
 
 // anchorFor returns the HostOffset anchor of the GPA region hi, picking

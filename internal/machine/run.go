@@ -63,12 +63,10 @@ func (L *Layer) EnsureMappedRun(va uint64, n int, v *VMA, frames []uint64) (cycl
 			frames[i] = frame + uint64(i)
 		}
 	} else {
-		// Keep the frames in one 2 MiB region, as placed ones are: the
-		// VM bounds a run's EPT faults by that (accessRun).
-		k = L.Buddy.RunSpan(k)
-		if got := L.Buddy.AllocRun(k, frames); got != k {
-			panic(fmt.Sprintf("machine: %s run of %d pages got %d frames", L.Name, k, got))
-		}
+		// AllocRun keeps the frames in one 2 MiB region, as placed ones
+		// are: the VM bounds a run's EPT faults by that (accessRun). It
+		// cannot run out: the allocator holds a frame for every page.
+		k = L.Buddy.AllocRun(k, frames)
 	}
 	refs, err := L.Table.MapRun(va, frames[:k])
 	if err != nil {

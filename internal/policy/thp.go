@@ -62,14 +62,7 @@ func (t *THP) Name() string { return "thp" }
 // fully-VMA-contained 2 MiB region attempts a synchronous huge
 // allocation; failure costs a compaction stall and falls back to base.
 func (t *THP) OnFault(L *machine.Layer, va uint64, v *machine.VMA) machine.Decision {
-	if !t.P.SyncHugeFault {
-		return machine.Decision{Kind: mem.Base}
-	}
-	hugeBase := va &^ uint64(mem.HugeSize-1)
-	if !machine.RegionInVMA(hugeBase, v) {
-		return machine.Decision{Kind: mem.Base}
-	}
-	if _, isHuge, present := L.Table.LookupHugeRegion(va); isHuge || present > 0 {
+	if !t.triesHuge(L, va, v) {
 		return machine.Decision{Kind: mem.Base}
 	}
 	if t.deferred > 0 {
@@ -90,12 +83,21 @@ func (t *THP) OnFault(L *machine.Layer, va uint64, v *machine.VMA) machine.Decis
 // the run is a base page. The first fault in an empty region is left to
 // OnFault: it tries a huge allocation or spends a deferral.
 func (t *THP) OnFaultRun(L *machine.Layer, va uint64, n int, v *machine.VMA) (int, uint64, bool) {
-	if t.P.SyncHugeFault && machine.RegionInVMA(va&^uint64(mem.HugeSize-1), v) {
-		if _, _, present := L.Table.LookupHugeRegion(va); present == 0 {
-			return 0, 0, false
-		}
+	if t.triesHuge(L, va, v) {
+		return 0, 0, false
 	}
 	return n, 0, false
+}
+
+// triesHuge reports whether a fault at va is the first fault in an
+// untouched, fully-VMA-contained 2 MiB region, where OnFault tries a
+// synchronous huge allocation.
+func (t *THP) triesHuge(L *machine.Layer, va uint64, v *machine.VMA) bool {
+	if !t.P.SyncHugeFault || !machine.RegionInVMA(va&^uint64(mem.HugeSize-1), v) {
+		return false
+	}
+	_, isHuge, present := L.Table.LookupHugeRegion(va)
+	return !isHuge && present == 0
 }
 
 // Tick implements Policy: khugepaged scans regions round-robin and
