@@ -22,6 +22,8 @@ const auditLayer = "gemini"
 //     its unclaimed frames stay withdrawn from the free lists;
 //   - every buddy reservation belongs to exactly one live non-owned
 //     booking — no orphaned reservations;
+//   - the count of unanchored bookings that lets anchor skip its
+//     booking search matches the map;
 //   - the huge bucket parks only in-bounds, whole 2 MiB blocks whose
 //     frames are neither free, nor reserved, nor mapped by the guest,
 //     and never a region that is simultaneously booked;
@@ -36,7 +38,11 @@ func (g *Gemini) CheckInvariants() []audit.Violation {
 	p := g.guest
 	b := p.g.vm.Guest.Buddy
 
+	unanchored := 0
 	for hi, bk := range p.bookings {
+		if bk.unanchored() {
+			unanchored++
+		}
 		if bk.hugeIdx != hi {
 			vs = append(vs, audit.Violationf(auditLayer, "booking-key", hi,
 				"booking filed under region %d records region %d", hi, bk.hugeIdx))
@@ -83,6 +89,11 @@ func (g *Gemini) CheckInvariants() []audit.Violation {
 				}
 			}
 		}
+	}
+
+	if unanchored != p.unanchored {
+		vs = append(vs, audit.Violationf(auditLayer, "unanchored-count", 0,
+			"%d bookings are unanchored but the count says %d", unanchored, p.unanchored))
 	}
 
 	// Reservations with no booking would hold guest memory forever.

@@ -29,7 +29,7 @@ func TestAuditCatchesReservationKilledBehindBooking(t *testing.T) {
 	if _, err := b.Reserve(4); err != nil {
 		t.Fatal(err)
 	}
-	gp.bookings[4] = &booking{hugeIdx: 4}
+	gp.addBooking(&booking{hugeIdx: 4})
 	if vs := g.CheckInvariants(); len(vs) != 0 {
 		t.Fatalf("baseline not clean: %s", audit.Report(vs))
 	}
@@ -38,7 +38,7 @@ func TestAuditCatchesReservationKilledBehindBooking(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectViolations(t, g.CheckInvariants(), "booking-reservation")
-	delete(gp.bookings, 4)
+	gp.dropBooking(gp.bookings[4])
 }
 
 func TestAuditCatchesClaimDesync(t *testing.T) {
@@ -47,7 +47,7 @@ func TestAuditCatchesClaimDesync(t *testing.T) {
 	if _, err := b.Reserve(4); err != nil {
 		t.Fatal(err)
 	}
-	gp.bookings[4] = &booking{hugeIdx: 4}
+	gp.addBooking(&booking{hugeIdx: 4})
 	// Claim a page in the allocator without recording it in the
 	// booking.
 	if err := b.AllocReservedPage(4, 4*mem.PagesPerHuge+3); err != nil {
@@ -62,9 +62,41 @@ func TestAuditCatchesClaimCountDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	bk := &booking{hugeIdx: 4}
-	gp.bookings[4] = bk
+	gp.addBooking(bk)
 	bk.nClaimed++
 	expectViolations(t, g.CheckInvariants(), "booking-claim-count")
+}
+
+// TestAuditCatchesUnanchoredCountDrift breaks the unanchored-booking
+// count each way it can drift from the map: a booking anchored or filed
+// behind the count's back, and a count bumped with no booking.
+func TestAuditCatchesUnanchoredCountDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(gp *GuestPolicy, bk *booking)
+		want   []string
+	}{
+		{"anchored behind the count", func(_ *GuestPolicy, bk *booking) { bk.anchored = true },
+			[]string{"unanchored-count"}},
+		{"count bumped", func(gp *GuestPolicy, _ *booking) { gp.unanchored++ },
+			[]string{"unanchored-count"}},
+		{"filed behind the count", func(gp *GuestPolicy, _ *booking) { gp.bookings[9] = &booking{hugeIdx: 9} },
+			[]string{"unanchored-count", "booking-reservation"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, vm, g, gp, _ := newGeminiVM(Config{})
+			if _, err := vm.Guest.Buddy.Reserve(4); err != nil {
+				t.Fatal(err)
+			}
+			bk := &booking{hugeIdx: 4}
+			gp.addBooking(bk)
+			if vs := g.CheckInvariants(); len(vs) != 0 {
+				t.Fatalf("baseline not clean: %s", audit.Report(vs))
+			}
+			tc.mutate(gp, bk)
+			expectViolations(t, g.CheckInvariants(), tc.want...)
+		})
+	}
 }
 
 func TestAuditCatchesOrphanReservation(t *testing.T) {
@@ -100,7 +132,7 @@ func TestAuditCatchesBookedBucketOverlap(t *testing.T) {
 	}
 	hi := f / mem.PagesPerHuge
 	gp.bucket.Put(hi, 0, 1000)
-	gp.bookings[hi] = &booking{hugeIdx: hi, owned: true}
+	gp.addBooking(&booking{hugeIdx: hi, owned: true})
 	expectViolations(t, g.CheckInvariants(), "booking-bucket-overlap")
 }
 
@@ -123,7 +155,7 @@ func TestReclaimOfReturnedPageCountsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	bk := &booking{hugeIdx: 4}
-	gp.bookings[4] = bk
+	gp.addBooking(bk)
 	frame := uint64(4*mem.PagesPerHuge + 3)
 	va := uint64(1<<30) + 3*mem.PageSize
 	d := &offsetDesc{offset: int64(va) - int64(frame*mem.PageSize)}

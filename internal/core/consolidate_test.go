@@ -95,11 +95,11 @@ func TestConsolidateSkipsBooked(t *testing.T) {
 	// Manually register a booking on the region: consolidate must
 	// leave it alone. (The booking cannot reserve the region — it is
 	// occupied — so fabricate the record only.)
-	gp.bookings[hi] = &booking{hugeIdx: hi}
+	gp.addBooking(&booking{hugeIdx: hi})
 	if gp.consolidate(vm.Guest, hi) {
 		t.Fatal("consolidated a booked region")
 	}
-	delete(gp.bookings, hi)
+	gp.dropBooking(gp.bookings[hi])
 }
 
 func TestConsolidateSkipsAlreadyHugeDominant(t *testing.T) {

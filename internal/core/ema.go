@@ -92,8 +92,7 @@ func (p *GuestPolicy) claimRun(L *machine.Layer, d *offsetDesc, va uint64, n int
 		}
 	}
 	if k > 0 && !bk.anchored && d.aligned {
-		bk.anchored = true
-		bk.vaBase = va &^ uint64(mem.HugeSize-1)
+		p.anchorBooking(bk, va&^uint64(mem.HugeSize-1))
 	}
 	return k, frame
 }
@@ -120,14 +119,13 @@ func (p *GuestPolicy) anchor(L *machine.Layer, v *machine.VMA, va uint64) *offse
 		// 1. Huge bucket: freed well-aligned regions, reused whole.
 		if !p.g.cfg.DisableBucket {
 			if hi, ok := p.bucket.Take(p.stillHostHuge); ok {
-				bk := &booking{
+				p.addBooking(&booking{
 					hugeIdx:  hi,
 					owned:    true,
 					expires:  p.now + p.ctl.Timeout(),
 					vaBase:   vaHugeBase,
 					anchored: true,
-				}
-				p.bookings[hi] = bk
+				})
 				p.Stats.BucketAnchors++
 				return p.pushDesc(v, vaHugeBase, vaHugeBase+mem.HugeSize,
 					int64(vaHugeBase)-int64(hi*mem.HugeSize), true)
@@ -137,9 +135,7 @@ func (p *GuestPolicy) anchor(L *machine.Layer, v *machine.VMA, va uint64) *offse
 		// the host huge page well-aligned.
 		if !p.g.cfg.DisableBooking {
 			if hi, ok := p.takeUnanchoredBooking(); ok {
-				bk := p.bookings[hi]
-				bk.anchored = true
-				bk.vaBase = vaHugeBase
+				p.anchorBooking(p.bookings[hi], vaHugeBase)
 				return p.pushDesc(v, vaHugeBase, vaHugeBase+mem.HugeSize,
 					int64(vaHugeBase)-int64(hi*mem.HugeSize), true)
 			}

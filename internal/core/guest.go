@@ -39,6 +39,11 @@ type GuestPolicy struct {
 	runs     []mem.Region // reused FreeRegionsAtLeast buffer
 	ctl      *TimeoutCtl
 
+	// unanchored counts the bookings that are neither anchored nor
+	// owned, the ones takeUnanchoredBooking looks for; addBooking,
+	// anchorBooking and dropBooking keep it.
+	unanchored int
+
 	now            uint64
 	lastMisses     uint64
 	contigBuiltAt  uint64 // last tick the contiguity list was rebuilt

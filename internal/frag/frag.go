@@ -53,7 +53,7 @@ func (r Report) String() string {
 // huge-page-sized regions at a time).
 type Fragmenter struct {
 	rng *rand.Rand
-	src rand.Source // rng's source, drawn directly for the pinned bits
+	src *stream // rng's source, drawn directly 64 page flips at a time
 	a   *buddy.Allocator
 	// regions lists the huge regions that hold pinned pages, in the
 	// order ReleaseRegions frees them.
@@ -72,7 +72,7 @@ type heldRegion struct {
 
 // New returns a fragmenter over the allocator, seeded deterministically.
 func New(a *buddy.Allocator, seed int64) *Fragmenter {
-	src := rand.NewSource(seed)
+	src := newStream(seed)
 	return &Fragmenter{rng: rand.New(src), src: src, a: a}
 }
 
@@ -118,15 +118,8 @@ func (f *Fragmenter) FragmentTo(target float64, maxConsumeFraction float64) floa
 		for w := range r.bits {
 			// Even frames are pinned and odd ones freed, each choice
 			// flipped with probability 1/8 by one draw per frame in
-			// ascending order: src.Int63()>>32&7 is exactly the value
-			// rng.Intn(8) returns.
-			var flips uint64
-			for i := range 64 {
-				if f.src.Int63()>>32&7 == 0 {
-					flips |= 1 << i
-				}
-			}
-			r.bits[w] = evenFrames ^ flips
+			// ascending order, the draw rng.Intn(8) == 0 would test.
+			r.bits[w] = evenFrames ^ f.src.flips()
 			free[w] = ^r.bits[w]
 			r.n += bits.OnesCount64(r.bits[w])
 		}

@@ -5,14 +5,15 @@
 // the run with base pages and with GEMINI's placement)
 // plus the tick side's structural costs (a TLB region flush, buddy
 // allocation on fragmented memory, a region's fragment-and-recover
-// frees, the fragmenter's release of one region, a compaction that
-// aborts, a region's swap round trip, a demote and re-collapse of one
-// huge page), shared between `go test -bench` and paperbench's
-// -bench-export mode so both always measure the same code with the
-// same names. The suite pins the performance contract
-// of DESIGN.md §7: the steady-state access path allocates nothing
-// (TestAccessSteadyStateZeroAllocs) and regressions beyond tolerance
-// against the committed BENCH_hotpath.json baseline fail CI.
+// frees, the fragmenter's release of one region and its fragmentation
+// of a guest, a compaction that aborts, a region's swap round trip, a
+// demote and re-collapse of one huge page), shared between
+// `go test -bench` and paperbench's -bench-export mode so both always
+// measure the same code with the same names. The suite pins the
+// performance contract of DESIGN.md §7: the steady-state access path
+// allocates nothing (TestAccessSteadyStateZeroAllocs) and regressions
+// beyond tolerance against the committed BENCH_hotpath.json baseline
+// fail CI.
 package hotbench
 
 import (
@@ -57,6 +58,7 @@ func Suite() []Case {
 		{"BuddyAllocFragmented", benchBuddyAllocFragmented},
 		{"BuddyFreeMask", benchBuddyFreeMask},
 		{"FragReleaseRegion", benchFragReleaseRegion},
+		{"FragmentTo", benchFragmentTo},
 		{"CompactRegionAbort", benchCompactRegionAbort},
 		{"SwapRegionRoundTrip", benchSwapRegionRoundTrip},
 		{"DemoteCollapseCycle", benchDemoteCollapseCycle},
@@ -456,6 +458,21 @@ func benchFragReleaseRegion(b *testing.B) {
 			b.StartTimer()
 		}
 		f.ReleaseRegions(1)
+	}
+}
+
+// benchFragmentTo measures the fragmentation pre-pass of a fragmented
+// run's guest: a fresh fragmenter drives a 1 GiB allocator to FMFI 0.96
+// keeping half of each region it shatters, the engine's guest
+// fragmentation in the e2ebench coalesce cells. The fresh allocator is
+// built off the clock.
+func benchFragmentTo(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		a := buddy.New(1 << 18)
+		b.StartTimer()
+		frag.New(a, 1).FragmentTo(0.96, 0.5)
 	}
 }
 
