@@ -1,8 +1,9 @@
 // Package hotbench defines the hot-path microbenchmark suite: one
 // case per layer of the access pipeline (TLB lookup, native and
-// nested walk costing, page-table walk, the cached and uncached
-// access paths, and demand faulting one page and an ascending run,
-// the run with base pages and with GEMINI's placement)
+// nested walk costing, a miss-heavy TLB batch, page-table walk, the
+// cached and uncached access paths, and demand faulting one page and
+// an ascending run, the run with base pages and with GEMINI's
+// placement)
 // plus the tick side's structural costs (a TLB region flush, buddy
 // allocation on fragmented memory, a region's fragment-and-recover
 // frees, the fragmenter's release of one region and its fragmentation
@@ -46,6 +47,7 @@ func Suite() []Case {
 		{"TLBLookup", benchTLBLookup},
 		{"TLBNativeWalk", benchTLBNativeWalk},
 		{"TLBNestedWalk", benchTLBNestedWalk},
+		{"TLBBatchMissHeavy", benchTLBBatchMissHeavy},
 		{"PageTableWalk", benchPageTableWalk},
 		{"AccessSteadyState", benchAccessSteadyState},
 		{"AccessUncached", benchAccessUncached},
@@ -134,6 +136,37 @@ func benchTLBNestedWalk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		va := addrs[i&4095]
 		t.NestedWalkRefs(va, mem.Base, va, mem.Base)
+	}
+}
+
+// benchTLBBatchMissHeavy measures one AccessNestedBatch call over
+// 1,024 staged accesses to random base pages of a 2^20-page pool, the
+// batches taken in turn from 16 pre-staged ones. Nearly every
+// access misses, evicts a live way and charges a nested walk, so this
+// is the case that times the victim choice, which TLBLookup and
+// AccessSteadyState (mostly hits) do not reach.
+func benchTLBBatchMissHeavy(b *testing.B) {
+	// 16 batches of 1,024 draws cover about 16,000 distinct pages, ten
+	// times the default TLB's 1,536 entries.
+	const missBatches, missBatch = 16, 1024
+	const n = missBatches * missBatch
+	t := tlb.New(tlb.DefaultConfig())
+	vas := make([]uint64, n)
+	sis := make([]uint32, n)
+	metas := make([]uint8, n)
+	meta := tlb.PackKinds(mem.Base, mem.Base, mem.Base)
+	x := uint64(0x2545f4914f6cdd1d)
+	for i := range vas {
+		x = x*6364136223846793005 + 1442695040888963407
+		vas[i] = (x >> 44) << mem.PageShift
+		sis[i] = t.SetIndexOf(vas[i], mem.Base)
+		metas[i] = meta
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i % missBatches * missBatch
+		t.AccessNestedBatch(vas[k:k+missBatch], vas[k:k+missBatch], sis[k:k+missBatch], metas[k:k+missBatch])
 	}
 }
 

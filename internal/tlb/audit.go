@@ -13,25 +13,28 @@ const auditLayer = "tlb"
 // returning false stops the walk. The VA is reconstructed from the
 // tag, which stores the full page number above the kind bit.
 func (t *TLB) VisitEntries(fn func(va uint64, kind mem.PageSizeKind) bool) {
-	for _, e := range t.ways {
-		if !e.valid() {
+	for _, tag := range t.tags {
+		if tag == invalidTag {
 			continue
 		}
-		pn := e.tag >> 1
+		pn := tag >> 1
+		kind := mem.PageSizeKind(tag & 1)
 		va := pn << mem.PageShift
-		if e.kind() == mem.Huge {
+		if kind == mem.Huge {
 			va = pn << mem.HugeShift
 		}
-		if !fn(va, e.kind()) {
+		if !fn(va, kind) {
 			return
 		}
 	}
 }
 
 // CheckInvariants validates the TLB's internal geometry: every valid
-// entry lives in the set its page number selects, appears at most once
-// per set, and carries a live LRU stamp (empty ways alone may hold
-// lru 0 — the victim-selection scans depend on it). The entry kind
+// entry lives in the set its page number selects and appears at most
+// once per set, and the set's recency ranks are a permutation of
+// 0..k-1 over its k live ways, with every empty way and every padding
+// way past cfg.Ways (which must stay empty) ranked emptyRank — the
+// victim choice depends on it (rule "lru-rank"). The entry kind
 // cannot desync from the tag since it is stored only in the tag's low
 // bit. Coherence against the owning page table is a cross-layer
 // property checked by the machine auditor, which has both structures
@@ -40,25 +43,42 @@ func (t *TLB) CheckInvariants() []audit.Violation {
 	var vs []audit.Violation
 	for si := 0; si < t.cfg.Sets; si++ {
 		set := t.set(si)
-		seen := make(map[uint64]bool, len(set))
-		for _, e := range set {
-			if !e.valid() {
+		a := t.ages[si]
+		live := 0
+		for j, tag := range set {
+			if tag != invalidTag && j < t.cfg.Ways {
+				live++
+			}
+		}
+		var ranked uint64 // bit r set once some live way ranks r
+		for j, tag := range set {
+			rank := a >> (8 * j) & 0xff
+			switch {
+			case tag == invalidTag || j >= t.cfg.Ways:
+				if rank != emptyRank || tag != invalidTag {
+					vs = append(vs, audit.Violationf(auditLayer, "lru-rank", tag,
+						"set %d way %d: empty or padding way holds rank %#x (want %#x) and tag %#x",
+						si, j, rank, emptyRank, tag))
+				}
 				continue
+			case rank >= uint64(live) || ranked&(1<<rank) != 0:
+				vs = append(vs, audit.Violationf(auditLayer, "lru-rank", tag,
+					"set %d way %d: rank %#x is not a distinct rank below the %d live ways",
+					si, j, rank, live))
 			}
-			if e.lru == 0 {
-				vs = append(vs, audit.Violationf(auditLayer, "zero-lru", e.tag,
-					"live entry carries lru 0, reserved for empty ways"))
-			}
-			pn := e.tag >> 1
+			ranked |= 1 << (rank & 63)
+			pn := tag >> 1
 			if want := int(pn % uint64(t.cfg.Sets)); want != si {
-				vs = append(vs, audit.Violationf(auditLayer, "set-index", e.tag,
+				vs = append(vs, audit.Violationf(auditLayer, "set-index", tag,
 					"entry in set %d but page number selects set %d", si, want))
 			}
-			if seen[e.tag] {
-				vs = append(vs, audit.Violationf(auditLayer, "duplicate-tag", e.tag,
-					"tag appears twice in set %d", si))
+			for _, prev := range set[:j] {
+				if prev == tag {
+					vs = append(vs, audit.Violationf(auditLayer, "duplicate-tag", tag,
+						"tag appears twice in set %d", si))
+					break
+				}
 			}
-			seen[e.tag] = true
 		}
 	}
 	return vs

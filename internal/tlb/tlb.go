@@ -19,12 +19,13 @@
 // also reduce walk latency: their leaf entries sit one level higher
 // and are covered by the walk caches far more often.
 //
-// See DESIGN.md §7 (performance model) for the packed 16-byte entry
-// layout and the fused probe-insert the access paths use.
+// See DESIGN.md §7 (performance model) for the one-line-per-set tag
+// layout, the packed recency ranks and the victim formula.
 package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fastdiv"
 	"repro/internal/mem"
@@ -34,7 +35,10 @@ import (
 type Config struct {
 	// Sets and Ways give the unified second-level TLB geometry.
 	// The default (192 x 8 = 1536 entries) matches the paper's Xeon
-	// E5-2620 ("1536 L2 TLB entries for 4KiB/2MiB pages").
+	// E5-2620 ("1536 L2 TLB entries for 4KiB/2MiB pages"). Ways must
+	// lie in 1..8: every set is stored as eight ways, one cache line
+	// of tags and one byte of recency rank each, and a narrower
+	// geometry leaves the ways past Ways empty.
 	Sets int
 	Ways int
 	// MemRefCycles is the cost of one page-table memory reference
@@ -86,40 +90,66 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(total)
 }
 
-// entry is one TLB entry, packed into 16 bytes so an 8-way set scan —
-// performed once per simulated access — touches two cache lines
-// instead of three. The tag encodes the page number (4 KiB granule for
-// base entries, huge-region index for huge entries) above the kind bit
-// (see tagOf); there are no separate kind or valid fields. An empty
-// way holds invalidTag, which no real tag can equal, so the probe loop
-// needs no validity test, and its zero lru makes empty ways the
-// preferred eviction victims without a separate first-invalid scan.
-type entry struct {
-	tag uint64
-	lru uint64 // larger = more recently used; 0 only for empty ways
-}
-
 // invalidTag marks an empty way. Real tags are pn<<1|kind with pn a
 // 52-bit page number at most, so they can never collide with it.
 const invalidTag = ^uint64(0)
 
-// valid reports whether the way holds a live translation.
-func (e *entry) valid() bool { return e.tag != invalidTag }
+// Every set stores setWays tags and one word of ranks, whatever
+// cfg.Ways: ways past cfg.Ways hold invalidTag and rank emptyRank
+// forever, so no probe or victim choice can reach them.
+const (
+	setWays   = 8
+	lanes     = 0x0101010101010101 // 1 in each byte of a rank word
+	highBits  = 0x8080808080808080 // bit 7 of each byte
+	emptyRank = 0x7f               // rank of an empty or padding way
+	emptyAges = emptyRank * lanes  // rank word of an empty set
+)
 
-// kind returns the entry kind encoded in the tag's low bit.
-func (e *entry) kind() mem.PageSizeKind { return mem.PageSizeKind(e.tag & 1) }
+// touch returns the rank word a with way j made the most recent:
+// every lane ranked below j's rank r moves one rank older and j ranks
+// 0. Ranks never exceed 0x7f, so (r+0x7f) - lane per byte neither
+// borrows nor carries, and its bit 7 is set exactly when lane < r.
+// A fill into an empty way (r = 0x7f) ages every live lane and no
+// empty one.
+func touch(a uint64, j int) uint64 {
+	s := uint(j) * 8
+	r := a >> s & 0xff
+	younger := ((r+emptyRank)*lanes - a) & highBits
+	return (a + younger>>7) &^ (0xff << s)
+}
+
+// vacate returns the rank word a with way j emptied: every live lane
+// ranked above j's rank r moves one rank newer and j ranks emptyRank,
+// so the live ways still rank 0..k-1. Per byte, lane + (0x7f-r) has
+// bit 7 set exactly when lane > r, and lane + 1 exactly when the lane
+// is empty.
+func vacate(a uint64, j int) uint64 {
+	s := uint(j) * 8
+	r := a >> s & 0xff
+	a |= emptyRank << s
+	newer := (a + (emptyRank-r)*lanes) &^ (a + lanes) & highBits
+	return a - newer>>7
+}
 
 // TLB is a unified set-associative translation lookaside buffer.
 type TLB struct {
 	cfg Config
-	// ways holds every entry in one flat array, set i occupying
-	// ways[i*cfg.Ways : (i+1)*cfg.Ways]. A flat layout keeps a set scan
-	// — the operation every simulated access performs at least once —
-	// to a single bounds-checked subslice with no per-set pointer
-	// chase.
-	ways  []entry
-	clock uint64
-	stats Stats
+	// tags holds setWays tags per set, set i at tags[8i : 8i+8], so a
+	// set is one 64-byte cache line and the probe is eight compares
+	// against it. The tag encodes the page number (4 KiB granule for
+	// base entries, huge-region index for huge entries) above the kind
+	// bit (see tagOf); an empty way holds invalidTag, which no real tag
+	// can equal, so the probe needs no validity test.
+	tags []uint64
+	// ages holds one word per set: byte j is way j's recency rank,
+	// 0 for the most recent. The live ways of a set always rank
+	// 0..k-1 and empty ways rank emptyRank, so a miss's victim — the
+	// lowest-index empty way, else the least recent — is the lowest
+	// way ranked at least Ways-1, found with one add (victimAdd) and
+	// one trailing-zero count instead of a search.
+	ages      []uint64
+	victimAdd uint64
+	stats     Stats
 
 	// pwcGuest and pwcHost are direct-mapped page-walk caches keyed
 	// by 2 MiB virtual (resp. guest-physical) region index.
@@ -127,16 +157,16 @@ type TLB struct {
 	pwcHost  []uint64
 
 	// setsDiv and pwcDiv are precomputed reciprocals for the set-index
-	// and walk-cache modulos, used only by the fused batch kernel
-	// (AccessNestedFast). The scalar paths keep the plain arithmetic so
-	// the unbatched baseline stays the historic code.
+	// (SetIndexOf) and walk-cache (AccessNestedBatch) modulos. The
+	// scalar paths keep the plain arithmetic so the unbatched baseline
+	// stays the historic code.
 	setsDiv fastdiv.Divisor
 	pwcDiv  fastdiv.Divisor
 }
 
 // New creates a TLB with the given configuration.
 func New(cfg Config) *TLB {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 {
+	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.Ways > setWays {
 		panic(fmt.Sprintf("tlb: bad geometry %dx%d", cfg.Sets, cfg.Ways))
 	}
 	pwcSize := cfg.PWCEntries
@@ -149,18 +179,40 @@ func New(cfg Config) *TLB {
 		g[i] = ^uint64(0)
 		h[i] = ^uint64(0)
 	}
-	ways := make([]entry, cfg.Sets*cfg.Ways)
-	for i := range ways {
-		ways[i].tag = invalidTag
-	}
-	return &TLB{cfg: cfg, ways: ways, pwcGuest: g, pwcHost: h,
+	t := &TLB{cfg: cfg,
+		tags:      make([]uint64, cfg.Sets*setWays),
+		ages:      make([]uint64, cfg.Sets),
+		victimAdd: uint64(0x81-cfg.Ways) * lanes,
+		pwcGuest:  g, pwcHost: h,
 		setsDiv: fastdiv.New(uint64(cfg.Sets)),
 		pwcDiv:  fastdiv.New(uint64(pwcSize))}
+	t.emptyWays()
+	return t
 }
 
-// set returns the ways of set si as a subslice of the flat array.
-func (t *TLB) set(si int) []entry {
-	return t.ways[si*t.cfg.Ways : (si+1)*t.cfg.Ways]
+// emptyWays empties every way.
+func (t *TLB) emptyWays() {
+	for i := range t.tags {
+		t.tags[i] = invalidTag
+	}
+	for i := range t.ages {
+		t.ages[i] = emptyAges
+	}
+}
+
+// set returns the tags of set si.
+func (t *TLB) set(si int) *[setWays]uint64 {
+	return (*[setWays]uint64)(t.tags[si*setWays : si*setWays+setWays])
+}
+
+// victim returns the way a miss in a set with rank word a fills: the
+// lowest way ranked at least Ways-1. While the set has an empty way
+// the live ways rank below Ways-1, so that is the lowest-index empty
+// way; in a full set it is the least recent way. Per byte,
+// lane + 0x81-Ways stays below 0x100 and has bit 7 set exactly when
+// lane >= Ways-1.
+func (t *TLB) victim(a uint64) int {
+	return bits.TrailingZeros64((a+t.victimAdd)&highBits) >> 3
 }
 
 // Stats returns a copy of the accumulated statistics.
@@ -202,11 +254,9 @@ func (t *TLB) SetIndexOf(va uint64, kind mem.PageSizeKind) uint32 {
 // Lookup probes the TLB for a translation of va at the given kind.
 func (t *TLB) Lookup(va uint64, kind mem.PageSizeKind) bool {
 	tag, si := t.tagOf(va, kind)
-	set := t.set(si)
-	for i := range set {
-		if set[i].tag == tag {
-			t.clock++
-			set[i].lru = t.clock
+	for j, tg := range t.set(si) {
+		if tg == tag {
+			t.ages[si] = touch(t.ages[si], j)
 			return true
 		}
 	}
@@ -216,34 +266,15 @@ func (t *TLB) Lookup(va uint64, kind mem.PageSizeKind) bool {
 // Insert installs a translation of va at the given kind, evicting the
 // LRU way if the set is full. A tag already resident anywhere in the
 // set is refreshed in place, never duplicated: the whole set is
-// scanned for a match before a victim way is chosen, so a hole left
-// by FlushPage ahead of the resident way cannot shadow it.
-func (t *TLB) Insert(va uint64, kind mem.PageSizeKind) {
-	tag, si := t.tagOf(va, kind)
-	set := t.set(si)
-	t.clock++
-	victim := 0
-	for i := range set {
-		if set[i].tag == tag {
-			set[i].lru = t.clock
-			return
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	// Empty ways carry lru 0, below every live entry's lru, so the
-	// strict-minimum scan lands on the first empty way when one exists
-	// and on the LRU way otherwise.
-	if set[victim].valid() {
-		t.stats.Evictions++
-	}
-	set[victim] = entry{tag: tag, lru: t.clock}
-	if kind == mem.Huge {
-		t.stats.Insert2M++
-	} else {
-		t.stats.Insert4K++
-	}
+// probed before a victim way is chosen, so a hole left by FlushPage
+// ahead of the resident way cannot shadow it.
+func (t *TLB) Insert(va uint64, kind mem.PageSizeKind) { t.probeInsert(va, kind) }
+
+// flushWay empties way j of set si.
+func (t *TLB) flushWay(si, j int) {
+	t.tags[si*setWays+j] = invalidTag
+	t.ages[si] = vacate(t.ages[si], j)
+	t.stats.Flushes++
 }
 
 // FlushPage removes any entry translating va at either kind (a
@@ -251,11 +282,9 @@ func (t *TLB) Insert(va uint64, kind mem.PageSizeKind) {
 func (t *TLB) FlushPage(va uint64) {
 	for _, kind := range []mem.PageSizeKind{mem.Base, mem.Huge} {
 		tag, si := t.tagOf(va, kind)
-		set := t.set(si)
-		for i := range set {
-			if set[i].tag == tag {
-				set[i] = entry{tag: invalidTag}
-				t.stats.Flushes++
+		for j, tg := range t.set(si) {
+			if tg == tag {
+				t.flushWay(si, j)
 			}
 		}
 	}
@@ -267,35 +296,34 @@ func (t *TLB) FlushPage(va uint64) {
 //
 // The region's 512 base pages select every set of the default
 // geometry, so instead of probing each page's set the flush makes one
-// pass over all ways. Each entry lives in the set its tag selects (the
+// pass over all tags. Each entry lives in the set its tag selects (the
 // audit's "set-index" rule), so matching tags alone removes exactly the
 // entries the per-page probes would: the huge tag region<<1|1, and
-// every base tag (pn<<1) whose page number pn lies in the region, i.e.
-// tag>>10 == region. The empty-way tag has its low bit set and can
-// equal neither.
+// every base tag pn<<1 whose page number pn = region<<9 | page lies in
+// the region. Clearing such a tag's nine page bits (1..9) leaves
+// exactly region<<10; the huge tag and the empty-way tag keep their low
+// bit set and never do, so each tag costs one masked compare and one
+// plain compare.
 func (t *TLB) FlushHugeRegion(va uint64) {
 	region := va >> mem.HugeShift
 	hugeTag := region<<1 | uint64(mem.Huge)
-	ways := t.ways
-	var flushed uint64
-	for i := range ways {
-		tag := ways[i].tag
-		if tag == hugeTag || (tag&1 == uint64(mem.Base) && tag>>(mem.HugeShift-mem.PageShift+1) == region) {
-			ways[i] = entry{tag: invalidTag}
-			flushed++
+	baseKey := region << (mem.HugeShift - mem.PageShift + 1)
+	const pageBits = (mem.PagesPerHuge - 1) << 1
+	for i, tag := range t.tags {
+		if tag&^pageBits == baseKey || tag == hugeTag {
+			t.flushWay(i/setWays, i%setWays)
 		}
 	}
-	t.stats.Flushes += flushed
 }
 
 // FlushAll empties the TLB and both walk caches (full shootdown).
 func (t *TLB) FlushAll() {
-	for i := range t.ways {
-		if t.ways[i].valid() {
-			t.ways[i] = entry{tag: invalidTag}
+	for _, tag := range t.tags {
+		if tag != invalidTag {
 			t.stats.Flushes++
 		}
 	}
+	t.emptyWays()
 	for i := range t.pwcGuest {
 		t.pwcGuest[i] = ^uint64(0)
 		t.pwcHost[i] = ^uint64(0)
@@ -359,33 +387,26 @@ func (t *TLB) NestedWalkRefs(va uint64, gKind mem.PageSizeKind, gpa uint64, hKin
 	return gSteps*(hSteps+1) + hSteps
 }
 
-// probeInsert performs the TLB-array side of one access in a single
-// set scan: probe for (va, kind) and, on a miss, install it. It is
-// observably identical to Lookup followed (on a miss) by Insert — one
-// clock advance either way, the same refresh-in-place rule, the same
-// first-invalid-else-LRU victim, the same stats — but pays one pass
-// over the set where the unfused pair pays up to three. Hit/miss
-// counters stay with the callers, which also charge walk costs.
+// probeInsert performs the TLB-array side of one access: probe for
+// (va, kind) and, on a miss, install it in the victim way, counting
+// the eviction and the insert. Hit/miss counters stay with the
+// callers, which also charge walk costs.
 func (t *TLB) probeInsert(va uint64, kind mem.PageSizeKind) bool {
 	tag, si := t.tagOf(va, kind)
 	set := t.set(si)
-	t.clock++
-	victim := 0
-	for i := range set {
-		if set[i].tag == tag {
-			set[i].lru = t.clock
+	a := t.ages[si]
+	for j, tg := range set {
+		if tg == tag {
+			t.ages[si] = touch(a, j)
 			return true
 		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
 	}
-	// As in Insert: empty ways (lru 0) win the strict-minimum scan
-	// over any live way, reproducing first-invalid-else-LRU selection.
-	if set[victim].valid() {
+	j := t.victim(a)
+	if set[j] != invalidTag {
 		t.stats.Evictions++
 	}
-	set[victim] = entry{tag: tag, lru: t.clock}
+	set[j] = tag
+	t.ages[si] = touch(a, j)
 	if kind == mem.Huge {
 		t.stats.Insert2M++
 	} else {
@@ -410,27 +431,26 @@ func UnpackKinds(meta uint8) (eff, gk, hk mem.PageSizeKind) {
 // AccessNestedBatch performs one nested-mode access per element of
 // the parallel slices (va, gpa, the SetIndexOf-precomputed set index,
 // and the PackKinds-packed mapping kinds, all pre-resolved by the
-// machine layer's walk cache) and
-// returns the summed cycle cost. It is observably identical to
-// calling AccessNested element by element — same entries, same LRU
-// order, same clock advance, same stats — which
+// machine layer's walk cache) and returns the summed cycle cost. It is
+// observably identical to calling AccessNested element by element —
+// same entries, same recency ranks, same stats — which
 // TestAccessNestedBatchMatchesReference pins across geometries,
 // including non-power-of-two set counts and walk-cache sizes.
 //
 // The batch form is why the vectorized access path is fast: across a
-// whole batch the kernel touches only the TLB arrays (24 KiB of ways
-// plus two small walk caches), so they stay cache-resident instead of
-// being evicted between accesses by the simulator's larger
-// structures; the clock and the victim scan's running minimum live in
-// registers; and the set-index and walk-cache modulos use precomputed
-// reciprocal multiplies (fastdiv) instead of hardware division. The
-// scalar path keeps AccessNested so benchmarks of the unbatched
-// baseline measure the historic code.
+// whole batch the kernel touches only the TLB arrays (12 KiB of tags,
+// 1.5 KiB of ranks and two small walk caches), so they stay
+// cache-resident instead of being evicted between accesses by the
+// simulator's larger structures; a set's probe is eight compares
+// against one cache line and its victim one add and one trailing-zero
+// count over its rank word; and the walk-cache modulo uses a
+// precomputed reciprocal multiply (fastdiv) instead of hardware
+// division. The scalar path keeps AccessNested so benchmarks of the
+// unbatched baseline measure the historic code.
 func (t *TLB) AccessNestedBatch(vas, gpas []uint64, sis []uint32, metas []uint8) uint64 {
-	w := t.cfg.Ways
 	hitCycles := t.cfg.HitCycles
 	memRef := t.cfg.MemRefCycles
-	clock := t.clock
+	tags, ages := t.tags, t.ages
 	var total uint64
 	// Re-slice the parallel arrays to the batch length so the compiler
 	// can prove every in-loop index is in bounds, and accumulate the
@@ -454,109 +474,50 @@ func (t *TLB) AccessNestedBatch(vas, gpas []uint64, sis []uint32, metas []uint8)
 		}
 		tag := pn<<1 | uint64(effKind)
 		si := int(sis[i])
-		set := t.ways[si*w : si*w+w]
-		clock++
-		// Probe first, choose a victim only on a miss. probeInsert
-		// interleaves the two, but its victim comparisons are
-		// data-dependent branches that mispredict on nearly every way;
-		// splitting them leaves one data-dependent branch per access
-		// (hit or miss) and lets the miss path run a branchless
-		// minimum. The default 8-way geometry unrolls to straight-line
-		// compares (conditional moves, no per-way branches); duplicate
-		// tags cannot coexist in a set, so accumulation order is
-		// irrelevant.
-		hitJ := -1
-		if len(set) == 8 {
-			// At most one way can hold the tag, so each compare sets an
-			// independent candidate (way index + 1) and an OR tree
-			// combines them: eight parallel conditional moves plus a
-			// depth-3 reduction, instead of an eight-deep serial chain
-			// through a single accumulator.
-			s8 := (*[8]entry)(set)
-			var c0, c1, c2, c3, c4, c5, c6, c7 int
-			if s8[0].tag == tag {
-				c0 = 1
-			}
-			if s8[1].tag == tag {
-				c1 = 2
-			}
-			if s8[2].tag == tag {
-				c2 = 3
-			}
-			if s8[3].tag == tag {
-				c3 = 4
-			}
-			if s8[4].tag == tag {
-				c4 = 5
-			}
-			if s8[5].tag == tag {
-				c5 = 6
-			}
-			if s8[6].tag == tag {
-				c6 = 7
-			}
-			if s8[7].tag == tag {
-				c7 = 8
-			}
-			hitJ = ((c0 | c1) | (c2 | c3)) | ((c4 | c5) | (c6 | c7)) - 1
-		} else {
-			for j := range set {
-				if set[j].tag == tag {
-					hitJ = j
-					break
-				}
-			}
+		set := (*[setWays]uint64)(tags[si*setWays : si*setWays+setWays])
+		a := ages[si]
+		// At most one way can hold the tag, so each compare sets an
+		// independent candidate (way index + 1) and an OR tree
+		// combines them: eight parallel conditional moves plus a
+		// depth-3 reduction, leaving one data-dependent branch per
+		// access (hit or miss).
+		var c0, c1, c2, c3, c4, c5, c6, c7 int
+		if set[0] == tag {
+			c0 = 1
 		}
-		if hitJ >= 0 {
-			set[hitJ].lru = clock
+		if set[1] == tag {
+			c1 = 2
+		}
+		if set[2] == tag {
+			c2 = 3
+		}
+		if set[3] == tag {
+			c3 = 4
+		}
+		if set[4] == tag {
+			c4 = 5
+		}
+		if set[5] == tag {
+			c5 = 6
+		}
+		if set[6] == tag {
+			c6 = 7
+		}
+		if set[7] == tag {
+			c7 = 8
+		}
+		if hitJ := ((c0 | c1) | (c2 | c3)) | ((c4 | c5) | (c6 | c7)) - 1; hitJ >= 0 {
+			ages[si] = touch(a, hitJ)
 			hits++
 			total += hitCycles
 			continue
 		}
-		// As in probeInsert: empty ways (lru 0) beat any live way, and
-		// the first index attaining the strict minimum wins. Packing
-		// the way index into the comparison key preserves exactly that
-		// order (lru ties resolve to the lowest index) while compiling
-		// to conditional moves instead of branches. The pack is exact
-		// while the LRU clock stays below 2^48 accesses.
-		minKey := ^uint64(0)
-		if len(set) == 8 {
-			s8 := (*[8]entry)(set)
-			minKey = s8[0].lru << 16
-			if k := s8[1].lru<<16 | 1; k < minKey {
-				minKey = k
-			}
-			if k := s8[2].lru<<16 | 2; k < minKey {
-				minKey = k
-			}
-			if k := s8[3].lru<<16 | 3; k < minKey {
-				minKey = k
-			}
-			if k := s8[4].lru<<16 | 4; k < minKey {
-				minKey = k
-			}
-			if k := s8[5].lru<<16 | 5; k < minKey {
-				minKey = k
-			}
-			if k := s8[6].lru<<16 | 6; k < minKey {
-				minKey = k
-			}
-			if k := s8[7].lru<<16 | 7; k < minKey {
-				minKey = k
-			}
-		} else {
-			for j := range set {
-				key := set[j].lru<<16 | uint64(j)
-				if key < minKey {
-					minKey = key
-				}
-			}
-		}
-		victim := int(minKey & 0xffff)
-		if set[victim].tag != invalidTag {
+		j := t.victim(a)
+		if set[j] != invalidTag {
 			evictions++
 		}
-		set[victim] = entry{tag: tag, lru: clock}
+		set[j] = tag
+		ages[si] = touch(a, j)
 		misses++
 		if effKind == mem.Huge {
 			ins2M++
@@ -604,7 +565,6 @@ func (t *TLB) AccessNestedBatch(vas, gpas []uint64, sis []uint32, metas []uint8)
 		walkCycles += cycles
 		total += cycles
 	}
-	t.clock = clock
 	t.stats.Hits += hits
 	t.stats.Misses += misses
 	t.stats.Evictions += evictions

@@ -41,12 +41,16 @@ func TestEntries(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on bad geometry")
-		}
-	}()
-	New(Config{Sets: 0, Ways: 1})
+	for _, cfg := range []Config{{Sets: 0, Ways: 1}, {Sets: 1, Ways: 0}, {Sets: 1, Ways: 9}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic on bad geometry %dx%d", cfg.Sets, cfg.Ways)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestHugeEntryReach(t *testing.T) {
@@ -107,8 +111,8 @@ func TestInsertAfterFlushNoDuplicate(t *testing.T) {
 	tl.Insert(0x1000, mem.Base) // present in way 1: must not copy into the hole
 	tag, si := tl.tagOf(0x1000, mem.Base)
 	valid := 0
-	for _, e := range tl.set(si) {
-		if e.tag == tag {
+	for _, tg := range tl.set(si) {
+		if tg == tag {
 			valid++
 		}
 	}
@@ -326,9 +330,10 @@ func BenchmarkAccessNestedMissHeavy(b *testing.B) {
 // contract: AccessNestedBatch over any chunking of an access sequence
 // leaves the TLB observably identical — same stats, same summed
 // cycles, and the same per-access results afterwards — to feeding the
-// same sequence through AccessNested one element at a time. Geometries
-// cover the default 8-way layout (the unrolled branchless kernel), a
-// non-8-way fallback, and non-power-of-two set and walk-cache sizes
+// same sequence through AccessNested one element at a time, and, at
+// the end, to the stamp-rule reference fed the same sequence.
+// Geometries cover the default 8-way layout, a 3-way layout (five
+// padding ways per set), and non-power-of-two set and walk-cache sizes
 // (the reciprocal-division path).
 func TestAccessNestedBatchMatchesReference(t *testing.T) {
 	geometries := []Config{
@@ -339,6 +344,7 @@ func TestAccessNestedBatchMatchesReference(t *testing.T) {
 	for gi, cfg := range geometries {
 		ref := New(cfg)
 		bat := New(cfg)
+		stamp := newStampTLB(cfg)
 		rng := rand.New(rand.NewSource(int64(gi) + 11))
 		kinds := []mem.PageSizeKind{mem.Base, mem.Huge}
 
@@ -361,6 +367,7 @@ func TestAccessNestedBatchMatchesReference(t *testing.T) {
 				sis[i] = ref.SetIndexOf(va, eff)
 				metas[i] = PackKinds(eff, gk, hk)
 				refTotal += ref.AccessNested(va, eff, gk, hk, gpa).Cycles
+				stamp.AccessNested(va, eff, gk, hk, gpa)
 			}
 			batTotal := bat.AccessNestedBatch(vas, gpas, sis, metas)
 			if refTotal != batTotal {
@@ -382,6 +389,10 @@ func TestAccessNestedBatchMatchesReference(t *testing.T) {
 			if a != b {
 				t.Fatalf("geometry %d: post-batch access %d diverged: %+v vs %+v", gi, i, b, a)
 			}
+			stamp.AccessNested(va, eff, mem.Base, mem.Huge, va)
+		}
+		if d := diffStamp(bat, stamp); d != "" {
+			t.Fatalf("geometry %d: batch TLB and stamp rule diverged: %s", gi, d)
 		}
 	}
 }
