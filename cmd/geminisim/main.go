@@ -145,8 +145,7 @@ func runAll(systems []repro.System, base repro.Config, vms, par int, rec *repro.
 			if prog != nil {
 				gauges := ""
 				if len(results[i]) > 0 {
-					r := results[i][0]
-					gauges = fmt.Sprintf(" fmfi=%.2f cov=%.2f", r.GuestFMFI, r.HugeCoverage)
+					_, gauges = results[i][0].Progress()
 				}
 				prog.CellDone(sys.String(), gauges)
 			}

@@ -234,7 +234,7 @@ type gridJob[U any] struct {
 // o.Trace tagged with its grid index, and the shards are merged into
 // o.Trace in grid order once all cells finish — so the recorder's
 // contents are independent of o.Parallel.
-func runGrid[U, R any](o Options, units []U, systems []System, settings []Setting,
+func runGrid[U any, R gridRow](o Options, units []U, systems []System, settings []Setting,
 	name func(U) string, run func(gridJob[U]) R) []R {
 	if err := o.Validate(); err != nil {
 		panic(err)
@@ -266,11 +266,12 @@ func runGrid[U, R any](o Options, units []U, systems []System, settings []Settin
 			cell = o.Stats.StartCell(describe(i))
 		}
 		out[i] = run(jobs[i])
+		ticks, gauges := out[i].Progress()
 		if cell != nil {
-			cell.Done(resultTicks(out[i]))
+			cell.Done(ticks)
 		}
 		if o.Progress != nil {
-			o.Progress.CellDone(describe(i), resultGauges(out[i]))
+			o.Progress.CellDone(describe(i), gauges)
 		}
 	})
 	if o.Trace != nil {
@@ -279,62 +280,37 @@ func runGrid[U, R any](o Options, units []U, systems []System, settings []Settin
 	return out
 }
 
-// resultTicks extracts the simulated tick count from a grid cell's
-// result for run-stats, across the figure result shapes; 0 for shapes
-// that carry none.
-func resultTicks(v any) uint64 {
-	switch r := v.(type) {
-	case Result:
-		return r.Ticks
-	case CleanSlateRow:
-		return r.Result.Ticks
-	case ColocatedRow:
-		return r.A.Ticks
-	case ManyVMRow:
-		if len(r.Results) > 0 {
-			return r.Results[0].Ticks
-		}
-	case PressureRow:
-		if len(r.Results) > 0 {
-			return r.Results[0].Ticks
-		}
-	case FleetResult:
-		return r.Ticks
-	}
-	return 0
+// gridRow is a grid cell's result as run-stats and the progress line
+// read it: Progress returns the simulated ticks and the progress
+// line's gauges, both zero for a row that holds no run.
+type gridRow interface {
+	Progress() (ticks uint64, gauges string)
 }
 
-// resultGauges renders a grid cell's headline gauges for the progress
-// line (" fmfi=… cov=…"); empty for shapes without them.
-func resultGauges(v any) string {
-	g := func(fmfi, cov float64) string {
-		return fmt.Sprintf(" fmfi=%.2f cov=%.2f", fmfi, cov)
+// Progress reports the first VM's run.
+func (r ColocatedRow) Progress() (uint64, string) { return r.A.Progress() }
+
+// Progress reports the first VM's run.
+func (r ManyVMRow) Progress() (uint64, string) {
+	if len(r.Results) == 0 {
+		return 0, ""
 	}
-	switch r := v.(type) {
-	case Result:
-		return g(r.GuestFMFI, r.HugeCoverage)
-	case CleanSlateRow:
-		return g(r.Result.GuestFMFI, r.Result.HugeCoverage)
-	case ColocatedRow:
-		return g(r.A.GuestFMFI, r.A.HugeCoverage)
-	case ManyVMRow:
-		if len(r.Results) > 0 {
-			return g(r.Results[0].GuestFMFI, r.Results[0].HugeCoverage)
-		}
-	case PressureRow:
-		var swapped, balloon uint64
-		for _, res := range r.Results {
-			swapped += res.SwappedPages
-			balloon += res.BalloonPages
-		}
-		if len(r.Results) > 0 {
-			return g(r.Results[0].GuestFMFI, r.Results[0].HugeCoverage) +
-				fmt.Sprintf(" swapped=%d balloon=%d", swapped, balloon)
-		}
-	case FleetResult:
-		return g(r.MeanHostFMFI, r.HugeCoverage)
+	return r.Results[0].Progress()
+}
+
+// Progress reports the first VM's run and the pages every VM swapped
+// out or gave up to its balloon.
+func (r PressureRow) Progress() (uint64, string) {
+	if len(r.Results) == 0 {
+		return 0, ""
 	}
-	return ""
+	var swapped, balloon uint64
+	for _, res := range r.Results {
+		swapped += res.SwappedPages
+		balloon += res.BalloonPages
+	}
+	ticks, gauges := r.Results[0].Progress()
+	return ticks, gauges + fmt.Sprintf(" swapped=%d balloon=%d", swapped, balloon)
 }
 
 // cellConfig builds the single-VM sim.Config for one grid cell.

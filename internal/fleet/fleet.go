@@ -798,6 +798,12 @@ func sum(xs []uint64) uint64 {
 	return t
 }
 
+// Progress returns the run's simulated ticks and the gauges a progress
+// line quotes for it: the mean host FMFI and the huge-page coverage.
+func (r Result) Progress() (ticks uint64, gauges string) {
+	return r.Ticks, sim.ProgressGauges(r.MeanHostFMFI, r.HugeCoverage)
+}
+
 // Format renders the result as the stable plain-text report the
 // fleetsim CLI prints and the determinism golden locks.
 func (r Result) Format() string {

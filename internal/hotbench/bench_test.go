@@ -52,6 +52,21 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAccessSteadyStateZeroAllocsHugeRegion extends the pin to the
+// walk cache's region entries: accesses to a region mapped huge at
+// both layers allocate nothing, in steady state and across a demote,
+// re-collapse and refill of the region.
+func TestAccessSteadyStateZeroAllocsHugeRegion(t *testing.T) {
+	vm, gvas := hugeRefillVM()
+	if n := testing.AllocsPerRun(100, func() { vm.AccessN(gvas) }); n != 0 {
+		t.Fatalf("region-entry hits allocated %v allocs/run, want 0", n)
+	}
+	hugeRefill(vm, gvas)
+	if n := testing.AllocsPerRun(100, func() { hugeRefill(vm, gvas) }); n != 0 {
+		t.Fatalf("region refill allocated %v allocs/run, want 0", n)
+	}
+}
+
 // TestDemoteCollapseCycleZeroAllocs pins the page table's leaf reuse
 // (DESIGN.md §7.6): once a region has been split and collapsed, every
 // later split takes the leaf the collapse let go of, so pressure's

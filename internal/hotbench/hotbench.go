@@ -1,7 +1,8 @@
 // Package hotbench defines the hot-path microbenchmark suite: one
 // case per layer of the access pipeline (TLB lookup, native and
 // nested walk costing, a miss-heavy TLB batch, page-table walk, the
-// cached and uncached access paths, and demand faulting one page and
+// cached and uncached access paths, the walk-cache refill of a
+// promoted region, and demand faulting one page and
 // an ascending run, the run with base pages and with GEMINI's
 // placement)
 // plus the tick side's structural costs (a TLB region flush, buddy
@@ -52,6 +53,7 @@ func Suite() []Case {
 		{"AccessSteadyState", benchAccessSteadyState},
 		{"AccessUncached", benchAccessUncached},
 		{"AccessAcrossMutation", benchAccessAcrossMutation},
+		{"AccessHugeRefill", benchAccessHugeRefill},
 		{"FullFault", benchFullFault},
 		{"PopulateRun", benchPopulateRun},
 		{"PopulateRunGemini", benchPopulateRunGemini},
@@ -259,6 +261,42 @@ func benchAccessAcrossMutation(b *testing.B) {
 			b.Fatal(err)
 		}
 		w.StepOne()
+	}
+}
+
+// hugeRefillVM returns a VM whose guest and EPT both fault huge, with
+// one guest region mapped huge at both layers and warm in the walk
+// cache, and the addresses of that region's 512 pages.
+func hugeRefillVM() (*machine.VM, []uint64) {
+	const guestPages = (64 << 20) >> mem.PageShift
+	m := machine.NewMachine(guestPages*2, machine.DefaultCosts())
+	vm := m.AddVM(guestPages, policy.HugeOnly{}, policy.HugeOnly{}, tlb.DefaultConfig())
+	v := vm.Guest.Space.MMap(mem.HugeSize, 0)
+	gvas := make([]uint64, mem.PagesPerHuge)
+	for i := range gvas {
+		gvas[i] = v.Start + uint64(i)*mem.PageSize
+	}
+	vm.AccessN(gvas)
+	return vm, gvas
+}
+
+// hugeRefill splits the guest huge page over gvas and collapses it in
+// place again, over a region the EPT maps huge, then accesses each of
+// its pages once: the first access walks both tables and the walk
+// cache serves the other 511 from one region entry.
+func hugeRefill(vm *machine.VM, gvas []uint64) {
+	demoteCollapse(vm, gvas[0])
+	vm.AccessN(gvas)
+}
+
+// benchAccessHugeRefill measures one hugeRefill: the walk-cache refill
+// after a promotion, which the steady-state cases never reach.
+func benchAccessHugeRefill(b *testing.B) {
+	vm, gvas := hugeRefillVM()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hugeRefill(vm, gvas)
 	}
 }
 

@@ -38,9 +38,9 @@ type VM struct {
 	// walkcache.go. A zero wc (nil entries) means disabled.
 	wc walkCache
 	// bat stages resolved translations for AccessN's two-pass batch
-	// loop; allocated on the first batched access.
+	// loop; it is the walk-cache arena's, so only a cached VM has one.
 	bat accessBatch
-	// wcArena is the pooled backing store of wc.entries.
+	// wcArena is the pooled backing store of wc and bat.
 	wcArena *wcArena
 	// pace paces the first-touch runs (run.go).
 	pace runPace
@@ -215,7 +215,7 @@ func (vm *VM) Access(gva uint64) uint64 {
 
 // accessBatchChunk bounds how many pre-resolved translations AccessN
 // hands the TLB batch kernel at once; it also sizes the VM's reusable
-// staging buffers (~7 KiB).
+// staging buffers (13 KiB).
 const accessBatchChunk = 1024
 
 // accessBatch is the per-VM staging area for AccessN's two-pass loop:
@@ -223,11 +223,20 @@ const accessBatchChunk = 1024
 // parallel slices, pass two feeds them to tlb.AccessNestedBatch or,
 // on a VM with another translation mode, to its Access one by one.
 // A first-touch run (run.go) stages its frames and accesses here too.
-// Allocated once, on the first batched access.
+// Each walk-cache arena holds one, so the buffers are pooled with it.
 type accessBatch struct {
 	gpa  []uint64
 	si   []uint32
 	meta []uint8 // tlb.PackKinds(eff, gKind, hKind), cached in the walk-cache entry
+}
+
+// newAccessBatch allocates the staging buffers.
+func newAccessBatch() accessBatch {
+	return accessBatch{
+		gpa:  make([]uint64, accessBatchChunk),
+		si:   make([]uint32, accessBatchChunk),
+		meta: make([]uint8, accessBatchChunk),
+	}
 }
 
 // AccessN performs one access per address, in order, and returns the
@@ -264,13 +273,6 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 		}
 		return total
 	}
-	if vm.bat.gpa == nil {
-		vm.bat = accessBatch{
-			gpa:  make([]uint64, accessBatchChunk),
-			si:   make([]uint32, accessBatchChunk),
-			meta: make([]uint8, accessBatchChunk),
-		}
-	}
 	vm.wcRevalidate()
 	wc := &vm.wc
 	i := 0
@@ -279,17 +281,24 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 		start, n := i, 0
 		for i < len(gvas) && n < accessBatchChunk {
 			gva := gvas[i]
-			ent := &wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-			if !wc.hit(ent, gva) {
+			var gpa uint64
+			// The region entry first: a doubly-huge translation lives
+			// only there (walkcache.go), and a huge mapping has no
+			// accessed bit to mark.
+			if h := &wc.huge[(gva>>mem.HugeShift)&(wcHugeSize-1)]; wc.hitHuge(h, gva) {
+				gpa = h.gfn*mem.PageSize + (gva & (mem.HugeSize - 1))
+				vm.bat.si[n], vm.bat.meta[n] = h.tlbSet, h.meta
+			} else if ent := &wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]; wc.hit(ent, gva) {
+				ent.gRef.Mark()
+				ent.eRef.Mark()
+				gpa = ent.gfn*mem.PageSize + (gva & (mem.PageSize - 1))
+				vm.bat.si[n], vm.bat.meta[n] = ent.tlbSet, ent.meta
+			} else {
 				break
 			}
 			vm.Guest.heatBump(gva >> mem.HugeShift)
-			vm.EPT.heatBump(ent.gfn >> (mem.HugeShift - mem.PageShift))
-			ent.gRef.Mark()
-			ent.eRef.Mark()
-			vm.bat.gpa[n] = ent.gfn*mem.PageSize + (gva & (mem.PageSize - 1))
-			vm.bat.si[n] = ent.tlbSet
-			vm.bat.meta[n] = ent.meta
+			vm.EPT.heatBump(gpa >> mem.HugeShift)
+			vm.bat.gpa[n] = gpa
 			total += vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
 			n++
 			i++

@@ -42,6 +42,18 @@ import (
 // including paths like ReclaimUnderPressure's EPT bloat unmapping that
 // bypass the TLB FlushRegion hooks — so the cache can never serve a
 // stale translation.
+//
+// A translation mapped huge at both layers under a Huge effective kind
+// (a well-aligned huge page, §2.2) is cached once for its whole 2 MiB
+// region, in a small direct-mapped array of region entries (wcHuge),
+// and never as a page entry: each translation has one home. AccessN
+// probes the region entry first and the page entry second, so after a
+// promotion the region re-walks once instead of 512 times, and an
+// access to a doubly-huge page never touches the large page array.
+// Region entries carry the same two stamps as page entries. A base
+// page becoming huge at either layer is a logged Collapse, or Unmaps
+// followed by Map2M, in that layer's region, so no live page entry can
+// describe a page a live region entry covers (DESIGN.md §7.1).
 
 // walkCacheSize is the number of direct-mapped entries, indexed by the
 // low bits of the guest virtual page number. Must be a power of two.
@@ -87,9 +99,31 @@ type wcEntry struct {
 	_ [19]byte
 }
 
+// wcHugeSize is the number of direct-mapped region entries, indexed by
+// the low bits of the guest virtual 2 MiB region number. 512 entries
+// cover 1 GiB of contiguous doubly-huge memory in 16 KiB, small enough
+// to stay in the data cache. Must be a power of two.
+const wcHugeSize = 1 << 9
+
+// wcHuge caches one resolved translation for a whole guest virtual
+// 2 MiB region that is huge at both layers. It holds no AccessRef,
+// because huge mappings carry the zero ref, so the array is pointer
+// free; 32 bytes, pinned by TestWalkCacheHugeIs32Bytes.
+type wcHuge struct {
+	tag uint64 // gva >> HugeShift
+	gfn uint64 // the region's first guest frame
+	// tlbSet, gStamp, eStamp and meta are as in wcEntry.
+	tlbSet uint32
+	gStamp uint32
+	eStamp uint32
+	meta   uint8
+}
+
 // walkCache is a per-VM direct-mapped cache of resolved translations.
 type walkCache struct {
 	entries []wcEntry
+	// huge holds the region entries.
+	huge *[wcHugeSize]wcHuge
 	// gStamp holds the guest-side stamp of each slot group, eStamp the
 	// EPT-side stamp of each guest physical 2 MiB region.
 	gStamp [wcGroups]uint32
@@ -109,6 +143,12 @@ func (wc *walkCache) hit(ent *wcEntry, gva uint64) bool {
 		ent.eStamp == wc.eStamp[ent.gfn/mem.PagesPerHuge]
 }
 
+// hitHuge reports whether h holds a live translation for gva's region.
+func (wc *walkCache) hitHuge(h *wcHuge, gva uint64) bool {
+	return h.tag == gva>>mem.HugeShift && h.gStamp == wc.gStamp[gva>>mem.HugeShift%wcGroups] &&
+		h.eStamp == wc.eStamp[h.gfn/mem.PagesPerHuge]
+}
+
 // issue returns a fresh stamp. Should the counter ever run out, every
 // entry is cleared and stamps restart, so no stale entry can match a
 // reissued value.
@@ -126,6 +166,7 @@ func (wc *walkCache) issue() uint32 {
 func (wc *walkCache) restamp() {
 	if wc.next == math.MaxUint32 {
 		clear(wc.entries)
+		clear(wc.huge[:])
 		wc.next = 1
 	}
 	for i := range wc.gStamp {
@@ -137,14 +178,17 @@ func (wc *walkCache) restamp() {
 	wc.next++
 }
 
-// wcArena is a pooled walk-cache entry array. next is the lowest stamp
-// no entry in the array carries, so a VM reusing the arena starts its
-// stamps there and treats every recycled entry as invalid without
-// clearing the 4 MiB array. eStamp is the reusable backing of the
-// EPT-side stamps.
+// wcArena is a pooled walk-cache entry array and region array, with
+// the access batch buffers of the VM using them. next is the lowest
+// stamp no entry in either array carries, so a VM reusing the arena
+// starts its stamps there and treats every recycled entry as invalid
+// without clearing the 4 MiB array. eStamp is the reusable backing of
+// the EPT-side stamps.
 type wcArena struct {
 	entries []wcEntry
+	huge    [wcHugeSize]wcHuge
 	eStamp  []uint32
+	bat     accessBatch
 	next    uint32
 }
 
@@ -162,15 +206,16 @@ func (vm *VM) wcInit() {
 	}
 	ar, _ := wcPool.Get().(*wcArena)
 	if ar == nil {
-		ar = &wcArena{entries: make([]wcEntry, walkCacheSize), next: 1}
+		ar = &wcArena{entries: make([]wcEntry, walkCacheSize), bat: newAccessBatch(), next: 1}
 	}
-	vm.wcArena = ar
+	vm.wcArena, vm.bat = ar, ar.bat
 	regions := (vm.guestPages + mem.PagesPerHuge - 1) / mem.PagesPerHuge
 	if uint64(cap(ar.eStamp)) < regions {
 		ar.eStamp = make([]uint32, regions)
 	}
 	vm.wc = walkCache{
 		entries: ar.entries,
+		huge:    &ar.huge,
 		eStamp:  ar.eStamp[:regions],
 		next:    ar.next,
 		gTable:  vm.Guest.Table,
@@ -189,7 +234,7 @@ func (vm *VM) wcRelease() {
 	}
 	vm.wcArena.next = vm.wc.next
 	wcPool.Put(vm.wcArena)
-	vm.wcArena = nil
+	vm.wcArena, vm.bat = nil, accessBatch{}
 	vm.wc = walkCache{}
 }
 
@@ -241,12 +286,13 @@ func (vm *VM) wcRevalidate() {
 }
 
 // wcFill installs the translation the uncached access just resolved
-// for gva in its direct-mapped slot. That access may itself have
-// mutated the tables (faults, policy-triggered compaction), so the
-// snapshot is revalidated first; nothing mutates either table between
-// the fault paths handing out tr's refs and this call, so tr is what
-// the next access will see. A translation whose guest side moved
-// during the EPT fault (tr.moved) is not cached.
+// for gva in its direct-mapped slot: a region entry when both layers
+// and the effective kind are huge, a page entry otherwise. That access
+// may itself have mutated the tables (faults, policy-triggered
+// compaction), so the snapshot is revalidated first; nothing mutates
+// either table between the fault paths handing out tr's refs and this
+// call, so tr is what the next access will see. A translation whose
+// guest side moved during the EPT fault (tr.moved) is not cached.
 func (vm *VM) wcFill(gva uint64, tr resolved) {
 	vm.wcRevalidate()
 	if tr.moved {
@@ -264,6 +310,20 @@ func (vm *VM) wcFill(gva uint64, tr resolved) {
 		// Non-default modes own the entry-kind rule; the cached eff is
 		// replayed into mode.Access on every hit.
 		eff = vm.mode.EffectiveKind(gKind, hKind)
+	}
+	if eff == mem.Huge && gKind == mem.Huge && hKind == mem.Huge {
+		wc := &vm.wc
+		region := gva >> mem.HugeShift
+		gfn := tr.gfn &^ (mem.PagesPerHuge - 1)
+		wc.huge[region&(wcHugeSize-1)] = wcHuge{
+			tag:    region,
+			gfn:    gfn,
+			tlbSet: vm.TLB.SetIndexOf(gva, mem.Huge),
+			gStamp: wc.gStamp[region%wcGroups],
+			eStamp: wc.eStamp[gfn/mem.PagesPerHuge],
+			meta:   tlb.PackKinds(mem.Huge, mem.Huge, mem.Huge),
+		}
+		return
 	}
 	vm.wcStore(gva, tr.gfn, tr.gRef, tr.eRef, vm.TLB.SetIndexOf(gva, eff), tlb.PackKinds(eff, gKind, hKind))
 }

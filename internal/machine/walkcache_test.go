@@ -42,7 +42,8 @@ const fuzzSpan = (8 << 20) >> mem.PageShift
 // FuzzWalkCacheInvalidation drives a cached VM and an uncached twin
 // through an arbitrary interleaving of accesses and destructive
 // operations — promote, demote, unmap/remap, reclaim, background
-// ticks, cache re-arming — and requires every access to charge
+// ticks, cache re-arming, and EPT promote, demote and compaction of
+// the guest physical region behind an address — and requires every access to charge
 // identical cycles, both layers of the twins to hold identical
 // mappings and accessed bits after every operation, and the final
 // machines to agree on all observable state. A walk cache serving one
@@ -55,6 +56,11 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 	f.Add([]byte{0, 7, 3, 0, 0, 7, 0, 9})                       // unmap/remap cycle
 	f.Add([]byte{0, 1, 4, 0, 0, 1, 5, 0, 0, 2, 6, 1, 0, 3})     // ticks, reclaim, toggle
 	f.Add([]byte{0, 200, 1, 200, 4, 0, 0, 200, 2, 200, 0, 201}) // promote+tick+demote
+	// A region huge at both layers, swept, broken from each side and
+	// swept again: guest split and collapse, EPT split and collapse,
+	// then an EPT split and a compaction of a host region behind it.
+	f.Add([]byte{0, 10, 10, 10, 2, 10, 10, 10, 1, 10, 10, 10, 8, 10, 10, 10,
+		7, 10, 10, 10, 8, 10, 9, 10, 10, 10})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		mc, cached := twinVM()
 		mr, ref := twinVM()
@@ -64,7 +70,7 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 			t.Fatalf("twins diverge before any op: bases %#x vs %#x", base, rb)
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%7, uint64(ops[i+1])
+			op, arg := ops[i]%11, uint64(ops[i+1])
 			va := base + (arg*977)%fuzzSpan*mem.PageSize
 			switch op {
 			case 0: // the probe itself: identical charge on both twins
@@ -112,6 +118,26 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 				ref.EPT.ReclaimUnderPressure(ref.EPT.Buddy.TotalPages(), 4, nil)
 			case 6: // re-arm the cached twin's cache (release + init path)
 				cached.SetWalkCacheEnabled(arg%2 == 0)
+			case 7, 8, 9: // EPT side: the guest physical region behind va
+				gfn, _, ok := cached.Guest.Table.Lookup(va)
+				if g2, _, ok2 := ref.Guest.Table.Lookup(va); g2 != gfn || ok2 != ok {
+					t.Fatalf("op %d: guest translation of %#x diverged", i, va)
+				}
+				if !ok {
+					continue
+				}
+				if e1, e2 := eptOp(cached.EPT, op, gfn), eptOp(ref.EPT, op, gfn); e1 != e2 {
+					t.Fatalf("op %d: EPT op %d at guest frame %#x diverged: %v vs %v", i, op, gfn, e1, e2)
+				}
+			case 10: // sweep every page of va's region, in order
+				hb := va &^ uint64(mem.HugeSize-1)
+				for p := uint64(0); p < mem.PagesPerHuge; p++ {
+					if v := hb + p*mem.PageSize; cached.Guest.Space.Find(v) != nil {
+						if c1, c2 := cached.Access(v), ref.Access(v); c1 != c2 {
+							t.Fatalf("op %d: sweep access %#x cost %d cycles cached, %d uncached", i, v, c1, c2)
+						}
+					}
+				}
 			}
 			sameTables(t, i, cached.Guest, ref.Guest)
 			sameTables(t, i, cached.EPT, ref.EPT)
@@ -127,6 +153,88 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 			t.Fatalf("cached machine corrupt after op sequence: %v", vs)
 		}
 	})
+}
+
+// eptOp applies fuzz op 7 (collapse), 8 (split) or 9 (compact the host
+// region backing it) to the guest physical 2 MiB region holding guest
+// frame gfn, and reports whether it succeeded. A region the EPT
+// already maps huge is not collapsed again, as no policy would.
+func eptOp(E *machine.Layer, op byte, gfn uint64) bool {
+	gpa := gfn * mem.PageSize &^ (mem.HugeSize - 1)
+	switch op {
+	case 7:
+		if _, huge, _ := E.Table.LookupHugeRegion(gpa); huge {
+			return false
+		}
+		return E.PromoteInPlace(gpa) == nil
+	case 8:
+		return E.Demote(gpa) == nil
+	default:
+		hfn, _, ok := E.Table.Lookup(gfn * mem.PageSize)
+		return ok && E.CompactRegion(hfn/mem.PagesPerHuge)
+	}
+}
+
+// TestWalkCacheRegionRefill: once a guest collapse makes a region huge
+// over an EPT-huge region, one uncached access refills the walk cache
+// for all 512 pages, and every access charges what the uncached twin
+// charges.
+func TestWalkCacheRegionRefill(t *testing.T) {
+	build := func() *machine.VM {
+		const guestPages = (64 << 20) >> mem.PageShift
+		m := machine.NewMachine(guestPages*2, machine.DefaultCosts())
+		return m.AddVM(guestPages, policy.HugeOnly{}, policy.HugeOnly{}, tlb.DefaultConfig())
+	}
+	cached, ref := build(), build()
+	ref.SetWalkCacheEnabled(false)
+	twins := [2]*machine.VM{cached, ref}
+	var hb uint64
+	for _, vm := range twins {
+		hb = vm.Guest.Space.MMap(mem.HugeSize, 0).Start
+	}
+	// sweep accesses the region's pages in order on both twins and
+	// returns how many the walk cache did not serve.
+	sweep := func(what string) int {
+		t.Helper()
+		uncached := 0
+		for p := uint64(0); p < mem.PagesPerHuge; p++ {
+			va := hb + p*mem.PageSize
+			if !cached.WalkCacheServes(va) {
+				uncached++
+			}
+			if c1, c2 := cached.Access(va), ref.Access(va); c1 != c2 {
+				t.Fatalf("%s: access %#x cost %d cycles cached, %d uncached", what, va, c1, c2)
+			}
+		}
+		return uncached
+	}
+	step := func(what string, op func(L *machine.Layer) error) {
+		t.Helper()
+		for _, vm := range twins {
+			if err := op(vm.Guest); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+	}
+	if n := sweep("first touch"); n != 1 {
+		t.Fatalf("first touch of a doubly-huge region walked %d times, want 1", n)
+	}
+	step("split", func(L *machine.Layer) error { return L.Demote(hb) })
+	if n := sweep("after split"); n != mem.PagesPerHuge {
+		t.Fatalf("guest-base region walked %d times, want %d", n, mem.PagesPerHuge)
+	}
+	step("collapse", func(L *machine.Layer) error { return L.PromoteInPlace(hb) })
+	if n := sweep("after collapse"); n != 1 {
+		t.Fatalf("collapsed region walked %d times, want 1", n)
+	}
+	if n := sweep("steady"); n != 0 {
+		t.Fatalf("cached doubly-huge region walked %d times, want 0", n)
+	}
+	if s1, s2 := cached.TLB.Stats(), ref.TLB.Stats(); s1 != s2 {
+		t.Fatalf("TLB stats diverged:\ncached %+v\nuncached %+v", s1, s2)
+	}
+	sameTables(t, 0, cached.Guest, ref.Guest)
+	sameTables(t, 0, cached.EPT, ref.EPT)
 }
 
 // TestWalkCacheSurvivesLeafReuse covers the walk cache against the

@@ -16,6 +16,8 @@
 package sim
 
 import (
+	"fmt"
+
 	_ "repro/internal/core" // registers GEMINI and its ablations
 	"repro/internal/machine"
 	_ "repro/internal/policy" // registers the baselines, FHPM, Segmentation
@@ -234,6 +236,19 @@ type Result struct {
 	// to one shared recorder see everything recorded so far.
 	Timeline []trace.Sample
 	Events   []trace.Event
+}
+
+// Progress returns the run's simulated ticks and the gauges a progress
+// line quotes for it (ProgressGauges of its guest FMFI and huge-page
+// coverage).
+func (r Result) Progress() (ticks uint64, gauges string) {
+	return r.Ticks, ProgressGauges(r.GuestFMFI, r.HugeCoverage)
+}
+
+// ProgressGauges renders a run's FMFI and huge-page coverage for a
+// progress line: " fmfi=… cov=…".
+func ProgressGauges(fmfi, coverage float64) string {
+	return fmt.Sprintf(" fmfi=%.2f cov=%.2f", fmfi, coverage)
 }
 
 // BuildPolicies constructs the per-layer policies for a system: the

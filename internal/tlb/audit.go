@@ -34,9 +34,11 @@ func (t *TLB) VisitEntries(fn func(va uint64, kind mem.PageSizeKind) bool) {
 // once per set, and the set's recency ranks are a permutation of
 // 0..k-1 over its k live ways, with every empty way and every padding
 // way past cfg.Ways (which must stay empty) ranked emptyRank — the
-// victim choice depends on it (rule "lru-rank"). The entry kind
-// cannot desync from the tag since it is stored only in the tag's low
-// bit. Coherence against the owning page table is a cross-layer
+// victim choice depends on it (rule "lru-rank"). Every live entry's
+// region has its bit set in the region summary, or FlushHugeRegion
+// would skip a region that holds it (rule "region-summary"). The
+// entry kind cannot desync from the tag since it is stored only in the
+// tag's low bit. Coherence against the owning page table is a cross-layer
 // property checked by the machine auditor, which has both structures
 // in hand.
 func (t *TLB) CheckInvariants() []audit.Violation {
@@ -67,6 +69,11 @@ func (t *TLB) CheckInvariants() []audit.Violation {
 					si, j, rank, live))
 			}
 			ranked |= 1 << (rank & 63)
+			region := tagRegion(tag)
+			if w, b := regionBit(region); t.regions[w]&b == 0 {
+				vs = append(vs, audit.Violationf(auditLayer, "region-summary", tag,
+					"set %d way %d: region %#x holds an entry but its summary bit is clear", si, j, region))
+			}
 			pn := tag >> 1
 			if want := int(pn % uint64(t.cfg.Sets)); want != si {
 				vs = append(vs, audit.Violationf(auditLayer, "set-index", tag,

@@ -138,3 +138,22 @@ func TestAuditCatchesDuplicateTag(t *testing.T) {
 	tl.ages[0] = touch(tl.ages[0], 1)
 	expectViolations(t, tl.CheckInvariants(), "duplicate-tag")
 }
+
+func TestAuditCatchesRegionSummaryDrift(t *testing.T) {
+	// A live entry whose region bit is clear would survive the region's
+	// flush, for base and huge entries alike.
+	for _, c := range []struct {
+		name string
+		va   uint64
+	}{
+		{"base entry", 5 * mem.PageSize},
+		{"huge entry", 8 * mem.HugeSize},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tl := populatedTLB(t)
+			w, b := regionBit(c.va >> mem.HugeShift)
+			tl.regions[w] &^= b
+			expectViolations(t, tl.CheckInvariants(), "region-summary")
+		})
+	}
+}

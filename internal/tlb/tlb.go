@@ -105,6 +105,20 @@ const (
 	emptyAges = emptyRank * lanes  // rank word of an empty set
 )
 
+// regionWords is the size of the region summary: 4096 bits.
+const regionWords = 64
+
+// regionBit returns region r's word index and bit in the summary.
+func regionBit(r uint64) (int, uint64) {
+	return int(r >> 6 & (regionWords - 1)), 1 << (r & 63)
+}
+
+// tagRegion returns the 2 MiB region of a live tag's entry: a base
+// tag's bits from 10 up, a huge tag's from 1 up.
+func tagRegion(tag uint64) uint64 {
+	return tag >> (mem.HugeShift - mem.PageShift + 1 - (mem.HugeShift-mem.PageShift)*(tag&1))
+}
+
 // touch returns the rank word a with way j made the most recent:
 // every lane ranked below j's rank r moves one rank older and j ranks
 // 0. Ranks never exceed 0x7f, so (r+0x7f) - lane per byte neither
@@ -162,6 +176,13 @@ type TLB struct {
 	// stays the historic code.
 	setsDiv fastdiv.Divisor
 	pwcDiv  fastdiv.Divisor
+
+	// regions summarizes which 2 MiB virtual regions may hold an entry:
+	// every fill sets bit r%4096 for the entry's region r, and only
+	// FlushHugeRegion and FlushAll clear bits, so a clear bit proves
+	// the region holds none (audit rule "region-summary") and its
+	// flush returns at once. Evictions leave bits set.
+	regions [regionWords]uint64
 }
 
 // New creates a TLB with the given configuration.
@@ -292,7 +313,8 @@ func (t *TLB) FlushPage(va uint64) {
 
 // FlushHugeRegion removes all entries covering the 2 MiB region that
 // contains va: the huge entry and every base entry within. Used when a
-// region is promoted, demoted, or migrated.
+// region is promoted, demoted, or migrated. A region whose summary bit
+// is clear holds no entry, so its flush returns at once.
 //
 // The region's 512 base pages select every set of the default
 // geometry, so instead of probing each page's set the flush makes one
@@ -303,17 +325,26 @@ func (t *TLB) FlushPage(va uint64) {
 // the region. Clearing such a tag's nine page bits (1..9) leaves
 // exactly region<<10; the huge tag and the empty-way tag keep their low
 // bit set and never do, so each tag costs one masked compare and one
-// plain compare.
+// plain compare. The same pass rebuilds the summary from the tags that
+// survive.
 func (t *TLB) FlushHugeRegion(va uint64) {
 	region := va >> mem.HugeShift
+	if w, b := regionBit(region); t.regions[w]&b == 0 {
+		return
+	}
 	hugeTag := region<<1 | uint64(mem.Huge)
 	baseKey := region << (mem.HugeShift - mem.PageShift + 1)
 	const pageBits = (mem.PagesPerHuge - 1) << 1
+	var sum [regionWords]uint64
 	for i, tag := range t.tags {
 		if tag&^pageBits == baseKey || tag == hugeTag {
 			t.flushWay(i/setWays, i%setWays)
+		} else if tag != invalidTag {
+			w, b := regionBit(tagRegion(tag))
+			sum[w] |= b
 		}
 	}
+	t.regions = sum
 }
 
 // FlushAll empties the TLB and both walk caches (full shootdown).
@@ -324,6 +355,7 @@ func (t *TLB) FlushAll() {
 		}
 	}
 	t.emptyWays()
+	t.regions = [regionWords]uint64{}
 	for i := range t.pwcGuest {
 		t.pwcGuest[i] = ^uint64(0)
 		t.pwcHost[i] = ^uint64(0)
@@ -407,6 +439,8 @@ func (t *TLB) probeInsert(va uint64, kind mem.PageSizeKind) bool {
 	}
 	set[j] = tag
 	t.ages[si] = touch(a, j)
+	w, b := regionBit(va >> mem.HugeShift)
+	t.regions[w] |= b
 	if kind == mem.Huge {
 		t.stats.Insert2M++
 	} else {
@@ -535,7 +569,13 @@ func (t *TLB) AccessNestedBatch(vas, gpas []uint64, sis []uint32, metas []uint8)
 		// unconditional and only the counters and step counts select
 		// on the outcome — conditional moves, not branches, since the
 		// hit/miss pattern is data-dependent.
+		// The region summary: a miss mostly finds its region's bit
+		// already set, and testing before storing keeps the store off
+		// the miss path (hotbench AccessSteadyState).
 		gKey := va >> mem.HugeShift
+		if w, b := regionBit(gKey); t.regions[w]&b == 0 {
+			t.regions[w] |= b
+		}
 		gSlot := t.pwcDiv.Mod(gKey)
 		gHit := t.pwcGuest[gSlot] == gKey
 		t.pwcGuest[gSlot] = gKey

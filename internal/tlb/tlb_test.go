@@ -159,6 +159,38 @@ func TestFlushHugeRegion(t *testing.T) {
 	}
 }
 
+// TestFlushHugeRegionRebuildsSummary: the region summary a flush
+// rebuilds still covers every surviving base and huge entry, so later
+// flushes of those regions, through the batch kernel's fills too,
+// still find their entries; a region never filled flushes nothing.
+func TestFlushHugeRegionRebuildsSummary(t *testing.T) {
+	tl := New(DefaultConfig())
+	for r := uint64(0); r < 4; r++ {
+		tl.Insert(r<<mem.HugeShift|5<<mem.PageShift, mem.Base)
+		tl.Insert(r<<mem.HugeShift, mem.Huge)
+	}
+	va := []uint64{4<<mem.HugeShift | 7<<mem.PageShift, 5 << mem.HugeShift}
+	tl.AccessNestedBatch(va, va, []uint32{tl.SetIndexOf(va[0], mem.Base), tl.SetIndexOf(va[1], mem.Huge)},
+		[]uint8{PackKinds(mem.Base, mem.Base, mem.Base), PackKinds(mem.Huge, mem.Huge, mem.Huge)})
+	tl.FlushHugeRegion(0)
+	for r := uint64(1); r < 8; r++ {
+		if vs := tl.CheckInvariants(); len(vs) != 0 {
+			t.Fatalf("before flushing region %d: %v", r, vs)
+		}
+		want := uint64(0) // regions 1..3 hold two entries, 4 and 5 one
+		switch {
+		case r < 4:
+			want = 2
+		case r < 6:
+			want = 1
+		}
+		before := tl.Stats().Flushes
+		if tl.FlushHugeRegion(r << mem.HugeShift); tl.Stats().Flushes-before != want {
+			t.Fatalf("flushing region %d removed %d entries, want %d", r, tl.Stats().Flushes-before, want)
+		}
+	}
+}
+
 func TestFlushAll(t *testing.T) {
 	tl := newSmall()
 	tl.Insert(0x1000, mem.Base)
