@@ -35,10 +35,10 @@ import (
 	"flag"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro"
 	"repro/cmd/internal/runflags"
+	"repro/internal/jobs"
 	"repro/internal/telemetry"
 )
 
@@ -118,40 +118,31 @@ func main() {
 // result rows in system order. With a recorder attached, a single
 // system records straight into it; several systems each record into a
 // private shard keyed by their index, merged in system order after the
-// last one finishes, so the trace is identical at any parallelism.
+// last one finishes, so the trace is identical at any parallelism. A
+// panicking system is re-raised with its name once the others finish;
+// when several panic, the first in system order is reported.
 func runAll(systems []repro.System, base repro.Config, vms, par int, rec *repro.TraceRecorder, prog *telemetry.Progress) [][]repro.Result {
-	if par < 1 {
-		par = 1
-	}
-	if par > len(systems) {
-		par = len(systems)
-	}
 	results := make([][]repro.Result, len(systems))
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
+	recs := make([]*repro.TraceRecorder, len(systems))
 	for i, sys := range systems {
-		sysRec := rec
+		recs[i] = rec
 		if rec != nil && len(systems) > 1 {
-			sysRec = rec.Shard(i, sys.String())
+			recs[i] = rec.Shard(i, sys.String())
 		}
-		wg.Add(1)
-		go func(i int, sys repro.System, sysRec *repro.TraceRecorder) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cfg := base
-			cfg.System, cfg.Trace = sys, sysRec
-			results[i] = runOne(cfg, vms)
-			if prog != nil {
-				gauges := ""
-				if len(results[i]) > 0 {
-					_, gauges = results[i][0].Progress()
-				}
-				prog.CellDone(sys.String(), gauges)
-			}
-		}(i, sys, sysRec)
 	}
-	wg.Wait()
+	name := func(i int) string { return systems[i].String() }
+	jobs.ForEach(len(systems), par, name, func(i int) {
+		cfg := base
+		cfg.System, cfg.Trace = systems[i], recs[i]
+		results[i] = runOne(cfg, vms)
+		if prog != nil {
+			gauges := ""
+			if len(results[i]) > 0 {
+				_, gauges = results[i][0].Progress()
+			}
+			prog.CellDone(name(i), gauges)
+		}
+	})
 	if rec != nil && len(systems) > 1 {
 		rec.MergeShards()
 	}

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 
+	"repro/internal/jobs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -146,61 +145,6 @@ func tlbSensitiveSpecs() []workload.Spec {
 	return out
 }
 
-// forEach runs fn over [0,n) with bounded parallelism. A panic inside
-// fn is captured and re-raised in the caller with the job identity
-// describe(i) reports prepended (plus the worker's stack), so a
-// failing cell is attributable instead of crashing an anonymous
-// goroutine. When several jobs panic, the one with the lowest job
-// index is reported — the first in grid order — so the re-raised
-// panic is deterministic at any parallelism, not a race between
-// workers.
-func forEach(n, parallel int, describe func(i int) string, fn func(i int)) {
-	if parallel > n {
-		parallel = n
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		panicIdx = -1
-		panicID  string
-		panicVal any
-		panicStk []byte
-	)
-	runOne := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				defer mu.Unlock()
-				if panicIdx < 0 || i < panicIdx {
-					panicIdx, panicVal, panicID, panicStk = i, r, describe(i), debug.Stack()
-				}
-			}
-		}()
-		fn(i)
-	}
-	next := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				runOne(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if panicIdx >= 0 {
-		panic(fmt.Sprintf("repro: job %q panicked: %v\n%s", panicID, panicVal, panicStk))
-	}
-}
-
 // Setting names one evaluation setting of the paper: the memory state
 // and VM history every cell of a figure shares.
 type Setting struct {
@@ -239,33 +183,33 @@ func runGrid[U any, R gridRow](o Options, units []U, systems []System, settings 
 	if err := o.Validate(); err != nil {
 		panic(err)
 	}
-	var jobs []gridJob[U]
+	var cells []gridJob[U]
 	for _, st := range settings {
 		for _, u := range units {
 			for _, sys := range systems {
-				jobs = append(jobs, gridJob[U]{Unit: u, System: sys, Setting: st})
+				cells = append(cells, gridJob[U]{Unit: u, System: sys, Setting: st})
 			}
 		}
 	}
 	describe := func(i int) string {
-		j := jobs[i]
+		j := cells[i]
 		return fmt.Sprintf("%s × %s × %s", name(j.Unit), j.System, j.Setting.Name)
 	}
 	if o.Trace != nil {
-		for i := range jobs {
-			jobs[i].Trace = o.Trace.Shard(i, describe(i))
+		for i := range cells {
+			cells[i].Trace = o.Trace.Shard(i, describe(i))
 		}
 	}
 	if o.Progress != nil {
-		o.Progress.AddTotal(len(jobs))
+		o.Progress.AddTotal(len(cells))
 	}
-	out := make([]R, len(jobs))
-	forEach(len(jobs), o.parallel(), describe, func(i int) {
+	out := make([]R, len(cells))
+	jobs.ForEach(len(cells), o.parallel(), describe, func(i int) {
 		var cell *telemetry.Cell
 		if o.Stats != nil {
 			cell = o.Stats.StartCell(describe(i))
 		}
-		out[i] = run(jobs[i])
+		out[i] = run(cells[i])
 		ticks, gauges := out[i].Progress()
 		if cell != nil {
 			cell.Done(ticks)
@@ -361,7 +305,7 @@ func Figure2(o Options) []MicroResult {
 	if o.Progress != nil {
 		o.Progress.AddTotal(len(out))
 	}
-	forEach(len(out), o.parallel(), describe, func(i int) {
+	jobs.ForEach(len(out), o.parallel(), describe, func(i int) {
 		size := sizes[i/len(configs)]
 		c := configs[i%len(configs)]
 		var cell *telemetry.Cell

@@ -683,8 +683,8 @@ func (a *Allocator) isReservedRange(frame, size uint64) bool {
 
 // Reserve withdraws the 2 MiB region with the given huge index from
 // general allocation. The whole region must currently be free. The
-// returned Reservation hands out pages via AllocReservedPage or is
-// consumed whole via ConsumeReservationHuge.
+// returned Reservation hands out pages via AllocReservedPage until
+// FinishReservation dissolves it.
 func (a *Allocator) Reserve(hugeIndex uint64) (*Reservation, error) {
 	start := hugeIndex * mem.PagesPerHuge
 	if start+mem.PagesPerHuge > a.totalPages {
@@ -736,22 +736,6 @@ func (a *Allocator) AllocReservedPage(hugeIndex, frame uint64) error {
 	}
 	r.claimed[idx/64] |= 1 << (idx % 64)
 	r.nAllocated++
-	return nil
-}
-
-// ConsumeReservationHuge converts the whole reservation into a regular
-// huge-page allocation: all 512 pages become allocated and the
-// reservation is dissolved. Fails if any page was already individually
-// claimed (the caller should then finish claiming pages instead).
-func (a *Allocator) ConsumeReservationHuge(hugeIndex uint64) error {
-	r, ok := a.reservations[hugeIndex]
-	if !ok {
-		return ErrNotReserved
-	}
-	if r.nAllocated != 0 {
-		return fmt.Errorf("%w: reservation %d partially claimed", ErrBadArgument, hugeIndex)
-	}
-	delete(a.reservations, hugeIndex)
 	return nil
 }
 

@@ -297,38 +297,6 @@ func TestReservation(t *testing.T) {
 	}
 }
 
-func TestReservationConsumeHuge(t *testing.T) {
-	a := New(testPages)
-	if _, err := a.Reserve(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ConsumeReservationHuge(1); err != nil {
-		t.Fatal(err)
-	}
-	if a.ReservationCount() != 0 {
-		t.Fatalf("ReservationCount = %d", a.ReservationCount())
-	}
-	// Whole huge page stays allocated.
-	if a.FreePages() != testPages-mem.PagesPerHuge {
-		t.Fatalf("FreePages = %d", a.FreePages())
-	}
-	a.Free(1*mem.PagesPerHuge, mem.HugeOrder)
-	if a.FreePages() != testPages {
-		t.Fatalf("FreePages = %d", a.FreePages())
-	}
-}
-
-func TestReservationConsumeHugePartiallyClaimed(t *testing.T) {
-	a := New(testPages)
-	r, _ := a.Reserve(2)
-	if err := a.AllocReservedPage(2, r.Start()); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ConsumeReservationHuge(2); err == nil {
-		t.Error("ConsumeReservationHuge succeeded on partially claimed reservation")
-	}
-}
-
 func TestReservationErrors(t *testing.T) {
 	a := New(testPages)
 	if _, err := a.Reserve(testPages / mem.PagesPerHuge); err == nil {
@@ -345,9 +313,6 @@ func TestReservationErrors(t *testing.T) {
 	}
 	if _, err := a.FinishReservation(5); !errors.Is(err, ErrNotReserved) {
 		t.Errorf("FinishReservation on unreserved: %v", err)
-	}
-	if err := a.ConsumeReservationHuge(5); !errors.Is(err, ErrNotReserved) {
-		t.Errorf("ConsumeReservationHuge on unreserved: %v", err)
 	}
 	// Reserving an occupied region fails.
 	if err := a.AllocAt(1*mem.PagesPerHuge, mem.HugeOrder); err != nil {

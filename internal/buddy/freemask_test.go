@@ -184,10 +184,10 @@ func TestFreeMaskAllocatesNothing(t *testing.T) {
 // with the same books. The arena ends in a partial region, so the
 // per-frame fallback is exercised too.
 func FuzzFreeMask(f *testing.F) {
-	f.Add([]byte{0, 9, 7, 0, 0, 3, 7, 3, 5, 1, 7, 1})
-	f.Add([]byte{0, 9, 0, 9, 1, 40, 7, 128, 7, 129, 7, 1})
-	f.Add([]byte{2, 8, 3, 4, 4, 9, 4, 77, 7, 4, 6, 0, 7, 12})
-	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 7, 0, 0, 9, 7, 6, 7, 255})
+	f.Add([]byte{0, 9, 6, 0, 0, 3, 6, 3, 5, 1, 6, 1})
+	f.Add([]byte{0, 9, 0, 9, 1, 40, 6, 128, 6, 129, 6, 1})
+	f.Add([]byte{2, 8, 3, 4, 4, 9, 4, 77, 6, 4, 6, 12})
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 6, 0, 0, 9, 6, 6, 6, 255})
 
 	const regions = 8
 	const totalPages = regions*mem.PagesPerHuge + 300
@@ -216,7 +216,7 @@ func FuzzFreeMask(f *testing.F) {
 		}
 		x := uint64(0x9e3779b97f4a7c15) // mask stream, advanced per FreeMask step
 		for step := 0; step+1 < len(data); step += 2 {
-			op, arg := data[step]%8, uint64(data[step+1])
+			op, arg := data[step]%7, uint64(data[step+1])
 			switch op {
 			case 0: // Alloc
 				order := int(arg) % (MaxOrder + 1)
@@ -265,16 +265,7 @@ func FuzzFreeMask(f *testing.F) {
 				hi := reserved[int(arg)%len(reserved)]
 				both(func(a *Allocator) error { _, err := a.FinishReservation(hi); return err })
 				unreserve(hi)
-			case 6: // ConsumeReservationHuge
-				if len(reserved) == 0 {
-					continue
-				}
-				hi := reserved[int(arg)%len(reserved)]
-				if both(func(a *Allocator) error { return a.ConsumeReservationHuge(hi) }) == nil {
-					unreserve(hi)
-					hold(hi*mem.PagesPerHuge, mem.HugeOrder)
-				}
-			case 7: // FreeMask a random subset of one region's held frames
+			case 6: // FreeMask a random subset of one region's held frames
 				hi := arg % (regions + 1)
 				base := hi * mem.PagesPerHuge
 				var mask Mask

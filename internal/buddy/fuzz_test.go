@@ -19,9 +19,9 @@ import (
 func FuzzBuddyAllocFree(f *testing.F) {
 	// Seeds touching every opcode at least once.
 	f.Add([]byte{0, 9, 0, 0, 1, 0, 2, 8, 3, 2, 4, 7, 5, 0, 6, 0})
-	f.Add([]byte{3, 1, 4, 0, 4, 1, 7, 0, 3, 1, 6, 0})
+	f.Add([]byte{3, 1, 4, 0, 4, 1, 3, 1, 6, 0})
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 1, 0, 1, 0, 2, 31, 2, 64})
-	f.Add([]byte{3, 0, 3, 1, 3, 2, 4, 5, 5, 0, 6, 0, 7, 0, 7, 1})
+	f.Add([]byte{3, 0, 3, 1, 3, 2, 4, 5, 5, 0, 6, 0})
 
 	const totalPages = 8 * mem.PagesPerHuge
 
@@ -78,7 +78,7 @@ func FuzzBuddyAllocFree(f *testing.F) {
 		}
 
 		for step := 0; step+1 < len(data); step += 2 {
-			op, arg := data[step]%8, uint64(data[step+1])
+			op, arg := data[step]%7, uint64(data[step+1])
 			switch op {
 			case 0: // Alloc
 				order := int(arg) % (MaxOrder + 1)
@@ -144,16 +144,6 @@ func FuzzBuddyAllocFree(f *testing.F) {
 					dropReserved(hi)
 				}
 				check(step, "FinishReservation")
-			case 7: // ConsumeReservationHuge
-				if len(reservedList) == 0 {
-					continue
-				}
-				hi := reservedList[int(arg)%len(reservedList)]
-				if err := a.ConsumeReservationHuge(hi); err == nil {
-					dropReserved(hi)
-					allocs = append(allocs, block{hi * mem.PagesPerHuge, mem.HugeOrder})
-				}
-				check(step, "ConsumeReservationHuge")
 			}
 		}
 	})

@@ -150,44 +150,12 @@ func (l *List) remove(n *node) {
 	}
 }
 
-// FindNextFit searches for a region of at least pages frames using the
-// next-fit policy, starting at the cursor and wrapping once. On
-// success it returns the region's start frame, carves the requested
-// span from the region's low end, and advances the cursor. Returns
-// false when no region is large enough.
-func (l *List) FindNextFit(pages uint64) (uint64, bool) {
-	if pages == 0 || l.count == 0 {
-		return 0, false
-	}
-	start := l.cursor
-	if start == nil {
-		start = l.head
-	}
-	n := start
-	for {
-		if n.region.Pages >= pages {
-			frame := n.region.Start
-			n.region.Start += pages
-			n.region.Pages -= pages
-			l.cursor = n
-			if n.region.Pages == 0 {
-				l.remove(n)
-			}
-			return frame, true
-		}
-		n = n.next
-		if n == nil {
-			n = l.head
-		}
-		if n == start {
-			return 0, false
-		}
-	}
-}
-
-// FindNextFitAligned is FindNextFit but the returned start frame is
-// aligned to the given page multiple (e.g. 512 for huge alignment).
-// The skipped prefix stays in the list.
+// FindNextFitAligned searches for a region that holds pages frames
+// starting at a multiple of align (e.g. 512 for huge alignment), using
+// the next-fit policy: it starts at the cursor and wraps once. On
+// success it returns the aligned start frame, carves the requested span
+// out of the region, and leaves the cursor on it; a skipped prefix stays
+// in the list. Returns false when no region fits.
 func (l *List) FindNextFitAligned(pages, align uint64) (uint64, bool) {
 	if pages == 0 || l.count == 0 || align == 0 {
 		return 0, false
@@ -230,21 +198,6 @@ func (l *List) FindNextFitAligned(pages, align uint64) (uint64, bool) {
 	}
 }
 
-// Largest returns the largest free region without removing it, and
-// false when the list is empty. Ties resolve to the lowest address.
-// Used by the sub-VMA mechanism when no region fits a whole VMA.
-func (l *List) Largest() (mem.Region, bool) {
-	var best mem.Region
-	found := false
-	for n := l.head; n != nil; n = n.next {
-		if !found || n.region.Pages > best.Pages {
-			best = n.region
-			found = true
-		}
-	}
-	return best, found
-}
-
 // TakeLargest removes and returns up to maxPages frames from the low
 // end of the largest region. Returns false when the list is empty.
 func (l *List) TakeLargest(maxPages uint64) (mem.Region, bool) {
@@ -270,24 +223,6 @@ func (l *List) TakeLargest(maxPages uint64) (mem.Region, bool) {
 	return r, true
 }
 
-// TotalFree returns the number of frames across all regions.
-func (l *List) TotalFree() uint64 {
-	var sum uint64
-	for n := l.head; n != nil; n = n.next {
-		sum += n.region.Pages
-	}
-	return sum
-}
-
-// Regions returns a snapshot of all regions in address order.
-func (l *List) Regions() []mem.Region {
-	out := make([]mem.Region, 0, l.count)
-	for n := l.head; n != nil; n = n.next {
-		out = append(out, n.region)
-	}
-	return out
-}
-
 // String renders the list for debugging.
 func (l *List) String() string {
 	var b strings.Builder
@@ -302,8 +237,9 @@ func (l *List) String() string {
 	return b.String()
 }
 
-// CheckInvariants verifies sortedness, non-overlap, link consistency
-// and the count; used by tests.
+// CheckInvariants verifies sortedness, non-overlap, link consistency,
+// the count and the cursor. GEMINI's audit (rule contig-list) runs it
+// on its guest and host lists.
 func (l *List) CheckInvariants() error {
 	n := l.head
 	var prev *node

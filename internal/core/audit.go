@@ -27,7 +27,9 @@ const auditLayer = "gemini"
 //   - the huge bucket parks only in-bounds, whole 2 MiB blocks whose
 //     frames are neither free, nor reserved, nor mapped by the guest,
 //     and never a region that is simultaneously booked;
-//   - the bucket's membership mirror matches its entry list.
+//   - the bucket's membership mirror matches its entry list;
+//   - the guest and host contiguity lists are sorted, non-overlapping
+//     and consistently linked, and hold as many regions as they count.
 //
 // Returns nil before Attach: there is no layer to audit yet.
 func (g *Gemini) CheckInvariants() []audit.Violation {
@@ -148,6 +150,12 @@ func (g *Gemini) CheckInvariants() []audit.Violation {
 	if seen != p.bucket.Len() {
 		vs = append(vs, audit.Violationf(auditLayer, "bucket-index-desync", 0,
 			"bucket reports %d blocks but enumerates %d", p.bucket.Len(), seen))
+	}
+	if err := p.contig.CheckInvariants(); err != nil {
+		vs = append(vs, audit.Violationf(auditLayer, "contig-list", 0, "guest contiguity list: %v", err))
+	}
+	if err := g.host.contig.CheckInvariants(); err != nil {
+		vs = append(vs, audit.Violationf(auditLayer, "contig-list", 0, "host contiguity list: %v", err))
 	}
 	return vs
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/audit"
 	"repro/internal/mem"
@@ -173,4 +175,45 @@ func TestReclaimOfReturnedPageCountsOnce(t *testing.T) {
 		// Return the page to the reservation; the booking's bit stays.
 		L.Buddy.Free(frame, 0)
 	}
+}
+
+// TestAuditCatchesContigDrift breaks the guest and the host contiguity
+// list behind the list's own API — a back link that skips a node, a
+// count that disagrees with the nodes — and expects rule contig-list.
+func TestAuditCatchesContigDrift(t *testing.T) {
+	for _, side := range []string{"guest", "host"} {
+		for _, tc := range []struct {
+			name   string
+			mutate func(l reflect.Value)
+		}{
+			{"broken link", func(l reflect.Value) {
+				second := l.FieldByName("head").Elem().FieldByName("next").Elem()
+				settable(second.FieldByName("prev")).SetZero()
+			}},
+			{"wrong count", func(l reflect.Value) {
+				n := settable(l.FieldByName("count"))
+				n.SetInt(n.Int() + 1)
+			}},
+		} {
+			t.Run(side+"/"+tc.name, func(t *testing.T) {
+				_, _, g, gp, hp := newGeminiVM(Config{})
+				l := gp.contig
+				if side == "host" {
+					l = hp.contig
+				}
+				l.Rebuild([]mem.Region{{Start: 0, Pages: 512}, {Start: 2048, Pages: 1024}, {Start: 8192, Pages: 64}})
+				if vs := g.CheckInvariants(); len(vs) != 0 {
+					t.Fatalf("baseline not clean: %s", audit.Report(vs))
+				}
+				tc.mutate(reflect.ValueOf(l).Elem())
+				expectViolations(t, g.CheckInvariants(), "contig-list")
+			})
+		}
+	}
+}
+
+// settable gives write access to an unexported field of another
+// package, so a test can corrupt state its API never produces.
+func settable(v reflect.Value) reflect.Value {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 }

@@ -404,14 +404,6 @@ func TestBucketDirect(t *testing.T) {
 	b.Put(7, 0, 10)
 }
 
-func TestSortU64(t *testing.T) {
-	s := []uint64{3, 1, 2}
-	sortU64(s)
-	if s[0] != 1 || s[2] != 3 {
-		t.Fatalf("sorted = %v", s)
-	}
-}
-
 func TestUnattachedGeminiIsInert(t *testing.T) {
 	// Policies must not crash before Attach.
 	g, gp, hp := New(Config{})

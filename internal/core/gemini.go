@@ -364,16 +364,3 @@ func (g *Gemini) HostHugeAt(gpaHugeIdx uint64) bool {
 func (g *Gemini) GuestHugeAt(gpaHugeIdx uint64) bool {
 	return gpaHugeIdx < uint64(len(g.guestHugeGPA)) && g.guestHugeGPA[gpaHugeIdx]
 }
-
-// sortU64 sorts in place (insertion sort: lists are short).
-func sortU64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i
-		for j > 0 && s[j-1] > v {
-			s[j] = s[j-1]
-			j--
-		}
-		s[j] = v
-	}
-}

@@ -25,10 +25,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/audit"
+	"repro/internal/jobs"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -342,6 +341,10 @@ func (f *Fleet) Run() Result {
 	for _, h := range f.hosts {
 		h.clock = sim.NewClock(h.m, h.rec, func() { f.captureHost(h) }, f.dense)
 	}
+	// Hosts share no mutable state (each has its own machine, shard and
+	// resident VMs; scheduling already happened in the control phase),
+	// so stepping them Parallel at a time yields identical results.
+	stepHost := func(i int) { f.stepHost(f.hosts[i]) }
 	next := 0
 	for tick := uint64(1); tick <= horizon; tick++ {
 		f.setTraceNow(tick)
@@ -357,7 +360,7 @@ func (f *Fleet) Run() Result {
 		if f.cfg.RebalanceEvery > 0 && tick%uint64(f.cfg.RebalanceEvery) == 0 {
 			f.rebalance(tick)
 		}
-		f.stepHosts()
+		jobs.ForEach(len(f.hosts), f.cfg.Parallel, hostName, stepHost)
 		if f.cfg.Audit && tick%uint64(f.cfg.AuditEvery) == 0 {
 			f.runAudit()
 		}
@@ -533,52 +536,8 @@ func (f *Fleet) stepHost(h *host) {
 	h.clock.Advance(1)
 }
 
-// stepHosts steps every host, Parallel at a time. Hosts share no
-// mutable state (each has its own machine, shard, and resident VMs;
-// scheduling already happened in the control phase), so any
-// parallelism yields identical results; a worker panic is re-raised
-// for the lowest host index so failures are deterministic too.
-func (f *Fleet) stepHosts() {
-	par := f.cfg.Parallel
-	if par > len(f.hosts) {
-		par = len(f.hosts)
-	}
-	if par <= 1 {
-		for _, h := range f.hosts {
-			f.stepHost(h)
-		}
-		return
-	}
-	var next atomic.Int64
-	panics := make([]any, len(f.hosts))
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(f.hosts) {
-					return
-				}
-				func() {
-					defer func() {
-						if p := recover(); p != nil {
-							panics[i] = p
-						}
-					}()
-					f.stepHost(f.hosts[i])
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-}
+// hostName identifies host i in a re-raised host-step panic.
+func hostName(i int) string { return fmt.Sprintf("host %d", i) }
 
 // fragInfos snapshots every host's placement signals: host-buddy FMFI
 // at the huge order, EPT huge-page coverage over resident VMs, and the

@@ -257,9 +257,6 @@ func NewScheduler(pol PlacementPolicy, caps []Demand) *Scheduler {
 	return s
 }
 
-// NumHosts returns the number of hosts.
-func (s *Scheduler) NumHosts() int { return len(s.hosts) }
-
 // Policy returns the placement policy in use.
 func (s *Scheduler) Policy() PlacementPolicy { return s.pol }
 

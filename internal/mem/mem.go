@@ -1,10 +1,10 @@
-// Package mem defines the fundamental address and size types shared by
-// every layer of the virtualized-memory simulator: guest virtual,
-// guest physical, and host physical addresses, page and frame numbers,
-// and the base/huge page geometry of an x86-64 style machine
-// (4 KiB base pages, 2 MiB huge pages).
+// Package mem defines the page geometry and the frame-range type shared
+// by every layer of the virtualized-memory simulator: the base/huge page
+// sizes of an x86-64 style machine (4 KiB base pages, 2 MiB huge pages),
+// the translation-size kind, and Region, a run of frames.
 //
-// All addresses are byte addresses; all frame numbers count 4 KiB
+// The simulator carries every address and frame number as a plain
+// uint64. Addresses are byte addresses; frame numbers count 4 KiB
 // frames. A "huge frame number" (the index of a 2 MiB-aligned region)
 // is a frame number divided by PagesPerHuge.
 //
@@ -54,96 +54,6 @@ func (k PageSizeKind) String() string {
 	}
 }
 
-// Bytes returns the size in bytes of the translation kind.
-func (k PageSizeKind) Bytes() uint64 {
-	if k == Huge {
-		return HugeSize
-	}
-	return PageSize
-}
-
-// GVA is a guest virtual address.
-type GVA uint64
-
-// GPA is a guest physical address.
-type GPA uint64
-
-// HPA is a host physical address.
-type HPA uint64
-
-// GFN is a guest physical frame number (GPA >> PageShift).
-type GFN uint64
-
-// HFN is a host physical frame number (HPA >> PageShift).
-type HFN uint64
-
-// VPN is a guest virtual page number (GVA >> PageShift).
-type VPN uint64
-
-// PageNumber converts a guest virtual address to its page number.
-func (a GVA) PageNumber() VPN { return VPN(a >> PageShift) }
-
-// HugeAligned reports whether the address is 2 MiB aligned.
-func (a GVA) HugeAligned() bool { return a&(HugeSize-1) == 0 }
-
-// HugeBase returns the start of the 2 MiB region containing the address.
-func (a GVA) HugeBase() GVA { return a &^ GVA(HugeSize-1) }
-
-// PageBase returns the start of the 4 KiB page containing the address.
-func (a GVA) PageBase() GVA { return a &^ GVA(PageSize-1) }
-
-// Offset returns the byte offset within the base page.
-func (a GVA) Offset() uint64 { return uint64(a) & (PageSize - 1) }
-
-// Frame converts a guest physical address to its frame number.
-func (a GPA) Frame() GFN { return GFN(a >> PageShift) }
-
-// HugeAligned reports whether the address is 2 MiB aligned.
-func (a GPA) HugeAligned() bool { return a&(HugeSize-1) == 0 }
-
-// HugeBase returns the start of the 2 MiB region containing the address.
-func (a GPA) HugeBase() GPA { return a &^ GPA(HugeSize-1) }
-
-// PageBase returns the start of the 4 KiB page containing the address.
-func (a GPA) PageBase() GPA { return a &^ GPA(PageSize-1) }
-
-// Frame converts a host physical address to its frame number.
-func (a HPA) Frame() HFN { return HFN(a >> PageShift) }
-
-// HugeAligned reports whether the address is 2 MiB aligned.
-func (a HPA) HugeAligned() bool { return a&(HugeSize-1) == 0 }
-
-// HugeBase returns the start of the 2 MiB region containing the address.
-func (a HPA) HugeBase() HPA { return a &^ HPA(HugeSize-1) }
-
-// Addr converts a guest physical frame number back to an address.
-func (f GFN) Addr() GPA { return GPA(f) << PageShift }
-
-// HugeIndex returns the index of the 2 MiB region containing the frame.
-func (f GFN) HugeIndex() uint64 { return uint64(f) / PagesPerHuge }
-
-// HugeAligned reports whether the frame starts a 2 MiB region.
-func (f GFN) HugeAligned() bool { return uint64(f)%PagesPerHuge == 0 }
-
-// Addr converts a host physical frame number back to an address.
-func (f HFN) Addr() HPA { return HPA(f) << PageShift }
-
-// HugeIndex returns the index of the 2 MiB region containing the frame.
-func (f HFN) HugeIndex() uint64 { return uint64(f) / PagesPerHuge }
-
-// HugeAligned reports whether the frame starts a 2 MiB region.
-func (f HFN) HugeAligned() bool { return uint64(f)%PagesPerHuge == 0 }
-
-// Addr converts a virtual page number back to an address.
-func (v VPN) Addr() GVA { return GVA(v) << PageShift }
-
-// HugeIndex returns the index of the 2 MiB virtual region containing
-// the page.
-func (v VPN) HugeIndex() uint64 { return uint64(v) / PagesPerHuge }
-
-// HugeAligned reports whether the page starts a 2 MiB virtual region.
-func (v VPN) HugeAligned() bool { return uint64(v)%PagesPerHuge == 0 }
-
 // Region describes a contiguous range of base frames in some physical
 // address space, identified by its first frame and its length in base
 // pages. It is space-agnostic: the machine layer decides whether the
@@ -161,38 +71,12 @@ func (r Region) Contains(frame uint64) bool {
 	return frame >= r.Start && frame < r.End()
 }
 
-// Overlaps reports whether two regions share at least one frame.
-func (r Region) Overlaps(o Region) bool {
-	return r.Start < o.End() && o.Start < r.End()
-}
-
-// Bytes returns the size of the region in bytes.
-func (r Region) Bytes() uint64 { return r.Pages * PageSize }
-
 // String formats the region as [start,end) in frames.
 func (r Region) String() string {
 	return fmt.Sprintf("[%#x,%#x)", r.Start, r.End())
 }
 
-// HugeSpan returns the region covering the whole 2 MiB-aligned span
-// that contains the region. The result always starts and ends on huge
-// boundaries.
-func (r Region) HugeSpan() Region {
-	start := r.Start &^ (PagesPerHuge - 1)
-	end := (r.End() + PagesPerHuge - 1) &^ uint64(PagesPerHuge-1)
-	return Region{Start: start, Pages: end - start}
-}
-
 // BytesToPages converts a byte count to base pages, rounding up.
 func BytesToPages(b uint64) uint64 {
 	return (b + PageSize - 1) / PageSize
-}
-
-// PagesToBytes converts a base page count to bytes.
-func PagesToBytes(p uint64) uint64 { return p * PageSize }
-
-// HugeRegionOf returns the 2 MiB region (in frames) with the given
-// huge index.
-func HugeRegionOf(hugeIndex uint64) Region {
-	return Region{Start: hugeIndex * PagesPerHuge, Pages: PagesPerHuge}
 }

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestGeometryConstants(t *testing.T) {
 	if PageSize != 4096 {
@@ -21,82 +18,11 @@ func TestGeometryConstants(t *testing.T) {
 }
 
 func TestPageSizeKind(t *testing.T) {
-	if Base.Bytes() != PageSize {
-		t.Errorf("Base.Bytes() = %d", Base.Bytes())
-	}
-	if Huge.Bytes() != HugeSize {
-		t.Errorf("Huge.Bytes() = %d", Huge.Bytes())
-	}
 	if Base.String() != "base" || Huge.String() != "huge" {
 		t.Errorf("String() = %q, %q", Base.String(), Huge.String())
 	}
 	if got := PageSizeKind(7).String(); got != "PageSizeKind(7)" {
 		t.Errorf("unknown kind String() = %q", got)
-	}
-}
-
-func TestGVAHelpers(t *testing.T) {
-	a := GVA(0x40_0000 + 0x1234) // 4MiB + offset
-	if a.PageNumber() != VPN(0x401) {
-		t.Errorf("PageNumber = %#x", a.PageNumber())
-	}
-	if a.HugeAligned() {
-		t.Errorf("%#x should not be huge-aligned", uint64(a))
-	}
-	if a.HugeBase() != GVA(0x40_0000) {
-		t.Errorf("HugeBase = %#x", uint64(a.HugeBase()))
-	}
-	if a.PageBase() != GVA(0x40_1000) {
-		t.Errorf("PageBase = %#x", uint64(a.PageBase()))
-	}
-	if a.Offset() != 0x234 {
-		t.Errorf("Offset = %#x", a.Offset())
-	}
-	if !GVA(0).HugeAligned() || !GVA(HugeSize).HugeAligned() {
-		t.Errorf("0 and HugeSize must be huge-aligned")
-	}
-}
-
-func TestGPAAndHPAHelpers(t *testing.T) {
-	g := GPA(3 * HugeSize)
-	if !g.HugeAligned() {
-		t.Errorf("GPA %#x should be aligned", uint64(g))
-	}
-	if g.Frame() != GFN(3*PagesPerHuge) {
-		t.Errorf("Frame = %d", g.Frame())
-	}
-	if g.Frame().HugeIndex() != 3 {
-		t.Errorf("HugeIndex = %d", g.Frame().HugeIndex())
-	}
-	if !g.Frame().HugeAligned() {
-		t.Errorf("frame should be huge-aligned")
-	}
-	h := HPA(5*HugeSize + PageSize)
-	if h.HugeAligned() {
-		t.Errorf("HPA %#x should not be aligned", uint64(h))
-	}
-	if h.HugeBase() != HPA(5*HugeSize) {
-		t.Errorf("HugeBase = %#x", uint64(h.HugeBase()))
-	}
-	if h.Frame().HugeIndex() != 5 {
-		t.Errorf("HugeIndex = %d", h.Frame().HugeIndex())
-	}
-	if h.Frame().Addr() != h {
-		t.Errorf("Addr roundtrip = %#x", uint64(h.Frame().Addr()))
-	}
-}
-
-func TestRoundTrips(t *testing.T) {
-	f := func(raw uint64) bool {
-		// Confine to a page boundary so the roundtrip is exact.
-		pn := raw >> PageShift
-		okG := GFN(pn).Addr().Frame() == GFN(pn)
-		okH := HFN(pn).Addr().Frame() == HFN(pn)
-		okV := VPN(pn).Addr().PageNumber() == VPN(pn)
-		return okG && okH && okV
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -108,56 +34,8 @@ func TestRegion(t *testing.T) {
 	if !r.Contains(100) || !r.Contains(149) || r.Contains(150) || r.Contains(99) {
 		t.Errorf("Contains boundaries wrong")
 	}
-	if r.Bytes() != 50*PageSize {
-		t.Errorf("Bytes = %d", r.Bytes())
-	}
 	if r.String() != "[0x64,0x96)" {
 		t.Errorf("String = %q", r.String())
-	}
-}
-
-func TestRegionOverlaps(t *testing.T) {
-	cases := []struct {
-		a, b Region
-		want bool
-	}{
-		{Region{0, 10}, Region{10, 10}, false},
-		{Region{0, 10}, Region{9, 1}, true},
-		{Region{5, 5}, Region{0, 20}, true},
-		{Region{0, 0}, Region{0, 10}, false}, // empty region overlaps nothing
-		{Region{20, 5}, Region{0, 10}, false},
-	}
-	for i, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.want {
-			t.Errorf("case %d: %v.Overlaps(%v) = %v, want %v", i, c.a, c.b, got, c.want)
-		}
-		if got := c.b.Overlaps(c.a); got != c.want {
-			t.Errorf("case %d (sym): got %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-func TestHugeSpan(t *testing.T) {
-	r := Region{Start: 600, Pages: 10} // inside huge page 1
-	span := r.HugeSpan()
-	if span.Start != 512 || span.Pages != 512 {
-		t.Errorf("HugeSpan = %v", span)
-	}
-	r2 := Region{Start: 500, Pages: 100} // crosses huge pages 0 and 1
-	span2 := r2.HugeSpan()
-	if span2.Start != 0 || span2.Pages != 1024 {
-		t.Errorf("HugeSpan crossing = %v", span2)
-	}
-	// Property: span always contains the region and is huge-aligned.
-	f := func(startRaw, pagesRaw uint16) bool {
-		r := Region{Start: uint64(startRaw), Pages: uint64(pagesRaw%2048) + 1}
-		s := r.HugeSpan()
-		return s.Start%PagesPerHuge == 0 &&
-			s.Pages%PagesPerHuge == 0 &&
-			s.Start <= r.Start && s.End() >= r.End()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -173,15 +51,5 @@ func TestByteConversions(t *testing.T) {
 	}
 	if BytesToPages(PageSize+1) != 2 {
 		t.Errorf("BytesToPages(PageSize+1) = %d", BytesToPages(PageSize+1))
-	}
-	if PagesToBytes(3) != 3*PageSize {
-		t.Errorf("PagesToBytes(3) = %d", PagesToBytes(3))
-	}
-}
-
-func TestHugeRegionOf(t *testing.T) {
-	r := HugeRegionOf(4)
-	if r.Start != 4*PagesPerHuge || r.Pages != PagesPerHuge {
-		t.Errorf("HugeRegionOf(4) = %v", r)
 	}
 }

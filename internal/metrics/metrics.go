@@ -1,76 +1,15 @@
-// Package metrics provides the lightweight instrumentation used across
-// the simulator: monotonically increasing counters, windowed deltas for
-// control loops (Gemini's booking-timeout adjustment consumes windowed
-// TLB-miss and fragmentation readings), and a fixed-resolution latency
-// histogram good enough for mean and high-percentile reporting.
+// Package metrics provides the latency histogram the simulation engine
+// records per-request cycles into: logarithmic buckets with about 4 %
+// relative resolution, read back as the mean and the p99 every result
+// reports. The other per-run signals are plain counters kept by the
+// layers themselves (TLB statistics, buddy FMFI); Algorithm 1 takes its
+// TLB-miss delta straight from TLB.Stats().Misses.
 //
 // See DESIGN.md §4 (fidelity targets) for which metrics each figure
 // reports.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Window tracks the delta of a counter-like series between observation
-// points. Algorithm 1 in the paper compares "TLB misses over the last
-// period" across consecutive periods; Window provides exactly that.
-type Window struct {
-	last    uint64
-	current uint64
-	primed  bool
-}
-
-// Observe records the latest absolute value and returns the delta since
-// the previous observation. The first observation primes the window and
-// returns 0. A value below the previous one means the observed counter
-// was reset (e.g. TLB statistics cleared between phases); the window
-// re-primes on the new baseline and returns 0 instead of letting the
-// unsigned subtraction underflow into a huge delta.
-func (w *Window) Observe(abs uint64) uint64 {
-	if !w.primed {
-		w.primed = true
-		w.last = abs
-		w.current = abs
-		return 0
-	}
-	if abs < w.current {
-		w.last = abs
-		w.current = abs
-		return 0
-	}
-	delta := abs - w.current
-	w.last = w.current
-	w.current = abs
-	return delta
-}
-
-// LastDelta returns the most recent delta without observing.
-func (w *Window) LastDelta() uint64 {
-	if !w.primed {
-		return 0
-	}
-	return w.current - w.last
-}
+import "math"
 
 // Histogram is a latency histogram with logarithmic buckets. Values are
 // recorded in abstract cycles; the bucket layout covers 1 cycle to ~1e12
@@ -131,31 +70,12 @@ func (h *Histogram) Record(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Mean returns the arithmetic mean of all observations, or 0 when empty.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation, or 0 when empty.
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation, or 0 when empty.
-func (h *Histogram) Max() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
 }
 
 // Quantile returns the value at quantile q in [0,1], approximated by the
@@ -192,82 +112,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // P99 is shorthand for Quantile(0.99).
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// Reset clears all recorded data.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.count = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
-}
-
-// Merge adds the contents of other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i, n := range other.buckets {
-		h.buckets[i] += n
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-}
-
-// String summarises the histogram.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f p99=%.1f max=%.1f",
-		h.count, h.Mean(), h.P99(), h.Max())
-}
-
-// Series is a small helper for accumulating float samples when exact
-// quantiles are needed (used by tests and small sweeps, not hot paths).
-type Series struct {
-	vals []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(v float64) { s.vals = append(s.vals, v) }
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.vals) }
-
-// Mean returns the arithmetic mean, or 0 when empty.
-func (s *Series) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// Quantile returns the exact q-quantile (nearest-rank), or 0 when empty.
-func (s *Series) Quantile(q float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(s.vals))
-	copy(sorted, s.vals)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}

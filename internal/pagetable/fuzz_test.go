@@ -327,6 +327,14 @@ func collect(scan func(fn func(Mapping) bool), limit int) []Mapping {
 	return out
 }
 
+// mappingEnd returns one past the last byte a mapping translates.
+func mappingEnd(m Mapping) uint64 {
+	if m.Kind == mem.Huge {
+		return m.VA + mem.HugeSize
+	}
+	return m.VA + mem.PageSize
+}
+
 // checkScans compares the ranged scans with ScanAll filtered by their
 // definitions: ScanRange(start, end) reports the mappings with VA < end
 // and VA+size > start (so a huge mapping straddling start counts),
@@ -344,7 +352,7 @@ func checkScans(t *testing.T, tb *Table, start, end uint64, limit int, vas ...ui
 		var want Mapping
 		found := false
 		for _, m := range all {
-			if va >= m.VA && va < m.VA+m.Kind.Bytes() {
+			if va >= m.VA && va < mappingEnd(m) {
 				want, found = m, true
 				break
 			}
@@ -369,7 +377,7 @@ func checkScans(t *testing.T, tb *Table, start, end uint64, limit int, vas ...ui
 	var inRange, huge []Mapping
 	var regions []uint64
 	for _, m := range all {
-		if m.VA < end && m.VA+m.Kind.Bytes() > start {
+		if m.VA < end && mappingEnd(m) > start {
 			inRange = append(inRange, m)
 		}
 		if m.Kind == mem.Huge {

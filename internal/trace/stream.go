@@ -211,9 +211,6 @@ func (r *Recorder) StreamTo(events, series io.Writer) error {
 	return nil
 }
 
-// Streaming reports whether a streaming sink is attached.
-func (r *Recorder) Streaming() bool { return r.sink != nil }
-
 // FlushStream drains any pending streamed bytes to the underlying
 // writers and returns the sink's first error. Call after the run (and
 // after MergeShards for sharded grids); no-op without a sink.
@@ -222,15 +219,5 @@ func (r *Recorder) FlushStream() error {
 		return nil
 	}
 	r.sink.flushAll()
-	return r.sink.err
-}
-
-// StreamErr returns the first error the streaming sink hit, if any.
-// After an error the sink drops further output but the recorder keeps
-// recording in memory.
-func (r *Recorder) StreamErr() error {
-	if r.sink == nil {
-		return nil
-	}
 	return r.sink.err
 }

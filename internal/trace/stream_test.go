@@ -241,7 +241,7 @@ func TestStreamToRejectsLateAttach(t *testing.T) {
 	if err := rec2.StreamTo(new(bytes.Buffer), nil); err == nil {
 		t.Error("second StreamTo must error")
 	}
-	if !rec2.Streaming() {
-		t.Error("Streaming() false on a streaming recorder")
+	if rec2.sink == nil {
+		t.Error("no sink attached to a streaming recorder")
 	}
 }
