@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -64,6 +65,23 @@ func TestAccessSteadyStateZeroAllocsHugeRegion(t *testing.T) {
 	hugeRefill(vm, gvas)
 	if n := testing.AllocsPerRun(100, func() { hugeRefill(vm, gvas) }); n != 0 {
 		t.Fatalf("region refill allocated %v allocs/run, want 0", n)
+	}
+}
+
+// TestAccessSteadyStateZeroAllocsOneLayerHuge extends the pin to
+// regions huge at one layer only: cached accesses over a guest-huge
+// region backed by EPT base pages and a guest-base region backed by a
+// huge EPT page allocate nothing.
+func TestAccessSteadyStateZeroAllocsOneLayerHuge(t *testing.T) {
+	vm, gvas := oneLayerHugeVM()
+	for i, want := range [2][2]mem.PageSizeKind{{mem.Huge, mem.Base}, {mem.Base, mem.Huge}} {
+		gfn, gKind, _ := vm.Guest.Table.Lookup(gvas[i*mem.PagesPerHuge])
+		if _, hKind, _ := vm.EPT.Table.Lookup(gfn * mem.PageSize); gKind != want[0] || hKind != want[1] {
+			t.Fatalf("setup: region %d maps %v over %v, want %v over %v", i, gKind, hKind, want[0], want[1])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { vm.AccessN(gvas) }); n != 0 {
+		t.Fatalf("one-layer-huge hits allocated %v allocs/run, want 0", n)
 	}
 }
 

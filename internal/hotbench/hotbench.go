@@ -2,7 +2,8 @@
 // case per layer of the access pipeline (TLB lookup, native and
 // nested walk costing, a miss-heavy TLB batch, page-table walk, the
 // cached and uncached access paths, the walk-cache refill of a
-// promoted region, and demand faulting one page and
+// promoted region, cached accesses to regions huge at one layer only,
+// and demand faulting one page and
 // an ascending run, the run with base pages and with GEMINI's
 // placement)
 // plus the tick side's structural costs (a TLB region flush, buddy
@@ -54,6 +55,7 @@ func Suite() []Case {
 		{"AccessUncached", benchAccessUncached},
 		{"AccessAcrossMutation", benchAccessAcrossMutation},
 		{"AccessHugeRefill", benchAccessHugeRefill},
+		{"AccessOneLayerHuge", benchAccessOneLayerHuge},
 		{"FullFault", benchFullFault},
 		{"PopulateRun", benchPopulateRun},
 		{"PopulateRunGemini", benchPopulateRunGemini},
@@ -300,6 +302,47 @@ func benchAccessHugeRefill(b *testing.B) {
 	}
 }
 
+// oneLayerHugeVM returns a VM with two guest regions warm in the walk
+// cache, one mapped huge in the guest over base pages in the EPT and
+// one mapped base in the guest over a huge EPT page — the misaligned
+// huge pages of §2.2 — and the addresses of their 1024 pages.
+func oneLayerHugeVM() (*machine.VM, []uint64) {
+	const guestPages = (64 << 20) >> mem.PageShift
+	m := machine.NewMachine(guestPages*2, machine.DefaultCosts())
+	vm := m.AddVM(guestPages, policy.HugeOnly{}, policy.BaseOnly{}, tlb.DefaultConfig())
+	v := vm.Guest.Space.MMap(2*mem.HugeSize, 0)
+	gvas := make([]uint64, 2*mem.PagesPerHuge)
+	for i := range gvas {
+		gvas[i] = v.Start + uint64(i)*mem.PageSize
+	}
+	vm.AccessN(gvas)
+	// The second region: split in the guest, its guest frames (one
+	// huge block) promoted by migration in the EPT.
+	second := v.Start + mem.HugeSize
+	gfn, _, _ := vm.Guest.Table.Lookup(second)
+	if err := vm.Guest.Demote(second); err != nil {
+		panic(err)
+	}
+	if err := vm.EPT.PromoteMigrate(gfn*mem.PageSize, nil); err != nil {
+		panic(err)
+	}
+	vm.AccessN(gvas)
+	return vm, gvas
+}
+
+// benchAccessOneLayerHuge measures cached accesses to every page of
+// the two oneLayerHugeVM regions: each access reads the base layer's
+// PTE word through the cached leaf and the huge layer's frame from its
+// region entry.
+func benchAccessOneLayerHuge(b *testing.B) {
+	vm, gvas := oneLayerHugeVM()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vm.AccessN(gvas)
+	}
+}
+
 // microSink keeps the compiler from eliding the sweep results.
 var microSink sim.MicroResult
 
@@ -323,8 +366,8 @@ func runMicroSweep() {
 // AccessN, keeping the TLB probe and walk-cache loop in cache across a
 // whole request batch. Its allocation count repeats exactly because
 // every sweep starts from the same walk-cache arena pool state. Each
-// cell takes the 4 MiB arena the previous cell put back into machine's
-// sync.Pool, but a pooled object put on one P's private slot is
+// cell takes the arena (region entries and access-batch buffers) the
+// previous cell put back into machine's sync.Pool, but a pooled object put on one P's private slot is
 // invisible to a Get from another, two collections between a Put and
 // the next Get drop it, and the first Get after each collection
 // allocates the pool's per-P array. So the case runs on one P with

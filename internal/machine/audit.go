@@ -148,10 +148,50 @@ func (vm *VM) CheckInvariants() []audit.Violation {
 			"Alignment() says %d/%d aligned/guest-huge, recomputation says %d/%d",
 			a.Aligned, a.GuestHuge, aligned, guestHuge))
 	}
+	vs = append(vs, vm.checkWalkCache()...)
 	// Balloon drivers audit their own accounting (held frames vs
 	// inflated count); include it when the installed driver offers it.
 	if b, ok := vm.Balloon.(interface{ CheckInvariants() []audit.Violation }); ok {
 		vs = append(vs, b.CheckInvariants()...)
+	}
+	return vs
+}
+
+// checkWalkCache audits rule "walk-cache": every walk-cache entry the
+// next revalidation keeps is what its table holds now — the region's
+// leaf or huge frame base (pagetable.RegionLeaf) and, on the guest
+// side, the region's Huge-kind TLB set. Entries that a pending log
+// entry names, or a side whose log saturated or whose table was
+// replaced, are dropped by that revalidation and not checked.
+func (vm *VM) checkWalkCache() []audit.Violation {
+	wc := &vm.wc
+	if wc.guest == nil {
+		return nil
+	}
+	var vs []audit.Violation
+	g, e := vm.Guest.Table, vm.EPT.Table
+	if dirty, all := g.Dirty(); !all && wc.gTable == g {
+		for i, ent := range wc.guest {
+			va := ent.tag << mem.HugeShift
+			if ent.wcRegion == (wcRegion{}) || slices.ContainsFunc(dirty, func(r uint64) bool { return r%wcGuestSize == uint64(i) }) {
+				continue
+			}
+			if ent.wcRegion != region(g.RegionLeaf(va)) || ent.hugeSet != vm.TLB.SetIndexOf(va, mem.Huge) {
+				vs = append(vs, audit.Violationf("walkcache", "walk-cache", va,
+					"guest entry %d is not what the guest table holds for its region", i))
+			}
+		}
+	}
+	if dirty, all := e.Dirty(); !all {
+		for r, ent := range wc.ept {
+			if ent == (wcRegion{}) || slices.Contains(dirty, uint64(r)) {
+				continue
+			}
+			if gpa := uint64(r) << mem.HugeShift; ent != region(e.RegionLeaf(gpa)) {
+				vs = append(vs, audit.Violationf("walkcache", "walk-cache", gpa,
+					"EPT entry is not what the EPT holds for its region"))
+			}
+		}
 	}
 	return vs
 }

@@ -16,13 +16,24 @@ func (vm *VM) AccessRun(gvas []uint64) (uint64, int) {
 }
 
 // WalkCacheServes reports whether an access to gva now would be served
-// by the walk cache, from its region entry or its page entry, without
-// walking either table. It brings the stamps up to date first, as
-// AccessN does before its first probe.
+// by the walk cache, from the entries of its guest virtual and guest
+// physical regions, without walking either table. It brings the
+// entries up to date first, as AccessN does before its first probe.
 func (vm *VM) WalkCacheServes(gva uint64) bool {
-	if vm.wc.entries == nil {
+	if vm.wc.guest == nil {
 		return false
 	}
 	vm.wcRevalidate()
 	return vm.wcHits(gva)
+}
+
+// FillWalkCache fills the walk-cache entries of gva's regions from the
+// tables now, as AccessN does after an uncached access. The fill
+// happens whether or not gva is mapped: an access whose own fault path
+// emptied its region leaves the guest entry holding the emptied leaf,
+// and tests reach that state through this.
+func (vm *VM) FillWalkCache(gva uint64) {
+	if vm.wc.guest != nil {
+		vm.wcFill(gva)
+	}
 }

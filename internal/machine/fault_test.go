@@ -13,13 +13,13 @@ import (
 // first touch of a fresh guest page runs direct reclaim, which swaps a
 // region out and bumps the EPT table's version before the fault maps
 // the page. The accessed bits must land on the live PTEs, and the
-// walk-cache entry must match fresh LookupRefs of both tables.
+// walk-cache entries must be the regions' live leaves.
 //
 // In the second case the reclaim hook also rebuilds the guest region
 // holding the page (unmap, map huge, split), which detaches the guest
 // leaf the guest fault handed out a ref into. The access must retake
-// the guest ref, so the live PTE's bit is set, and must not cache the
-// translation it resolved before the guest table moved.
+// the guest ref, so the live PTE's bit is set, and the walk cache must
+// hold the live leaf, not the detached one.
 func TestFaultRefRetakenAfterDirectReclaim(t *testing.T) {
 	const hostPages = 4 * mem.PagesPerHuge
 	for _, guestMoves := range []bool{false, true} {
@@ -68,7 +68,7 @@ func TestFaultRefRetakenAfterDirectReclaim(t *testing.T) {
 		if moved := vm.Guest.Table.Version() != gVer; moved != guestMoves {
 			t.Fatalf("moves=%v: guest table version moved=%v", guestMoves, moved)
 		}
-		gfn, gKind, gRef, ok := vm.Guest.Table.LookupRef(gva)
+		gfn, gKind, ok := vm.Guest.Table.Lookup(gva)
 		if !ok || !vm.Guest.Table.Accessed(gva) {
 			t.Fatalf("moves=%v: live guest PTE of %#x not marked accessed", guestMoves, gva)
 		}
@@ -80,19 +80,23 @@ func TestFaultRefRetakenAfterDirectReclaim(t *testing.T) {
 		}
 
 		vm.wcRevalidate()
-		ent := vm.wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]
-		cached := vm.wc.hit(&ent, gva)
-		if cached == guestMoves {
-			t.Fatalf("moves=%v: walk-cache entry cached=%v", guestMoves, cached)
+		g := vm.wc.guest[gva>>mem.HugeShift&(wcGuestSize-1)]
+		if l, _, _ := vm.Guest.Table.RegionLeaf(gva); g.tag != gva>>mem.HugeShift || g.leaf != l || g.huge != 0 {
+			t.Fatalf("moves=%v: guest walk-cache entry %+v is not the live leaf %p", guestMoves, g, l)
 		}
-		if cached {
-			_, hKind, eRef, ok := vm.EPT.Table.LookupRef(gfn * mem.PageSize)
-			_, entGKind, entHKind := tlb.UnpackKinds(ent.meta)
-			if !ok || ent.gfn != gfn || entGKind != gKind || entHKind != hKind ||
-				ent.gRef != gRef || ent.eRef != eRef {
-				t.Fatalf("walk-cache entry %+v does not match fresh LookupRefs "+
-					"(gfn %#x %v, ept %v)", ent, gfn, gKind, hKind)
-			}
+		if entGfn, entGKind, ok := g.at(gva >> mem.PageShift & (mem.PagesPerHuge - 1)); !ok || entGfn != gfn || entGKind != gKind {
+			t.Fatalf("moves=%v: guest walk-cache entry reads frame %#x %v (ok %v), the table %#x %v",
+				guestMoves, entGfn, entGKind, ok, gfn, gKind)
+		}
+		// The EPT side is cached for the guest frame the live PTE maps:
+		// the one the fault backed, unless the guest table moved.
+		eptLeaf, _, _ := vm.EPT.Table.RegionLeaf(gfn * mem.PageSize)
+		if e := vm.wc.ept[gfn/mem.PagesPerHuge]; e.leaf != eptLeaf || e.huge != 0 {
+			t.Fatalf("moves=%v: EPT walk-cache entry %+v is not the live leaf %p", guestMoves, e, eptLeaf)
+		}
+		_, _, backed := vm.EPT.Table.Lookup(gfn * mem.PageSize)
+		if hit := vm.wcHits(gva); hit != backed || !guestMoves && !hit {
+			t.Fatalf("moves=%v: the walk cache hits %v, the EPT backs the live guest frame %v", guestMoves, hit, backed)
 		}
 		if vs := m.CheckInvariants(); len(vs) != 0 {
 			t.Fatalf("moves=%v: machine dirty:\n%s", guestMoves, audit.Report(vs))

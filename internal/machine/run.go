@@ -184,19 +184,18 @@ func (vm *VM) accessRun(gvas []uint64) (uint64, int) {
 // backRun finishes a run whose guest faults are done: the guest frames
 // wait in the first len(gvas) entries of the access batch and their
 // AccessRefs in gRefs. Page by page, it backs the frame in the EPT
-// (through an EPT run where the next frames are consecutive), stages
-// the access for the TLB batch in the frame's place and fills the
-// access's walk-cache entry; then it charges the staged accesses to the
-// TLB in order. It returns the cycles. Faults read neither heat nor
-// accessed bits nor the walk cache, and the run's faults change no
-// translation the cache holds, so each page's bookkeeping may follow
-// its own EPT fault instead of the last one.
+// (through an EPT run where the next frames are consecutive) and
+// stages the access for the TLB batch in the frame's place; then it
+// fills the walk cache once for the run's regions, which hold every
+// page of it, and charges the staged accesses to the TLB in order. It
+// returns the cycles. Faults read neither heat nor accessed bits nor
+// the walk cache, so each page's bookkeeping may follow its own EPT
+// fault instead of the last one.
 func (vm *VM) backRun(gvas []uint64, gRefs pagetable.RunRefs) (cycles uint64) {
 	G, E := vm.Guest, vm.EPT
 	bat := &vm.bat
 	k := len(gvas)
 	gVer := G.Table.Version()
-	vm.wcRevalidate() // a no-op: AccessN left the stamps current
 	// finish does page i's bookkeeping once its EPT side is known.
 	finish := func(i int, eRef pagetable.AccessRef, hKind mem.PageSizeKind) {
 		gva, gfn := gvas[i], bat.gpa[i]
@@ -209,7 +208,6 @@ func (vm *VM) backRun(gvas []uint64, gRefs pagetable.RunRefs) (cycles uint64) {
 		si, meta := vm.TLB.SetIndexOf(gva, mem.Base), tlb.PackKinds(mem.Base, mem.Base, hKind)
 		bat.gpa[i], bat.si[i], bat.meta[i] = gpa, si, meta
 		cycles += G.TakeStallQuantum() + E.TakeStallQuantum()
-		vm.wcStore(gva, gfn, gRef, eRef, si, meta)
 	}
 	var ev *VMA
 	for i := 0; i < k; {
@@ -248,5 +246,6 @@ func (vm *VM) backRun(gvas []uint64, gRefs pagetable.RunRefs) (cycles uint64) {
 	if G.Table.Version() != gVer {
 		panic("machine: an EPT fault of a first-touch run changed the guest table")
 	}
+	vm.wcFill(gvas[0])
 	return cycles + vm.TLB.AccessNestedBatch(gvas, bat.gpa[:k], bat.si[:k], bat.meta[:k])
 }

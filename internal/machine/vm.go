@@ -34,8 +34,12 @@ type VM struct {
 	// dispatch (see translation.go).
 	mode  TranslationMode
 	radix bool
+	// kinds is the walk cache's kind table: entry gKind<<1|hKind is
+	// tlb.PackKinds of the mode's effective kind and the two mapping
+	// kinds.
+	kinds [4]uint8
 	// wc is the software walk cache accelerating AccessN; see
-	// walkcache.go. A zero wc (nil entries) means disabled.
+	// walkcache.go. A zero wc (nil guest) means disabled.
 	wc walkCache
 	// bat stages resolved translations for AccessN's two-pass batch
 	// loop; it is the walk-cache arena's, so only a cached VM has one.
@@ -129,7 +133,7 @@ func (m *Machine) AddVM(guestPages uint64, guestPolicy, hostPolicy Policy, tcfg 
 	// virtual region. (EPT-layer changes leave stale-but-correct
 	// base-grain entries to age out, as discussed in the TLB package.)
 	vm.Guest.FlushRegion = vm.TLB.FlushHugeRegion
-	vm.mode, vm.radix = RadixNested{}, true
+	vm.SetTranslation(RadixNested{})
 	vm.wcInit()
 	m.nextID++
 	m.VMs = append(m.VMs, vm)
@@ -146,6 +150,10 @@ func (m *Machine) AddVM(guestPages uint64, guestPolicy, hostPolicy Policy, tcfg 
 func (vm *VM) SetTranslation(mode TranslationMode) {
 	_, isRadix := mode.(RadixNested)
 	vm.mode, vm.radix = mode, isRadix
+	for k := range vm.kinds {
+		gKind, hKind := mem.PageSizeKind(k>>1), mem.PageSizeKind(k&1)
+		vm.kinds[k] = tlb.PackKinds(mode.EffectiveKind(gKind, hKind), gKind, hKind)
+	}
 	vm.armTranslation()
 }
 
@@ -227,7 +235,7 @@ const accessBatchChunk = 1024
 type accessBatch struct {
 	gpa  []uint64
 	si   []uint32
-	meta []uint8 // tlb.PackKinds(eff, gKind, hKind), cached in the walk-cache entry
+	meta []uint8 // tlb.PackKinds(eff, gKind, hKind), from the VM's kind table
 }
 
 // newAccessBatch allocates the staging buffers.
@@ -244,21 +252,20 @@ func newAccessBatch() accessBatch {
 // request and behind Access. The simulated work (fault decisions,
 // heat bumps, PTE marks, TLB updates, stall charges) is exactly
 // accessUncached per address. The steady-state case — both layers
-// mapped, no destructive mutation since the translation was last
-// resolved — is served from the walk cache without touching either
-// page table and without allocating (pinned by
-// BenchmarkAccessSteadyState). The cache changes only wall time, in
-// two ways. First, the stamps are brought up to date at the start and
-// after any uncached access (the only point a table can be mutated;
-// wcFill does it), so a hit compares stamps that cannot have moved.
-// Second, each run of walk-cache hits is split into two passes: pass
-// one does the per-address bookkeeping (heat, accessed bits, stall
-// draining) and stages the resolved translation, pass two charges the
-// staged run to the TLB, through the batch kernel on a radix VM and
-// through the translation mode's Access per address otherwise.
-// Heat/PTE state and TLB state are disjoint (a mode's Access touches
-// only the TLB) and nothing reads either until pass two returns, so
-// the split leaves every final state and cycle count
+// mapped, the regions' leaves or huge mappings cached — is served
+// from the walk cache without walking either page table and without
+// allocating (pinned by BenchmarkAccessSteadyState). The cache changes
+// only wall time, in two ways. First, the entries are brought up to
+// date at the start and after any uncached access (the only point a
+// table can be mutated; wcFill does it), so a hit reads leaves that
+// are still its regions'. Second, each run of walk-cache hits is split
+// into two passes: pass one does the per-address bookkeeping (heat,
+// accessed bits, stall draining) and stages the resolved translation,
+// pass two charges the staged run to the TLB, through the batch kernel
+// on a radix VM and through the translation mode's Access per address
+// otherwise. Heat/PTE state and TLB state are disjoint (a mode's
+// Access touches only the TLB) and nothing reads either until pass two
+// returns, so the split leaves every final state and cycle count
 // identical to the interleaved order; a walk-cache miss flushes the
 // staged run to the TLB first, keeping the uncached access's TLB view
 // exactly sequential. Hit-vs-miss in the software walk cache never
@@ -266,10 +273,9 @@ func newAccessBatch() accessBatch {
 // hoist needs no exactness argument beyond revalidate-after-miss.
 func (vm *VM) AccessN(gvas []uint64) uint64 {
 	var total uint64
-	if vm.wc.entries == nil {
+	if vm.wc.guest == nil {
 		for _, gva := range gvas {
-			c, _ := vm.accessUncached(gva)
-			total += c
+			total += vm.accessUncached(gva)
 		}
 		return total
 	}
@@ -281,24 +287,37 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 		start, n := i, 0
 		for i < len(gvas) && n < accessBatchChunk {
 			gva := gvas[i]
-			var gpa uint64
-			// The region entry first: a doubly-huge translation lives
-			// only there (walkcache.go), and a huge mapping has no
-			// accessed bit to mark.
-			if h := &wc.huge[(gva>>mem.HugeShift)&(wcHugeSize-1)]; wc.hitHuge(h, gva) {
-				gpa = h.gfn*mem.PageSize + (gva & (mem.HugeSize - 1))
-				vm.bat.si[n], vm.bat.meta[n] = h.tlbSet, h.meta
-			} else if ent := &wc.entries[(gva>>mem.PageShift)&(walkCacheSize-1)]; wc.hit(ent, gva) {
-				ent.gRef.Mark()
-				ent.eRef.Mark()
-				gpa = ent.gfn*mem.PageSize + (gva & (mem.PageSize - 1))
-				vm.bat.si[n], vm.bat.meta[n] = ent.tlbSet, ent.meta
-			} else {
+			g := &wc.guest[gva>>mem.HugeShift&(wcGuestSize-1)]
+			if g.tag != gva>>mem.HugeShift {
 				break
 			}
+			p := gva >> mem.PageShift & (mem.PagesPerHuge - 1)
+			gfn, gKind, ok := g.at(p)
+			if !ok || gfn/mem.PagesPerHuge >= uint64(len(wc.ept)) {
+				break
+			}
+			e := &wc.ept[gfn/mem.PagesPerHuge]
+			_, hKind, ok := e.at(gfn & (mem.PagesPerHuge - 1))
+			if !ok {
+				break
+			}
+			// Both PTE words are present: the hit marks them, as the
+			// reference path does. A huge mapping has no accessed bit.
+			if g.leaf != nil {
+				g.leaf.Mark(p)
+			}
+			if e.leaf != nil {
+				e.leaf.Mark(gfn & (mem.PagesPerHuge - 1))
+			}
+			meta := vm.kinds[gKind<<1|hKind]
+			si := g.hugeSet
+			if mem.PageSizeKind(meta&3) != mem.Huge {
+				si = vm.TLB.SetIndexOf(gva, mem.Base)
+			}
+			gpa := gfn*mem.PageSize + gva&(mem.PageSize-1)
 			vm.Guest.heatBump(gva >> mem.HugeShift)
 			vm.EPT.heatBump(gpa >> mem.HugeShift)
-			vm.bat.gpa[n] = gpa
+			vm.bat.gpa[n], vm.bat.si[n], vm.bat.meta[n] = gpa, si, meta
 			total += vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
 			n++
 			i++
@@ -328,26 +347,11 @@ func (vm *VM) AccessN(gvas []uint64) uint64 {
 				continue
 			}
 		}
-		c, tr := vm.accessUncached(gvas[i])
-		total += c
-		vm.wcFill(gvas[i], tr)
+		total += vm.accessUncached(gvas[i])
+		vm.wcFill(gvas[i])
 		i++
 	}
 	return total
-}
-
-// resolved is the nested translation one uncached access found or
-// made, handed to wcFill so that filling the walk cache walks neither
-// table again. It travels as a return value and an argument, never as
-// VM state.
-type resolved struct {
-	gfn          uint64
-	gRef, eRef   pagetable.AccessRef
-	gKind, hKind mem.PageSizeKind
-	// moved reports that the EPT fault changed the guest table's
-	// version, so gfn and gKind may no longer be what the guest table
-	// maps: the translation is not cached.
-	moved bool
 }
 
 // accessUncached is the reference access path: demand-fault both
@@ -356,24 +360,22 @@ type resolved struct {
 // table is walked once. The walk cache replays precisely this sequence
 // of simulated work on a hit, and a VM with the walk cache disabled
 // runs nothing else.
-func (vm *VM) accessUncached(gva uint64) (uint64, resolved) {
+func (vm *VM) accessUncached(gva uint64) uint64 {
 	cycles, gfn, gKind, gRef := vm.Guest.EnsureMapped(gva)
 	gVer := vm.Guest.Table.Version()
 	gpa := gfn*mem.PageSize + (gva & (mem.PageSize - 1))
 	c, _, hKind, eRef := vm.EPT.EnsureMapped(gpa)
 	cycles += c
-	tr := resolved{gfn: gfn, gRef: gRef, eRef: eRef, gKind: gKind, hKind: hKind}
 	if vm.Guest.Table.Version() != gVer {
 		// The EPT fault (direct reclaim, a policy side effect) mutated
 		// the guest table, which may have detached the node gRef points
 		// into. Retake it, so the bit lands on the live PTE.
-		_, _, tr.gRef, _ = vm.Guest.Table.LookupRef(gva)
-		tr.moved = true
+		_, _, gRef, _ = vm.Guest.Table.LookupRef(gva)
 	}
 	vm.Guest.RecordAccess(gva)
 	vm.EPT.RecordAccess(gpa)
-	tr.gRef.Mark()
-	tr.eRef.Mark()
+	gRef.Mark()
+	eRef.Mark()
 
 	// The §2.2 alignment rule: a 2 MiB TLB entry requires huge
 	// mappings at both layers. (Boundaries coincide automatically: a
@@ -392,7 +394,7 @@ func (vm *VM) accessUncached(gva uint64) (uint64, resolved) {
 	}
 	cycles += res.Cycles
 	cycles += vm.Guest.TakeStallQuantum() + vm.EPT.TakeStallQuantum()
-	return cycles, tr
+	return cycles
 }
 
 // Touch maps the page containing gva in both layers without charging
@@ -405,8 +407,8 @@ func (vm *VM) Touch(gva uint64) {
 // ReleaseCaches returns every VM's walk-cache arena to the shared
 // pool. Call it when a machine's measured work is done (the sim
 // engines do, once per run): sweeps that build machines back to back
-// then reuse the arenas instead of growing the heap by one entry
-// array per VM. The machine stays fully usable afterwards — accesses
+// then reuse the arenas instead of allocating a cache and batch
+// buffers per VM. The machine stays fully usable afterwards — accesses
 // just take the uncached reference path, with identical results.
 func (m *Machine) ReleaseCaches() {
 	for _, vm := range m.VMs {

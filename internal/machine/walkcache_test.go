@@ -42,8 +42,9 @@ const fuzzSpan = (8 << 20) >> mem.PageShift
 // FuzzWalkCacheInvalidation drives a cached VM and an uncached twin
 // through an arbitrary interleaving of accesses and destructive
 // operations — promote, demote, unmap/remap, reclaim, background
-// ticks, cache re-arming, and EPT promote, demote and compaction of
-// the guest physical region behind an address — and requires every access to charge
+// ticks, cache re-arming, EPT promote, demote and compaction of the
+// guest physical region behind an address, and a guest leaf recycled
+// from one region into another — and requires every access to charge
 // identical cycles, both layers of the twins to hold identical
 // mappings and accessed bits after every operation, and the final
 // machines to agree on all observable state. A walk cache serving one
@@ -61,6 +62,14 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 	// then an EPT split and a compaction of a host region behind it.
 	f.Add([]byte{0, 10, 10, 10, 2, 10, 10, 10, 1, 10, 10, 10, 8, 10, 10, 10,
 		7, 10, 10, 10, 8, 10, 9, 10, 10, 10})
+	// Leaf recycling: region R (arg 3, the VMA's second region) and the
+	// region above it (arg 12) are swept; R is emptied, its emptied
+	// leaf cached and dropped by Map2M, and the split of the region
+	// above takes it (odd arg); both are swept again. Then the same
+	// with Map4K taking the leaf (even arg), for the VMA's last region
+	// (arg 2) and, wrapping round, its first (arg 11).
+	f.Add([]byte{10, 3, 10, 12, 11, 3, 10, 3, 10, 12})
+	f.Add([]byte{10, 2, 10, 11, 11, 2, 10, 2, 10, 11})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		mc, cached := twinVM()
 		mr, ref := twinVM()
@@ -70,7 +79,7 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 			t.Fatalf("twins diverge before any op: bases %#x vs %#x", base, rb)
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%11, uint64(ops[i+1])
+			op, arg := ops[i]%12, uint64(ops[i+1])
 			va := base + (arg*977)%fuzzSpan*mem.PageSize
 			switch op {
 			case 0: // the probe itself: identical charge on both twins
@@ -129,6 +138,13 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 				if e1, e2 := eptOp(cached.EPT, op, gfn), eptOp(ref.EPT, op, gfn); e1 != e2 {
 					t.Fatalf("op %d: EPT op %d at guest frame %#x diverged: %v vs %v", i, op, gfn, e1, e2)
 				}
+			case 11: // recycle va's guest leaf into the next region up
+				hb := va &^ uint64(mem.HugeSize-1)
+				next := hb + mem.HugeSize
+				if v := cached.Guest.Space.VMAs()[0]; next >= v.End() {
+					next = v.Start &^ uint64(mem.HugeSize-1)
+				}
+				recycleLeaf(t, cached, ref, hb, next, arg%2 == 1)
 			case 10: // sweep every page of va's region, in order
 				hb := va &^ uint64(mem.HugeSize-1)
 				for p := uint64(0); p < mem.PagesPerHuge; p++ {
@@ -155,6 +171,56 @@ func FuzzWalkCacheInvalidation(f *testing.F) {
 	})
 }
 
+// recycleLeaf empties the guest region at hb through unmaps on both
+// twins and fills the cached twin's walk cache for it, which then
+// holds the emptied leaf: the state an access leaves when its own
+// fault path (direct reclaim, a balloon) empties its region. Map2M then
+// drops the leaf over hb, and another region takes it: the split of
+// the guest huge page at next when split is set and next is huge, a
+// Map4K outside the VMA otherwise. The cached twin must not translate
+// hb through the leaf afterwards.
+func recycleLeaf(t *testing.T, cached, ref *machine.VM, hb, next uint64, split bool) {
+	t.Helper()
+	for _, vm := range [2]*machine.VM{cached, ref} {
+		G := vm.Guest
+		if _, huge, _ := G.Table.LookupHugeRegion(hb); huge {
+			if err := G.Demote(hb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p := uint64(0); p < mem.PagesPerHuge; p++ {
+			if f, err := G.Table.Unmap4K(hb + p*mem.PageSize); err == nil {
+				G.Buddy.Free(f, 0)
+			}
+		}
+		G.FlushRegion(hb)
+	}
+	cached.FillWalkCache(hb)
+	e1, e2 := cached.Guest.MapHugeEager(hb), ref.Guest.MapHugeEager(hb)
+	if (e1 == nil) != (e2 == nil) {
+		t.Fatalf("Map2M over the emptied region diverged: %v vs %v", e1, e2)
+	}
+	_, nextHuge, _ := cached.Guest.Table.LookupHugeRegion(next)
+	for _, vm := range [2]*machine.VM{cached, ref} {
+		G := vm.Guest
+		if split && nextHuge {
+			if err := G.Demote(next); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		// A Map4K into a region no leaf hangs under takes a spare.
+		va := uint64(1)<<40 + G.Table.Mapped4K()*mem.HugeSize
+		f, err := G.Buddy.Alloc(0)
+		if err != nil {
+			continue
+		}
+		if _, err := G.Table.Map4K(va, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // eptOp applies fuzz op 7 (collapse), 8 (split) or 9 (compact the host
 // region backing it) to the guest physical 2 MiB region holding guest
 // frame gfn, and reports whether it succeeded. A region the EPT
@@ -175,75 +241,110 @@ func eptOp(E *machine.Layer, op byte, gfn uint64) bool {
 	}
 }
 
-// TestWalkCacheRegionRefill: once a guest collapse makes a region huge
-// over an EPT-huge region, one uncached access refills the walk cache
-// for all 512 pages, and every access charges what the uncached twin
-// charges.
+// TestWalkCacheRegionRefill: for each of the four region kinds —
+// base or huge at each layer — a region whose entries were cleared
+// re-walks once, not once per page, whether the whole cache was
+// re-armed or one layer split and re-collapsed the region; a warm
+// region walks not at all, and every access charges what the uncached
+// twin charges.
 func TestWalkCacheRegionRefill(t *testing.T) {
-	build := func() *machine.VM {
-		const guestPages = (64 << 20) >> mem.PageShift
-		m := machine.NewMachine(guestPages*2, machine.DefaultCosts())
-		return m.AddVM(guestPages, policy.HugeOnly{}, policy.HugeOnly{}, tlb.DefaultConfig())
-	}
-	cached, ref := build(), build()
-	ref.SetWalkCacheEnabled(false)
-	twins := [2]*machine.VM{cached, ref}
-	var hb uint64
-	for _, vm := range twins {
-		hb = vm.Guest.Space.MMap(mem.HugeSize, 0).Start
-	}
-	// sweep accesses the region's pages in order on both twins and
-	// returns how many the walk cache did not serve.
-	sweep := func(what string) int {
-		t.Helper()
-		uncached := 0
-		for p := uint64(0); p < mem.PagesPerHuge; p++ {
-			va := hb + p*mem.PageSize
-			if !cached.WalkCacheServes(va) {
-				uncached++
+	for _, tc := range []struct {
+		name         string
+		guest, host  machine.Policy
+		gKind, hKind mem.PageSizeKind
+	}{
+		{"base/base", policy.BaseOnly{}, policy.BaseOnly{}, mem.Base, mem.Base},
+		{"guest-huge/EPT-base", policy.HugeOnly{}, policy.BaseOnly{}, mem.Huge, mem.Base},
+		{"guest-base/EPT-huge", policy.BaseOnly{}, policy.HugeOnly{}, mem.Base, mem.Huge},
+		{"huge/huge", policy.HugeOnly{}, policy.HugeOnly{}, mem.Huge, mem.Huge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *machine.VM {
+				const guestPages = (64 << 20) >> mem.PageShift
+				m := machine.NewMachine(guestPages*2, machine.DefaultCosts())
+				return m.AddVM(guestPages, tc.guest, tc.host, tlb.DefaultConfig())
 			}
-			if c1, c2 := cached.Access(va), ref.Access(va); c1 != c2 {
-				t.Fatalf("%s: access %#x cost %d cycles cached, %d uncached", what, va, c1, c2)
+			cached, ref := build(), build()
+			ref.SetWalkCacheEnabled(false)
+			twins := [2]*machine.VM{cached, ref}
+			var hb uint64
+			for _, vm := range twins {
+				hb = vm.Guest.Space.MMap(mem.HugeSize, 0).Start
 			}
-		}
-		return uncached
-	}
-	step := func(what string, op func(L *machine.Layer) error) {
-		t.Helper()
-		for _, vm := range twins {
-			if err := op(vm.Guest); err != nil {
-				t.Fatalf("%s: %v", what, err)
+			// sweep accesses the region's pages in order on both twins
+			// and returns how many the walk cache did not serve.
+			sweep := func(what string) int {
+				t.Helper()
+				uncached := 0
+				for p := uint64(0); p < mem.PagesPerHuge; p++ {
+					va := hb + p*mem.PageSize
+					if !cached.WalkCacheServes(va) {
+						uncached++
+					}
+					if c1, c2 := cached.Access(va), ref.Access(va); c1 != c2 {
+						t.Fatalf("%s: access %#x cost %d cycles cached, %d uncached", what, va, c1, c2)
+					}
+				}
+				return uncached
 			}
-		}
+			sweep("first touch")
+			gfn, gKind, _ := cached.Guest.Table.Lookup(hb)
+			gpa := gfn * mem.PageSize &^ (mem.HugeSize - 1)
+			if _, hKind, _ := cached.EPT.Table.Lookup(gpa); gKind != tc.gKind || hKind != tc.hKind {
+				t.Fatalf("setup: the region maps %v over %v", gKind, hKind)
+			}
+			last, _, _ := cached.Guest.Table.Lookup(hb + mem.HugeSize - mem.PageSize)
+			if last/mem.PagesPerHuge != gfn/mem.PagesPerHuge {
+				t.Fatalf("setup: the region's guest frames span guest physical regions %d to %d",
+					gfn/mem.PagesPerHuge, last/mem.PagesPerHuge)
+			}
+			cached.SetWalkCacheEnabled(true)
+			if n := sweep("re-armed"); n != 1 {
+				t.Fatalf("a re-armed cache walked the region %d times, want 1", n)
+			}
+			if n := sweep("steady"); n != 0 {
+				t.Fatalf("a warm region walked %d times, want 0", n)
+			}
+			// Each huge layer splits and re-collapses its region.
+			for _, layer := range []struct {
+				name string
+				of   func(vm *machine.VM) *machine.Layer
+				va   uint64
+			}{
+				{"guest", func(vm *machine.VM) *machine.Layer { return vm.Guest }, hb},
+				{"EPT", func(vm *machine.VM) *machine.Layer { return vm.EPT }, gpa},
+			} {
+				if _, huge, _ := layer.of(cached).Table.LookupHugeRegion(layer.va); !huge {
+					continue
+				}
+				for _, vm := range twins {
+					L := layer.of(vm)
+					if err := L.Demote(layer.va); err != nil {
+						t.Fatal(err)
+					}
+					if err := L.PromoteInPlace(layer.va); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n := sweep(layer.name + " re-collapse"); n != 1 {
+					t.Fatalf("after the %s re-collapse the region walked %d times, want 1", layer.name, n)
+				}
+			}
+			if s1, s2 := cached.TLB.Stats(), ref.TLB.Stats(); s1 != s2 {
+				t.Fatalf("TLB stats diverged:\ncached %+v\nuncached %+v", s1, s2)
+			}
+			sameTables(t, 0, cached.Guest, ref.Guest)
+			sameTables(t, 0, cached.EPT, ref.EPT)
+		})
 	}
-	if n := sweep("first touch"); n != 1 {
-		t.Fatalf("first touch of a doubly-huge region walked %d times, want 1", n)
-	}
-	step("split", func(L *machine.Layer) error { return L.Demote(hb) })
-	if n := sweep("after split"); n != mem.PagesPerHuge {
-		t.Fatalf("guest-base region walked %d times, want %d", n, mem.PagesPerHuge)
-	}
-	step("collapse", func(L *machine.Layer) error { return L.PromoteInPlace(hb) })
-	if n := sweep("after collapse"); n != 1 {
-		t.Fatalf("collapsed region walked %d times, want 1", n)
-	}
-	if n := sweep("steady"); n != 0 {
-		t.Fatalf("cached doubly-huge region walked %d times, want 0", n)
-	}
-	if s1, s2 := cached.TLB.Stats(), ref.TLB.Stats(); s1 != s2 {
-		t.Fatalf("TLB stats diverged:\ncached %+v\nuncached %+v", s1, s2)
-	}
-	sameTables(t, 0, cached.Guest, ref.Guest)
-	sameTables(t, 0, cached.EPT, ref.EPT)
 }
 
 // TestWalkCacheSurvivesLeafReuse covers the walk cache against the
-// page table's spare leaves. Region A's translations are cached, A
-// collapses, and region B's split takes A's old leaf, so every cached
-// A entry now holds an accessed-bit ref into B's PTEs. Collapse logged
-// A, so those entries are dead: accessing A afterwards must mark
-// exactly what an uncached twin marks, in both layers, at the same
-// cost.
+// page table's spare leaves. Region A is cached through its leaf, A
+// collapses, and region B's split takes A's old leaf, so a cached A
+// entry would now read B's PTEs. Collapse logged A, so the entry is
+// cleared: accessing A afterwards must mark exactly what an uncached
+// twin marks, in both layers, at the same cost.
 func TestWalkCacheSurvivesLeafReuse(t *testing.T) {
 	build := func() *machine.VM {
 		const guestPages = (64 << 20) >> mem.PageShift

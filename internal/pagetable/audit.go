@@ -127,7 +127,7 @@ func (t *Table) auditSpares(vs []audit.Violation) []audit.Violation {
 		return append(vs, audit.Violationf(auditLayer, "spare-detached", 0,
 			"spare stack holds %d leaves, capacity %d", t.nSpare, spareLeaves))
 	}
-	spares := make(map[*leaf]bool, t.nSpare)
+	spares := make(map[*Leaf]bool, t.nSpare)
 	for i, l := range t.spare[:t.nSpare] {
 		switch {
 		case l == nil:
@@ -158,7 +158,7 @@ func (t *Table) auditSpares(vs []audit.Violation) []audit.Violation {
 // freshLeaf walks from the root, bypassing the leaf memo, to the leaf
 // of the region containing va and its count. Nil when the region has
 // none or is huge-mapped.
-func (t *Table) freshLeaf(va uint64) (*leaf, *uint16) {
+func (t *Table) freshLeaf(va uint64) (*Leaf, *uint16) {
 	p := t.pmdAt(va)
 	if p == nil {
 		return nil, nil
@@ -242,7 +242,7 @@ func (a *tableAudit) auditPMD(p *pmd, vaBase uint64) {
 }
 
 // auditLeaf validates one leaf's words and returns how many are present.
-func (a *tableAudit) auditLeaf(l *leaf, vaBase uint64) int {
+func (a *tableAudit) auditLeaf(l *Leaf, vaBase uint64) int {
 	n := 0
 	for i, w := range l {
 		va := vaBase + uint64(i)*mem.PageSize

@@ -78,7 +78,7 @@ func TestAuditCatchesPartitionViolation(t *testing.T) {
 	if pmd == nil {
 		t.Fatal("PMD for the huge mapping not found")
 	}
-	pte := &leaf{}
+	pte := &Leaf{}
 	pte[0] = 500<<frameShift | pteP
 	idx := index(4*mem.HugeSize, hugeLevel)
 	pmd.leaves[idx] = pte
@@ -109,15 +109,15 @@ func TestAuditCatchesLeafCountDrift(t *testing.T) {
 func TestAuditCatchesBadPTEFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		plant func(l *leaf, pmd *pmd)
+		plant func(l *Leaf, pmd *pmd)
 	}{
-		{"accessed-not-present", func(l *leaf, _ *pmd) { l[20] = pteA }},
-		{"frame-not-present", func(l *leaf, _ *pmd) { l[20] = 77 << frameShift }},
-		{"ps-in-leaf", func(l *leaf, _ *pmd) { l[3] |= ptePS }},
-		{"reserved-in-leaf", func(l *leaf, _ *pmd) { l[3] |= 1 << 1 }},
-		{"pmd-without-ps", func(_ *leaf, pmd *pmd) { pmd.words[9] = 8*mem.PagesPerHuge<<frameShift | pteP }},
-		{"pmd-not-present", func(_ *leaf, pmd *pmd) { pmd.words[9] = ptePS }},
-		{"accessed-in-pmd", func(_ *leaf, pmd *pmd) { pmd.words[4] |= pteA }},
+		{"accessed-not-present", func(l *Leaf, _ *pmd) { l[20] = pteA }},
+		{"frame-not-present", func(l *Leaf, _ *pmd) { l[20] = 77 << frameShift }},
+		{"ps-in-leaf", func(l *Leaf, _ *pmd) { l[3] |= ptePS }},
+		{"reserved-in-leaf", func(l *Leaf, _ *pmd) { l[3] |= 1 << 1 }},
+		{"pmd-without-ps", func(_ *Leaf, pmd *pmd) { pmd.words[9] = 8*mem.PagesPerHuge<<frameShift | pteP }},
+		{"pmd-not-present", func(_ *Leaf, pmd *pmd) { pmd.words[9] = ptePS }},
+		{"accessed-in-pmd", func(_ *Leaf, pmd *pmd) { pmd.words[4] |= pteA }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tb := populatedTable(t)
@@ -132,7 +132,7 @@ func TestAuditCatchesDetachedLeafMemo(t *testing.T) {
 	tb := populatedTable(t)
 	// A leaf node no walk reaches, memoized for the mapped region 0:
 	// lookups there would read its empty entries.
-	tb.leaf, tb.leafKey = &leaf{}, 0
+	tb.leaf, tb.leafKey = &Leaf{}, 0
 	expectViolations(t, tb.CheckInvariants(), "leaf-memo")
 }
 

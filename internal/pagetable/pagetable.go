@@ -82,17 +82,28 @@ type Mapping struct {
 	Kind mem.PageSizeKind
 }
 
-// leaf is a level-0 page-table page: 512 PTE words and no pointers, so
+// Leaf is a level-0 page-table page: 512 PTE words and no pointers, so
 // the collector allocates it in a noscan size class and never scans
-// it. Its live count lives in the parent PMD.
-type leaf [entriesPerNode]uint64
+// it. Its live count lives in the parent PMD. Outside this package a
+// leaf, which RegionLeaf hands out, is read through Frame and marked
+// through Mark only.
+type Leaf [entriesPerNode]uint64
+
+// Frame returns the output frame of word i and whether it is present.
+func (l *Leaf) Frame(i uint64) (frame uint64, ok bool) {
+	w := l[i]
+	return w >> frameShift, w&pteP != 0
+}
+
+// Mark sets word i's accessed bit; the word must be present.
+func (l *Leaf) Mark(i uint64) { l[i] |= pteA }
 
 // pmd is a level-1 node. Entry i is either a huge PTE word or a leaf,
 // never both with a live entry (audit rule "partition"). leafLive[i]
 // counts the present words of leaves[i], 0 when there is none; live
 // counts huge words plus non-nil leaves.
 type pmd struct {
-	leaves   [entriesPerNode]*leaf
+	leaves   [entriesPerNode]*Leaf
 	words    [entriesPerNode]uint64
 	leafLive [entriesPerNode]uint16
 	live     int
@@ -112,10 +123,10 @@ type Table struct {
 	mapped2M uint64
 	// version counts destructive mutations: operations that remove or
 	// change an existing translation (Unmap4K, Unmap2M, Collapse,
-	// Split, Remap4K). Pure additions (Map4K, Map2M) do not bump it,
-	// because they cannot affect any translation that already resolved.
-	// A caller holding an AccessRef checks it to see whether the ref
-	// may have been detached.
+	// Split, Remap4K), or detach a leaf (Map2M over an emptied leaf).
+	// Other additions do not bump it, because they cannot affect any
+	// translation that already resolved. A caller holding an AccessRef
+	// checks it to see whether the ref may have been detached.
 	version uint64
 	// dirty logs the 2 MiB input regions (va >> HugeShift) that
 	// destructive mutations touched since the last ClearDirty, so a
@@ -152,7 +163,7 @@ type Table struct {
 	// existing entry (Map2M dropping an empty leaf, Collapse, Split)
 	// clears it, so the memo is always the leaf a fresh walk reaches
 	// (audit rule "leaf-memo").
-	leaf     *leaf
+	leaf     *Leaf
 	leafLive *uint16
 	leafKey  uint64
 	// spare holds leaves that Collapse and Map2M detached, for Split
@@ -160,7 +171,7 @@ type Table struct {
 	// (DESIGN.md §7.6). No spare is reachable from the root or is the
 	// leaf memo (audit rule "spare-detached"); newLeaf zeroes the one
 	// it takes, which makes it exactly a new leaf.
-	spare  [spareLeaves]*leaf
+	spare  [spareLeaves]*Leaf
 	nSpare int
 }
 
@@ -205,7 +216,7 @@ func New() *Table {
 
 // pushLeaf keeps a detached leaf for reuse, or drops it when the spare
 // stack is full.
-func (t *Table) pushLeaf(l *leaf) {
+func (t *Table) pushLeaf(l *Leaf) {
 	if t.nSpare < spareLeaves {
 		t.spare[t.nSpare] = l
 		t.nSpare++
@@ -214,14 +225,14 @@ func (t *Table) pushLeaf(l *leaf) {
 
 // newLeaf returns an all-zero leaf: a spare when one is kept, cleared,
 // or a new one.
-func (t *Table) newLeaf() *leaf {
+func (t *Table) newLeaf() *Leaf {
 	if t.nSpare == 0 {
-		return new(leaf)
+		return new(Leaf)
 	}
 	t.nSpare--
 	l := t.spare[t.nSpare]
 	t.spare[t.nSpare] = nil
-	*l = leaf{}
+	*l = Leaf{}
 	return l
 }
 
@@ -504,7 +515,7 @@ func (t *Table) MapRun(va uint64, frames []uint64) (RunRefs, error) {
 // until one is asked for. Like an AccessRef it is meaningful only
 // while the table's Version is unchanged.
 type RunRefs struct {
-	l     *leaf
+	l     *Leaf
 	first int
 }
 
@@ -559,6 +570,9 @@ func (t *Table) Map2M(va uint64, frame uint64) error {
 		p.live--
 		t.leaf = nil // the dropped leaf may be the memoized one
 		t.pushLeaf(l)
+		// A holder of the leaf (RegionLeaf) must let go of it before
+		// another region takes it from the spare stack.
+		t.mutated(va)
 	}
 	p.words[i] = frame<<frameShift | pteHuge
 	p.live++
@@ -645,6 +659,24 @@ func (t *Table) LookupHugeRegion(va uint64) (hugeFrame uint64, isHuge bool, base
 		return w >> frameShift, true, 0
 	}
 	return 0, false, int(p.leafLive[i])
+}
+
+// RegionLeaf returns what translates the 2 MiB input region holding
+// va: its leaf, which may hold no present word, or, when the region
+// is mapped huge, a nil leaf and the huge frame base. It returns (nil,
+// 0, false) when neither hangs there. The leaf stays the region's
+// until a destructive mutation logs the region (Dirty): Collapse and
+// Map2M log the region whose leaf they detach.
+func (t *Table) RegionLeaf(va uint64) (l *Leaf, hugeFrame uint64, huge bool) {
+	p := t.pmdAt(va)
+	if p == nil {
+		return nil, 0, false
+	}
+	i := index(va, hugeLevel)
+	if w := p.words[i]; hugeWord(w) {
+		return nil, w >> frameShift, true
+	}
+	return p.leaves[i], 0, false
 }
 
 // Unmap4K removes the base mapping for the page containing va and
@@ -914,7 +946,7 @@ func (t *Table) scan(start, end uint64, base bool, fn func(m Mapping) bool) bool
 
 // scanLeaf visits the base mappings of the leaf at va that lie in
 // [start, end), in ascending order. Returns false when fn did.
-func scanLeaf(l *leaf, lva, start, end uint64, fn func(m Mapping) bool) bool {
+func scanLeaf(l *Leaf, lva, start, end uint64, fn func(m Mapping) bool) bool {
 	for i := firstIndex(lva, mem.PageSize, start); i < entriesPerNode; i++ {
 		va := lva + uint64(i)*mem.PageSize
 		if va >= end {

@@ -45,11 +45,11 @@ func TestMap4KDouble(t *testing.T) {
 // TestLeafHoldsNoPointers pins the leaf to 512 x86-64 PTE words: no
 // pointer for the collector to scan, and exactly one 4 KiB page.
 func TestLeafHoldsNoPointers(t *testing.T) {
-	typ := reflect.TypeOf(leaf{})
+	typ := reflect.TypeOf(Leaf{})
 	if typ.Kind() != reflect.Array || typ.Len() != entriesPerNode || typ.Elem().Kind() != reflect.Uint64 {
 		t.Fatalf("leaf is %v, want [512]uint64", typ)
 	}
-	if n := unsafe.Sizeof(leaf{}); n != mem.PageSize {
+	if n := unsafe.Sizeof(Leaf{}); n != mem.PageSize {
 		t.Fatalf("leaf is %d bytes, want %d", n, mem.PageSize)
 	}
 }
@@ -571,7 +571,7 @@ func TestSpareLeavesComeBackNew(t *testing.T) {
 	if err := pt.Split(mem.HugeSize); err != nil {
 		t.Fatal(err)
 	}
-	var want leaf
+	var want Leaf
 	for i := range want {
 		want[i] = (4*mem.PagesPerHuge+uint64(i))<<frameShift | pteP
 	}
@@ -598,7 +598,7 @@ func TestSpareLeavesComeBackNew(t *testing.T) {
 	if _, err := pt.Map4K(3*mem.HugeSize+9*mem.PageSize, 8); err != nil {
 		t.Fatal(err)
 	}
-	want = leaf{9: 8<<frameShift | pteP}
+	want = Leaf{9: 8<<frameShift | pteP}
 	if l, live := pt.freshLeaf(3 * mem.HugeSize); pt.nSpare != 0 || l != empty || *l != want || *live != 1 {
 		t.Fatal("Map4K did not take the spare leaf back as a new one")
 	}
@@ -620,7 +620,7 @@ func TestSpareLeavesComeBackNew(t *testing.T) {
 	if _, err := pt.Map4K(30*mem.HugeSize+mem.PageSize, 9); err != nil {
 		t.Fatal(err)
 	}
-	if l, live := pt.freshLeaf(30 * mem.HugeSize); l != full || *l != (leaf{1: 9<<frameShift | pteP}) || *live != 1 {
+	if l, live := pt.freshLeaf(30 * mem.HugeSize); l != full || *l != (Leaf{1: 9<<frameShift | pteP}) || *live != 1 {
 		t.Fatal("Map4K did not take a collapsed region's leaf back as a new one")
 	}
 	if vs := pt.CheckInvariants(); len(vs) != 0 {
@@ -657,9 +657,9 @@ func BenchmarkMapUnmap4K(b *testing.B) {
 
 // TestDirtyLog checks the destructive-mutation log: each of the five
 // destructive operations logs its input region once per run of
-// repeats, additions log nothing, ClearDirty empties the log, and more
-// distinct regions than the log holds saturate it to "all" until the
-// next ClearDirty.
+// repeats, additions log nothing unless Map2M drops an emptied leaf,
+// ClearDirty empties the log, and more distinct regions than the log
+// holds saturate it to "all" until the next ClearDirty.
 func TestDirtyLog(t *testing.T) {
 	tb := New()
 	region := func(r uint64) uint64 { return r * mem.HugeSize }
@@ -711,6 +711,13 @@ func TestDirtyLog(t *testing.T) {
 	tb.ClearDirty()
 	if _, all := tb.Dirty(); all || !tb.Clean() {
 		t.Fatal("ClearDirty left a saturated log saturated")
+	}
+	// Region 10's leaf is empty; Map2M drops it and logs the region.
+	if err := tb.Map2M(region(10), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, all := tb.Dirty(); all || !slices.Equal(got, []uint64{10}) {
+		t.Fatalf("Map2M over an emptied leaf: Dirty() = %v, %v; want [10], false", got, all)
 	}
 }
 

@@ -262,8 +262,9 @@ func (t *TLB) tagOf(va uint64, kind mem.PageSizeKind) (tag uint64, set int) {
 // SetIndexOf returns the set index an access of va at the given kind
 // probes — tagOf's set half, computed with the precomputed reciprocal
 // (identical to the % in tagOf for every input; the fastdiv package
-// proves and tests exactness). The machine layer's walk cache stores
-// it per translation so the batch kernel needs no per-access modulo.
+// proves and tests exactness). The machine layer stages it with each
+// access, so the batch kernel needs no modulo of its own; its walk
+// cache keeps each region's Huge-kind set.
 func (t *TLB) SetIndexOf(va uint64, kind mem.PageSizeKind) uint32 {
 	pn := va >> mem.PageShift
 	if kind == mem.Huge {
@@ -452,7 +453,7 @@ func (t *TLB) probeInsert(va uint64, kind mem.PageSizeKind) bool {
 // PackKinds packs the effective, guest, and host mapping kinds of one
 // pre-resolved translation into the single staging byte
 // AccessNestedBatch consumes (eff | gk<<2 | hk<<4). Callers staging
-// batches precompute it once per walk-cache fill.
+// batches precompute it once per kind pair.
 func PackKinds(eff, gk, hk mem.PageSizeKind) uint8 {
 	return uint8(eff) | uint8(gk)<<2 | uint8(hk)<<4
 }
