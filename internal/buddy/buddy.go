@@ -22,7 +22,8 @@
 //     and its parent is not) and FreeMask can rebuild a region's
 //     blocks from its free frames instead of freeing them one by one.
 //     The fragmenter and its recovery, compaction and reservation
-//     release free whole regions this way.
+//     release free whole regions this way, and FreeFrames frees a
+//     frame list with one FreeMask per region it touches.
 //
 // Allocation is deterministic: untargeted allocations always return the
 // lowest-addressed free block of the requested order, which both keeps
@@ -618,6 +619,54 @@ func (a *Allocator) FreeMask(huge uint64, mask *Mask) {
 	// merged upward, and counts all 512 frames as freed.
 	a.freePages += uint64(n) - mem.PagesPerHuge
 	a.Free(base, mem.HugeOrder)
+}
+
+// gatherSlots is how many 2 MiB regions FreeFrames gathers before it
+// frees them.
+const gatherSlots = 8
+
+// FreeFrames frees every frame of frames at order 0, in any order,
+// with one FreeMask per 2 MiB region they fall in. The books are
+// canonical, so this ends in exactly the state that Free(f, 0) on each
+// frame in turn leaves (FuzzFreeFrames). The frames are gathered by
+// region into gatherSlots masks on the stack; when every slot is taken
+// and another region turns up, the gathered regions are freed and the
+// gathering starts again. A frame listed twice panics, as the second
+// Free would; so does one that is already free.
+func (a *Allocator) FreeFrames(frames []uint64) {
+	var huge [gatherSlots]uint64
+	var masks [gatherSlots]Mask
+	n := 0 // slots in use
+	for _, f := range frames {
+		h := f / mem.PagesPerHuge
+		s := n - 1 // newest first: callers list frames region by region
+		for s >= 0 && huge[s] != h {
+			s--
+		}
+		if s < 0 {
+			if n == gatherSlots {
+				a.freeGathered(huge[:], masks[:])
+				n = 0
+			}
+			s = n
+			huge[s], masks[s] = h, Mask{}
+			n++
+		}
+		i := f % mem.PagesPerHuge
+		bit := uint64(1) << (i % 64)
+		if masks[s][i/64]&bit != 0 {
+			panic(fmt.Sprintf("buddy: frame %#x listed twice in one FreeFrames", f))
+		}
+		masks[s][i/64] |= bit
+	}
+	a.freeGathered(huge[:n], masks[:n])
+}
+
+// freeGathered frees each gathered region's mask.
+func (a *Allocator) freeGathered(huge []uint64, masks []Mask) {
+	for s, h := range huge {
+		a.FreeMask(h, &masks[s])
+	}
 }
 
 // markStarts sets freeOrd to o at the start of each order-k block of

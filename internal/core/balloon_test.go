@@ -133,6 +133,43 @@ func TestBalloonAuditCatchesHeldFrameFreed(t *testing.T) {
 	}
 }
 
+// TestBalloonAuditCatchesHeldFrameMapped: a guest mapping that points
+// at a held frame, through a base page or a huge page, breaks the
+// balloon's contract.
+func TestBalloonAuditCatchesHeldFrameMapped(t *testing.T) {
+	for _, huge := range []bool{false, true} {
+		_, vm, b, _ := balloonVM(t, Config{})
+		if vs := b.CheckInvariants(); len(vs) != 0 {
+			t.Fatalf("audit of an empty balloon: %v", vs)
+		}
+		b.Inflate(mem.PagesPerHuge)
+		h := b.held[len(b.held)-1]
+		if vs := b.CheckInvariants(); len(vs) != 0 {
+			t.Fatalf("audit after Inflate: %v", vs)
+		}
+		// Corrupt: map a page of an unused guest region onto the last
+		// held frame, as a base page or a huge page over its region.
+		const va = 1 << 40
+		frame := h.frame + 1<<h.order - 1
+		var err error
+		if huge {
+			err = vm.Guest.Table.Map2M(va, frame&^(mem.PagesPerHuge-1))
+		} else {
+			_, err = vm.Guest.Table.Map4K(va, frame)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, v := range b.CheckInvariants() {
+			found = found || v.Invariant == "balloon-held-mapped"
+		}
+		if !found {
+			t.Fatalf("audit missed the held frame %#x mapped (huge %v)", frame, huge)
+		}
+	}
+}
+
 func TestBalloonAuditCatchesInflatedDrift(t *testing.T) {
 	_, _, b, _ := balloonVM(t, Config{})
 	b.Inflate(mem.PagesPerHuge)

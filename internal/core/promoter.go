@@ -100,16 +100,17 @@ func (p *GuestPolicy) consolidate(L *machine.Layer, hi uint64) bool {
 			claimed = append(claimed, f)
 		}
 	}
+	// rollback frees the claimed frames and the evacuated pages' old
+	// frames.
+	var evacuated []uint64
 	rollback := func() {
-		for _, f := range claimed {
-			L.Buddy.Free(f, 0)
-		}
+		L.Buddy.FreeFrames(claimed)
+		L.Buddy.FreeFrames(evacuated)
 	}
 	// Step 2: evacuate every live guest mapping out of the region.
 	// Their old frames are kept (not freed) so we end up owning them.
 	owned := len(claimed)
 	rev := p.g.ReverseMappings(hi)
-	var evacuated []uint64
 	for _, e := range rev {
 		f, kind, live := L.Table.Lookup(e.VA)
 		if !live || kind != mem.Base || f != e.Frame || !region.Contains(f) {
@@ -132,9 +133,6 @@ func (p *GuestPolicy) consolidate(L *machine.Layer, hi uint64) bool {
 		// Frames the scan missed (or unmovable allocations) remain:
 		// the region cannot be consolidated this round.
 		rollback()
-		for _, f := range evacuated {
-			L.Buddy.Free(f, 0)
-		}
 		return false
 	}
 	// Step 3: the region is wholly ours; migrate the dominant guest
@@ -142,9 +140,6 @@ func (p *GuestPolicy) consolidate(L *machine.Layer, hi uint64) bool {
 	target := start
 	if err := L.PromoteMigrate(dom, &target); err != nil {
 		rollback()
-		for _, f := range evacuated {
-			L.Buddy.Free(f, 0)
-		}
 		return false
 	}
 	if L.Trace != nil {

@@ -96,6 +96,21 @@ func TestDemoteCollapseCycleZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPromoteMigrateRegionZeroAllocs pins the teardown side of a
+// migration promotion: the region's frames are gathered and freed on
+// the stack, and the emptied leaf is kept for the next population, so a
+// cycle allocates nothing.
+func TestPromoteMigrateRegionZeroAllocs(t *testing.T) {
+	p := newPromoteRegion()
+	p.cycle()
+	if n := testing.AllocsPerRun(100, p.cycle); n != 0 {
+		t.Fatalf("promotion cycle allocated %v allocs/run, want 0", n)
+	}
+	if s := p.L.Stats; s.MigrationPromotions != 102 || s.MigratedPages != 102*mem.PagesPerHuge {
+		t.Fatalf("%d promotions of %d pages, want 102 of 512 each", s.MigrationPromotions, s.MigratedPages)
+	}
+}
+
 // TestAccessSteadyStateZeroAllocsStreaming extends the zero-alloc pin
 // to a traced, streaming run: with the flight recorder attached and a
 // live streaming sink, steady-state accesses still allocate nothing.

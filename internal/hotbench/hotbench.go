@@ -10,7 +10,8 @@
 // allocation on fragmented memory, a region's fragment-and-recover
 // frees, the fragmenter's release of one region and its fragmentation
 // of a guest, a compaction that aborts, a region's swap round trip, a
-// demote and re-collapse of one huge page), shared between
+// migration promotion of a region, a demote and re-collapse of one
+// huge page), shared between
 // `go test -bench` and paperbench's -bench-export mode so both always
 // measure the same code with the same names. The suite pins the
 // performance contract of DESIGN.md §7: the steady-state access path
@@ -67,6 +68,7 @@ func Suite() []Case {
 		{"FragmentTo", benchFragmentTo},
 		{"CompactRegionAbort", benchCompactRegionAbort},
 		{"SwapRegionRoundTrip", benchSwapRegionRoundTrip},
+		{"PromoteMigrateRegion", benchPromoteMigrateRegion},
 		{"DemoteCollapseCycle", benchDemoteCollapseCycle},
 	}
 }
@@ -644,6 +646,75 @@ func benchSwapRegionRoundTrip(b *testing.B) {
 		if err := L.MapHugeEager(v.Start); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// promoteRegion is a layer whose VMA's one region is populated with
+// base pages in four runs of 128 frames, each run in another 2 MiB
+// frame region, ready for a migration promotion.
+type promoteRegion struct {
+	L    *machine.Layer
+	va   uint64
+	runs [4][128]uint64
+}
+
+// newPromoteRegion builds the layer over eight frame regions. Regions
+// 1-3 are pinned, so region 0 is the one free order-9 block that a
+// promotion takes; the runs lie in regions 7, 6, 5 and 4, in that order.
+func newPromoteRegion() *promoteRegion {
+	p := &promoteRegion{L: bareLayer(8 * mem.PagesPerHuge)}
+	p.va = p.L.Space.MMap(mem.HugeSize, 0).Start
+	for r := uint64(1); r < 4; r++ {
+		if err := p.L.Buddy.AllocAt(r*mem.PagesPerHuge, mem.HugeOrder); err != nil {
+			panic(err)
+		}
+	}
+	for k := range p.runs {
+		base := uint64(7-k)*mem.PagesPerHuge + uint64(k)*64
+		for i := range p.runs[k] {
+			p.runs[k][i] = base + uint64(i)
+		}
+	}
+	p.populate()
+	return p
+}
+
+// populate maps the region's 512 pages onto the four runs.
+func (p *promoteRegion) populate() {
+	for k := range p.runs {
+		if p.L.Buddy.AllocRunAt(p.runs[k][0], len(p.runs[k])) != len(p.runs[k]) {
+			panic("hotbench: a promotion run's frames are taken")
+		}
+		if _, err := p.L.Table.MapRun(p.va+uint64(k*len(p.runs[k]))*mem.PageSize, p.runs[k][:]); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// cycle promotes the region by migration (one leaf pass unmaps the 512
+// pages and four region frees return their frames), then unmaps the
+// huge page, frees its block and populates the region again.
+func (p *promoteRegion) cycle() {
+	if err := p.L.PromoteMigrate(p.va, nil); err != nil {
+		panic(err)
+	}
+	block, err := p.L.Table.Unmap2M(p.va)
+	if err != nil {
+		panic(err)
+	}
+	p.L.Buddy.Free(block, mem.HugeOrder)
+	p.populate()
+}
+
+// benchPromoteMigrateRegion measures one khugepaged-style collapse of a
+// populated region whose frames span four buddy regions, with the
+// teardown and repopulation that make it repeatable.
+func benchPromoteMigrateRegion(b *testing.B) {
+	p := newPromoteRegion()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.cycle()
 	}
 }
 

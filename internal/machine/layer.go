@@ -431,21 +431,10 @@ func (L *Layer) PromoteMigrate(va uint64, targetFrame *uint64) error {
 		}
 		block = b
 	}
-	// Copy and unmap the present pages, scanned into a fixed array as
-	// UnmapVMA does, so the copy list allocates nothing.
-	var buf [mem.PagesPerHuge]pagetable.Mapping
-	n := 0
-	L.Table.ScanRange(hugeBase, hugeBase+mem.HugeSize, func(m pagetable.Mapping) bool {
-		buf[n] = m
-		n++
-		return true
-	})
-	olds := buf[:n]
-	for _, o := range olds {
-		if _, err := L.Table.Unmap4K(o.VA); err != nil {
-			panic(fmt.Sprintf("machine: unmap %#x during promotion: %v", o.VA, err))
-		}
-	}
+	// Copy and unmap the present pages, their frames gathered into a
+	// fixed array, so the copy list allocates nothing.
+	var buf [mem.PagesPerHuge]uint64
+	olds := L.Table.UnmapBase(hugeBase, hugeBase+mem.HugeSize, mem.PagesPerHuge, false, buf[:0], nil)
 	if err := L.Table.Map2M(hugeBase, block); err != nil {
 		panic(fmt.Sprintf("machine: Map2M during promotion: %v", err))
 	}
@@ -453,9 +442,7 @@ func (L *Layer) PromoteMigrate(va uint64, targetFrame *uint64) error {
 	// inside it are read back on the daemon's budget (khugepaged does
 	// the same swap-in before collapsing).
 	L.Stats.BackgroundCycles += L.swapInRegion(hugeBase)
-	for _, o := range olds {
-		L.Buddy.Free(o.Frame, 0)
-	}
+	L.Buddy.FreeFrames(olds)
 	if L.Trace != nil {
 		L.Trace.Event(trace.EvPromote, hugeBase, block, mem.HugeOrder, uint64(len(olds)), "migrate")
 	}
@@ -539,12 +526,13 @@ func (L *Layer) DedupPage(va uint64) error {
 // UnmapVMA removes every mapping inside the VMA and frees the frames,
 // giving a FreeObserver policy the chance to claim whole huge blocks
 // (Gemini's huge bucket intercepts frees of well-aligned regions). It
-// works one 2 MiB region at a time: the region's mappings are scanned
-// into a fixed array, then unmapped and freed in ascending order, so
-// the teardown allocates nothing.
+// works one 2 MiB region at a time: a huge region is unmapped and its
+// block freed or claimed; a base region's pages are unmapped in one
+// leaf pass, their frames gathered into a fixed array and freed in one
+// call, so the teardown allocates nothing.
 func (L *Layer) UnmapVMA(v *VMA) {
 	obs, _ := L.Policy.(FreeObserver)
-	var ms [mem.PagesPerHuge]pagetable.Mapping
+	var buf [mem.PagesPerHuge]uint64
 	for region := v.Start &^ uint64(mem.HugeSize-1); region < v.End(); region += mem.HugeSize {
 		lo, hi := max(region, v.Start), min(region+mem.HugeSize, v.End())
 		// Swapped-out pages inside the VMA die with it: their owner is
@@ -553,32 +541,25 @@ func (L *Layer) UnmapVMA(v *VMA) {
 		if len(L.swapped) != 0 {
 			L.Stats.SwapDroppedPages += L.swapDrop(lo, hi)
 		}
-		n := 0
-		L.Table.ScanRange(lo, hi, func(m pagetable.Mapping) bool {
-			ms[n] = m
-			n++
-			return true
-		})
-		for _, m := range ms[:n] {
-			if m.Kind == mem.Huge {
-				if _, err := L.Table.Unmap2M(m.VA); err != nil {
-					panic(fmt.Sprintf("machine: UnmapVMA huge: %v", err))
-				}
-				L.Stats.HugeMappedPages -= mem.PagesPerHuge
-				if obs != nil && obs.OnFreeHugeBlock(L, m.Frame) {
-					continue
-				}
-				L.Buddy.Free(m.Frame, mem.HugeOrder)
-			} else {
-				if _, err := L.Table.Unmap4K(m.VA); err != nil {
-					panic(fmt.Sprintf("machine: UnmapVMA base %#x: %v", m.VA, err))
-				}
-				L.Buddy.Free(m.Frame, 0)
+		if _, isHuge, _ := L.Table.LookupHugeRegion(region); isHuge {
+			frame, err := L.Table.Unmap2M(region)
+			if err != nil {
+				panic(fmt.Sprintf("machine: UnmapVMA huge: %v", err))
 			}
+			L.Stats.HugeMappedPages -= mem.PagesPerHuge
+			if obs == nil || !obs.OnFreeHugeBlock(L, frame) {
+				L.Buddy.Free(frame, mem.HugeOrder)
+			}
+		} else {
+			frames := L.Table.UnmapBase(lo, hi, mem.PagesPerHuge, false, buf[:0], nil)
+			if len(frames) == 0 {
+				continue
+			}
+			L.Buddy.FreeFrames(frames)
 		}
 		// Base unmaps need shootdowns too, or churned VMAs leave stale
 		// base-grain entries behind: one ranged flush covers the region.
-		if n > 0 && L.FlushRegion != nil {
+		if L.FlushRegion != nil {
 			L.FlushRegion(region)
 		}
 	}
@@ -609,6 +590,7 @@ func (L *Layer) ReclaimUnderPressure(lowWatermarkPages uint64, budget int, keep 
 		return len(cands) < budget
 	})
 	var freed uint64
+	var buf [mem.PagesPerHuge]uint64
 	for _, c := range cands {
 		if err := L.Demote(c.va); err != nil {
 			continue
@@ -630,19 +612,9 @@ func (L *Layer) ReclaimUnderPressure(lowWatermarkPages uint64, budget int, keep 
 			continue
 		}
 		base := c.va &^ uint64(mem.HugeSize-1)
-		var n uint64
-		for p := uint64(0); p < mem.PagesPerHuge; p++ {
-			va := base + p*mem.PageSize
-			if L.Table.Accessed(va) {
-				continue
-			}
-			frame, err := L.Table.Unmap4K(va)
-			if err != nil {
-				continue
-			}
-			L.Buddy.Free(frame, 0)
-			n++
-		}
+		frames := L.Table.UnmapBase(base, base+mem.HugeSize, mem.PagesPerHuge, true, buf[:0], nil)
+		L.Buddy.FreeFrames(frames)
+		n := uint64(len(frames))
 		freed += n
 		L.Stats.ReclaimedPages += n
 	}

@@ -307,17 +307,13 @@ func (L *Layer) SwapOutRegion(hugeIdx uint64, max int) int {
 			L.Trace.Event(trace.EvDemote, base, 0, mem.HugeOrder, 0, "swap")
 		}
 	}
+	// One leaf pass unmaps the resident pages (a page never faulted or
+	// already swapped has no mapping) and one buddy call frees them.
 	var out [8]uint64
-	n := 0
-	for p := uint64(0); p < mem.PagesPerHuge && n < max; p++ {
-		frame, err := L.Table.Unmap4K(base + p*mem.PageSize)
-		if err != nil {
-			continue // not resident (never faulted, or already swapped)
-		}
-		L.Buddy.Free(frame, 0)
-		out[p/64] |= 1 << (p % 64)
-		n++
-	}
+	var buf [mem.PagesPerHuge]uint64
+	frames := L.Table.UnmapBase(base, base+mem.HugeSize, max, false, buf[:0], &out)
+	L.Buddy.FreeFrames(frames)
+	n := len(frames)
 	if n > 0 {
 		if L.swapped == nil {
 			L.swapped = make(map[uint64][8]uint64)
@@ -373,6 +369,7 @@ func (L *Layer) swapInRegion(hugeBase uint64) uint64 {
 // freed to the allocator.
 func (L *Layer) DiscardBacking(start, end uint64) uint64 {
 	var freed uint64
+	var buf [mem.PagesPerHuge]uint64
 	for base := start &^ uint64(mem.HugeSize-1); base < end; base += mem.HugeSize {
 		if _, isHuge, _ := L.Table.LookupHugeRegion(base); isHuge {
 			if base >= start && base+mem.HugeSize <= end {
@@ -390,14 +387,11 @@ func (L *Layer) DiscardBacking(start, end uint64) uint64 {
 			}
 		}
 		lo, hi := max(base, start), min(base+mem.HugeSize, end)
-		for va := lo; va < hi; va += mem.PageSize {
-			if frame, err := L.Table.Unmap4K(va); err == nil {
-				L.Buddy.Free(frame, 0)
-				freed++
-			}
-		}
+		frames := L.Table.UnmapBase(lo, hi, mem.PagesPerHuge, false, buf[:0], nil)
+		L.Buddy.FreeFrames(frames)
+		freed += uint64(len(frames))
 		// A page is resident XOR swapped, so every swapped page of the
-		// range is one the loop found unmapped.
+		// range is one the unmap found unmapped.
 		if len(L.swapped) != 0 {
 			L.Stats.SwapDroppedPages += L.swapDrop(lo, hi)
 		}

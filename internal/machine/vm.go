@@ -566,23 +566,27 @@ func (s AlignStats) Rate() float64 {
 // counted only when the guest currently maps memory onto their region:
 // a stale EPT backing left over from a departed process translates no
 // accesses, so it does not figure in the rate (the paper measures
-// alignment over the pages workloads actually use).
+// alignment over the pages workloads actually use). The guest maps a
+// region with base pages when its reverse map counts any there (audit
+// rule "rmap-region-count" keeps the counts exact), and with a huge
+// page when one of its huge mappings has its frames there, so only
+// the huge mappings are walked.
 func (vm *VM) Alignment() AlignStats {
 	var s AlignStats
-	used := make(map[uint64]bool)
-	vm.Guest.Table.ScanAll(func(mp pagetable.Mapping) bool {
-		if mp.Kind == mem.Huge {
-			s.GuestHuge++
-			gpa := mp.Frame * mem.PageSize
-			if _, isHuge, _ := vm.EPT.Table.LookupHugeRegion(gpa); isHuge {
-				s.Aligned++
-			}
+	var hugeUsed map[uint64]bool // GPA regions of guest huge mappings
+	vm.Guest.Table.ScanHuge(func(mp pagetable.Mapping) bool {
+		s.GuestHuge++
+		if _, isHuge, _ := vm.EPT.Table.LookupHugeRegion(mp.Frame * mem.PageSize); isHuge {
+			s.Aligned++
 		}
-		used[mp.Frame/mem.PagesPerHuge] = true
+		if hugeUsed == nil {
+			hugeUsed = make(map[uint64]bool)
+		}
+		hugeUsed[mp.Frame/mem.PagesPerHuge] = true
 		return true
 	})
 	vm.EPT.Table.ScanHuge(func(mp pagetable.Mapping) bool {
-		if used[mp.VA>>mem.HugeShift] {
+		if r := mp.VA >> mem.HugeShift; hugeUsed[r] || vm.Guest.Table.RegionBasePages(r) > 0 {
 			s.HostHuge++
 		}
 		return true

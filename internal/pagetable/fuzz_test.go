@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -28,6 +29,10 @@ import (
 // straight from the tree (checkWords): each must equal the word the
 // model implies, bit for bit, so a lost frame bit or an accessed bit
 // left in a reused word fails at the step that made it.
+//
+// Its UnmapBase steps run UnmapBase on the table and Unmap4K page by
+// page on a deep copy of it (unmapEach), and both must then hold the
+// same state (sameTable).
 func FuzzPageTableMapUnmap(f *testing.F) {
 	// Seeds: scatter of base maps; full region + collapse + split;
 	// huge map + unmap; remap churn.
@@ -45,6 +50,16 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 	// A collapsed region's full, marked leaf taken by a Map4K in a
 	// fresh region: every other word of the reused leaf must read 0.
 	f.Add([]byte{7, 0, 0, 8, 0, 0, 5, 0, 0, 0, 3, 2})
+	// UnmapBase: a whole populated region; a marked region with
+	// unaccessedOnly (keeps every page), then after a Split (clears
+	// every page); a capped run from mid-region; a huge region.
+	f.Add([]byte{7, 1, 0, 9, 0, 2})
+	f.Add([]byte{7, 1, 0, 8, 1, 0, 19, 1, 0, 5, 1, 0, 4, 1, 0, 19, 1, 0})
+	f.Add([]byte{0, 9, 0, 0, 10, 0, 0, 12, 0, 49, 10, 0, 9, 0, 0})
+	f.Add([]byte{2, 3, 0, 9, 3, 0, 1, 3, 0})
+	// UnmapBase right after a check that left the leaf memo on another
+	// region: it must move the memo to its own region's leaf.
+	f.Add([]byte("2002121000"))
 
 	const regions = 8
 	const pages = regions * mem.PagesPerHuge
@@ -92,7 +107,7 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 		}
 
 		for step := 0; step+2 < len(data); step += 3 {
-			op := data[step] % 9
+			op := data[step] % 10
 			arg := uint64(data[step+1]) | uint64(data[step+2])<<8
 			va := (arg % pages) * mem.PageSize
 			hva := (arg % regions) * mem.HugeSize
@@ -185,6 +200,25 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 					m.mark(hva + i*mem.PageSize)
 				}
 				check(step, "MarkRegion", va, hva)
+			case 9: // UnmapBase against Unmap4K page by page
+				unaccessedOnly := data[step]/10%2 == 1
+				max := []int{mem.PagesPerHuge, 1, 3, 64, 0, 200, 511, 7}[data[step]/20%8]
+				end := va + (arg*2654435761>>7)%(mem.PagesPerHuge+64)*mem.PageSize
+				ref := cloneTable(tb)
+				wantFrames, wantPages := unmapEach(ref, va, end, max, unaccessedOnly)
+				var pages [mem.PagesPerHuge / 64]uint64
+				frames := tb.UnmapBase(va, end, max, unaccessedOnly, nil, &pages)
+				if !slices.Equal(frames, wantFrames) || pages != wantPages {
+					t.Fatalf("step %d: UnmapBase(%#x, %#x, %d, %v) = %#x %x, Unmap4K page by page gives %#x %x",
+						step, va, end, max, unaccessedOnly, frames, pages, wantFrames, wantPages)
+				}
+				sameTable(t, step, tb, ref)
+				for w, word := range pages {
+					for ; word != 0; word &= word - 1 {
+						delete(m.base, regionOf(va)+uint64(w*64+bits.TrailingZeros64(word))*mem.PageSize)
+					}
+				}
+				check(step, "UnmapBase", va, hva)
 			}
 		}
 	})
@@ -411,5 +445,149 @@ func checkScans(t *testing.T, tb *Table, start, end uint64, limit int, vas ...ui
 	}
 	if got := collect(tb.ScanHuge, 0); !slices.Equal(got, huge) {
 		t.Fatalf("ScanHuge = %v, huge ScanAll = %v", got, huge)
+	}
+}
+
+// unmapEach is UnmapBase's reference: Unmap4K on each page of [va, end)
+// inside va's region in ascending order, skipping the accessed pages
+// when unaccessedOnly is set, until max pages are unmapped.
+func unmapEach(t *Table, va, end uint64, max int, unaccessedOnly bool) (frames []uint64, pages [mem.PagesPerHuge / 64]uint64) {
+	end = min(end, regionOf(va)+mem.HugeSize)
+	for pva := va &^ (mem.PageSize - 1); pva < end && len(frames) < max; pva += mem.PageSize {
+		if unaccessedOnly && t.Accessed(pva) {
+			continue
+		}
+		if f, err := t.Unmap4K(pva); err == nil {
+			frames = append(frames, f)
+			p := pva >> mem.PageShift % mem.PagesPerHuge
+			pages[p/64] |= 1 << (p % 64)
+		}
+	}
+	return frames, pages
+}
+
+// cloneTable deep-copies a table. The copy's leaf memo, spare stack and
+// reverse-chunk memo point at the copies of what the original's point
+// at.
+func cloneTable(t *Table) *Table {
+	c := *t
+	leaves := make(map[*Leaf]*Leaf)
+	leaf := func(l *Leaf) *Leaf {
+		if l == nil {
+			return nil
+		}
+		if n, ok := leaves[l]; ok {
+			return n
+		}
+		n := new(Leaf)
+		*n = *l
+		leaves[l] = n
+		return n
+	}
+	c.root = new(dir[dir[pmd]])
+	*c.root = *t.root
+	c.leafLive = nil
+	for i, pud := range t.root.children {
+		if pud == nil {
+			continue
+		}
+		np := new(dir[pmd])
+		*np = *pud
+		c.root.children[i] = np
+		for j, p := range pud.children {
+			if p == nil {
+				continue
+			}
+			nq := new(pmd)
+			*nq = *p
+			np.children[j] = nq
+			for k, l := range p.leaves {
+				nq.leaves[k] = leaf(l)
+				if t.leafLive == &p.leafLive[k] {
+					c.leafLive = &nq.leafLive[k]
+				}
+			}
+		}
+	}
+	c.leaf = leaf(t.leaf)
+	for i := range t.nSpare {
+		c.spare[i] = leaf(t.spare[i])
+	}
+	c.reverse = make(map[uint64]*revChunk, len(t.reverse))
+	for k, ch := range t.reverse {
+		n := &revChunk{va: new([1 << revChunkBits]uint64), n: ch.n}
+		*n.va = *ch.va
+		c.reverse[k] = n
+		if ch == t.revLast {
+			c.revLast = n
+		}
+	}
+	return &c
+}
+
+// sameTable fails the test unless both tables pass their audit and
+// hold the same words, leaf counts, reverse entries and region counts,
+// mapping counters, dirty log and leaf memo region.
+func sameTable(t *testing.T, step int, got, want *Table) {
+	t.Helper()
+	for _, tb := range []*Table{got, want} {
+		if vs := tb.CheckInvariants(); len(vs) != 0 {
+			t.Fatalf("step %d: %s", step, audit.Report(vs))
+		}
+	}
+	if got.Mapped4K() != want.Mapped4K() || got.Mapped2M() != want.Mapped2M() {
+		t.Fatalf("step %d: mapped %d/%d, page by page %d/%d", step,
+			got.Mapped4K(), got.Mapped2M(), want.Mapped4K(), want.Mapped2M())
+	}
+	gr, ga := got.Dirty()
+	wr, wa := want.Dirty()
+	if ga != wa || !slices.Equal(gr, wr) {
+		t.Fatalf("step %d: dirty log %#x (all %v), page by page %#x (all %v)", step, gr, ga, wr, wa)
+	}
+	if (got.leaf == nil) != (want.leaf == nil) || got.leaf != nil && got.leafKey != want.leafKey {
+		t.Fatalf("step %d: leaf memo %v at region %#x, page by page %v at %#x", step,
+			got.leaf != nil, got.leafKey, want.leaf != nil, want.leafKey)
+	}
+	for i, gp := range got.root.children {
+		wp := want.root.children[i]
+		if (gp == nil) != (wp == nil) {
+			t.Fatalf("step %d: PUD %d present %v, page by page %v", step, i, gp != nil, wp != nil)
+		}
+		if gp == nil {
+			continue
+		}
+		for j, g := range gp.children {
+			w := wp.children[j]
+			if (g == nil) != (w == nil) {
+				t.Fatalf("step %d: PMD %d/%d present %v, page by page %v", step, i, j, g != nil, w != nil)
+			}
+			if g == nil {
+				continue
+			}
+			if g.words != w.words || g.leafLive != w.leafLive || g.live != w.live {
+				t.Fatalf("step %d: PMD %d/%d words, leaf counts or live count differ", step, i, j)
+			}
+			for k, gl := range g.leaves {
+				if wl := w.leaves[k]; (gl == nil) != (wl == nil) || gl != nil && *gl != *wl {
+					t.Fatalf("step %d: leaf %d/%d/%d differs from page by page", step, i, j, k)
+				}
+			}
+		}
+	}
+	var zero revChunk
+	zero.va = new([1 << revChunkBits]uint64)
+	for _, keys := range []map[uint64]*revChunk{got.reverse, want.reverse} {
+		for k := range keys {
+			g, w := got.reverse[k], want.reverse[k]
+			if g == nil {
+				g = &zero
+			}
+			if w == nil {
+				w = &zero
+			}
+			if *g.va != *w.va || g.n != w.n {
+				t.Fatalf("step %d: reverse chunk %d differs from page by page", step, k)
+			}
+		}
 	}
 }

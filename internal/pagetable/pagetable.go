@@ -700,6 +700,62 @@ func (t *Table) Unmap4K(va uint64) (uint64, error) {
 	return frame, nil
 }
 
+// UnmapBase removes, in ascending order, up to max base mappings of the
+// pages of [va, end) that lie in va's 2 MiB region, skipping pages whose
+// accessed bit is set when unaccessedOnly is set. It appends their
+// frames to frames and returns the result, and sets bit p of pages,
+// when pages is not nil, for each removed page p of the region. It
+// leaves the words, reverse map, counts, dirty log and leaf memo that
+// the same Unmap4K calls page by page leave, with one walk to the leaf
+// and one Version bump in all (DESIGN.md §7.6). A huge-mapped region
+// is left as it is.
+func (t *Table) UnmapBase(va, end uint64, max int, unaccessedOnly bool, frames []uint64, pages *[mem.PagesPerHuge / 64]uint64) []uint64 {
+	hva := va &^ uint64(mem.HugeSize-1)
+	end = min(end, hva+mem.HugeSize)
+	if end <= va || max <= 0 {
+		return frames
+	}
+	p := t.pmdAt(hva)
+	if p == nil {
+		return frames
+	}
+	i := index(hva, hugeLevel)
+	l := p.leaves[i]
+	if l == nil {
+		return frames // no leaf, or a huge word
+	}
+	t.leaf, t.leafLive, t.leafKey = l, &p.leafLive[i], hva>>mem.HugeShift
+	if p.leafLive[i] == 0 {
+		return frames
+	}
+	skip := uint64(pteP)
+	if unaccessedOnly {
+		skip |= pteA
+	}
+	n, live := 0, min(max, int(p.leafLive[i]))
+	last := int((end - hva - 1) >> mem.PageShift)
+	for j := index(va, 0); j <= last && n < live; j++ {
+		w := l[j]
+		if w&skip != pteP {
+			continue // not present, or accessed and kept
+		}
+		l[j] = 0
+		f := w >> frameShift
+		frames = append(frames, f)
+		t.reverseClear(f)
+		if pages != nil {
+			pages[j/64] |= 1 << (j % 64)
+		}
+		n++
+	}
+	if n > 0 {
+		p.leafLive[i] -= uint16(n)
+		t.mapped4K -= uint64(n)
+		t.mutated(hva)
+	}
+	return frames
+}
+
 // Unmap2M removes the huge mapping at the 2 MiB region containing va
 // and returns its huge frame base.
 func (t *Table) Unmap2M(va uint64) (uint64, error) {

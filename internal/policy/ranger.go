@@ -120,28 +120,30 @@ func (r *Ranger) compactRegion(L *machine.Layer, va uint64, present int, aligned
 	if err != nil {
 		return false
 	}
-	type pg struct{ va, frame uint64 }
-	var pages []pg
+	var pages []uint64
 	L.Table.ScanRange(va, va+mem.HugeSize, func(m pagetable.Mapping) bool {
-		pages = append(pages, pg{m.VA, m.Frame})
+		pages = append(pages, m.VA)
 		return true
 	})
-	for i, p := range pages {
+	// frees gathers the moved pages' old frames and then the block's
+	// unused tail, all returned in one call.
+	var buf [mem.PagesPerHuge]uint64
+	frees := buf[:0]
+	for i, pva := range pages {
 		// The destination block was free, so it cannot contain any
 		// currently mapped frame; every page really moves.
-		_ = p.frame
-		old, err := L.Table.Remap4K(p.va, dest+uint64(i))
+		old, err := L.Table.Remap4K(pva, dest+uint64(i))
 		if err != nil {
 			panic("policy: ranger remap of scanned page failed: " + err.Error())
 		}
-		L.Buddy.Free(old, 0)
+		frees = append(frees, old)
 		L.Stats.MigratedPages++
 		L.Stats.BackgroundCycles += L.Costs.CopyPage
 	}
-	// Return the block's unused tail.
 	for i := uint64(len(pages)); i < uint64(1)<<order; i++ {
-		L.Buddy.Free(dest+i, 0)
+		frees = append(frees, dest+i)
 	}
+	L.Buddy.FreeFrames(frees)
 	L.AddStall(L.Costs.Shootdown + uint64(len(pages))*L.Costs.CachePollution)
 	if L.FlushRegion != nil {
 		L.FlushRegion(va)
